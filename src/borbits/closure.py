@@ -31,7 +31,13 @@ from .involutions import (
     longest_involution,
     to_permutation,
 )
-from .matrices import Matrix, is_strictly_lower, promote
+from .matrices import (
+    Matrix,
+    echelon_insert,
+    is_strictly_lower,
+    promote,
+    require_prime,
+)
 from .moves import phi_lt
 from .orbits import rank_profile
 from .rankorder import RankMatrix, star_rank_matrix
@@ -152,24 +158,6 @@ def complement_permutation(sigma: Involution) -> Permutation:
     return w0.compose(to_permutation(sigma))
 
 
-def _gf_rank(rows: list[list[int]], q: int) -> int:
-    rank = 0
-    rows = [row[:] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] * inv % q
-                rows[r] = [(x - factor * y) % q for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _corner_rank_table_bits(rows: tuple[int, ...], n: int) -> bytes:
     """Ranks of all upper-left i x j corners of an n x n matrix over the
     two-element field, rows encoded as bit integers (column 1 = low bit)."""
@@ -193,11 +181,14 @@ def _corner_rank_table_bits(rows: tuple[int, ...], n: int) -> bytes:
 
 
 def _corner_rank_table_gf(rows: list[list[int]], n: int, q: int) -> bytes:
+    """Ranks of all upper-left i x j corners over GF(q), entries residues
+    mod q: one incremental pass per column prefix."""
     out = bytearray(n * n)
     for j in range(1, n + 1):
+        basis: list = []
         for i in range(1, n + 1):
-            block = [row[:j] for row in rows[:i]]
-            out[(i - 1) * n + (j - 1)] = _gf_rank(block, q)
+            echelon_insert(basis, rows[i - 1][:j], q)
+            out[(i - 1) * n + (j - 1)] = len(basis)
     return bytes(out)
 
 
@@ -231,6 +222,7 @@ def essential_reduction_check(sigma: Involution, q: int) -> bool:
     q-element field meeting the corner rank bounds of the matrix of w at
     the essential cells must meet them at every cell.
     """
+    require_prime(q)
     if not is_chain(sigma):
         raise NotChainError(f"{sigma} is not a chain")
     n = sigma.n

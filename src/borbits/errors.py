@@ -77,6 +77,11 @@ class SingularElementError(BorbitsError):
     """One-parameter element with vanishing diagonal entry."""
 
 
+class NotAFieldError(BorbitsError):
+    """An entry or modulus outside the exact fields: a float entry, or a
+    modulus that is not prime."""
+
+
 class NotInvertibleError(BorbitsError):
     """Matrix has a zero diagonal entry, hence no triangular inverse."""
 

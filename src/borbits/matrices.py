@@ -1,15 +1,20 @@
-"""Small exact matrix helpers shared by the orbit and closure modules.
+"""Small exact matrix helpers and the one elimination kernel.
 
 Matrices are tuples of row tuples over one field at a time: ``Fraction``
 or :class:`~borbits.ratfunc.RFun`.  Constructors promote plain ints so
 that arithmetic never falls back to floating point.
+
+Every rank, corner-rank table and determinant in the package is computed
+by :func:`echelon_insert`, over an exact field or over GF(q) for a prime
+q; only the F_2 bit-row corner tables in the closure module bypass it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
-from .errors import NotInvertibleError
+from .errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from .ratfunc import RF_ONE, RF_ZERO, RFun
 
 Matrix = tuple[tuple, ...]
@@ -22,12 +27,18 @@ def field_constants(sample) -> tuple:
     return Fraction(1), Fraction(0)
 
 
+def _exact(x):
+    if isinstance(x, (Fraction, RFun)):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise NotAFieldError(f"entry {x!r} is not an int, Fraction or RFun")
+
+
 def promote(matrix) -> Matrix:
-    """Copy with int entries promoted to Fraction (RFun rows pass through)."""
-    return tuple(
-        tuple(Fraction(x) if isinstance(x, int) else x for x in row)
-        for row in matrix
-    )
+    """Copy with int entries promoted to Fraction (RFun entries pass
+    through); any other entry, a float say, is rejected."""
+    return tuple(tuple(_exact(x) for x in row) for row in matrix)
 
 
 def zero_matrix(n: int, like=Fraction(0)) -> Matrix:
@@ -97,25 +108,69 @@ def upper_inverse(g: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def exact_det(matrix: Matrix) -> Fraction:
-    """Determinant by fraction-free-style elimination over the rationals."""
-    rows = [list(map(Fraction, row)) for row in matrix]
-    n = len(rows)
-    det = Fraction(1)
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            det = -det
-        pivot = rows[col][col]
-        det *= pivot
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+def require_prime(q: int) -> None:
+    """Raise unless q is a prime, so that Z/q is a field."""
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise NotAFieldError(f"modulus {q} is not prime")
+
+
+def field_row(row, q: int | None = None) -> list:
+    """A fresh list of the row's entries in the kernel's field: exact
+    (ints promoted to Fraction) when q is None, residues of ints mod q
+    otherwise."""
+    if q is None:
+        return [_exact(x) for x in row]
+    require_prime(q)
+    if not all(isinstance(x, int) for x in row):
+        raise NotAFieldError(f"entries over GF({q}) must be ints")
+    return [x % q for x in row]
+
+
+def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
+    """Reduce ``row`` in place against an echelon basis and append it if
+    independent.
+
+    ``basis`` holds (pivot column, row) pairs in insertion order.  A
+    row's pivot is its first nonzero entry, and every row is zero at the
+    pivots of the rows before it, so one pass in that order reduces a new
+    row to zero at all pivots, and ``len(basis)`` is the rank so far.  The
+    entries lie in an exact field (Fraction, RFun) when q is None and are
+    residues mod the prime q otherwise.  Returns the new pivot column, or
+    None when the row depends on the basis.
+    """
+    for col, pivot_row in basis:
+        x = row[col]
+        if not x:
+            continue
+        tail = zip(row[col:], pivot_row[col:])
+        if q is None:
+            factor = x / pivot_row[col]
+            row[col:] = [y - factor * p for y, p in tail]
+        else:
+            factor = x * pow(pivot_row[col], q - 2, q)
+            row[col:] = [(y - factor * p) % q for y, p in tail]
+    for col, x in enumerate(row):
+        if x:
+            basis.append((col, row))
+            return col
+    return None
+
+
+def exact_det(matrix: Matrix, q: int | None = None) -> Fraction | int:
+    """Determinant over the rationals, or over GF(q) for a prime q: the
+    sign of the pivot-column order times the product of the pivots."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise SizeMismatchError("determinant of a non-square matrix")
+    basis: list = []
+    for row in matrix:
+        if echelon_insert(basis, field_row(row, q), q) is None:
+            return Fraction(0) if q is None else 0
+    cols = [col for col, _ in basis]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
+    det = -1 if inversions % 2 else 1
+    for col, pivot_row in basis:
+        det *= pivot_row[col]
+    return Fraction(det) if q is None else det % q
 
 
 def qmatrix_to_json(m: Matrix) -> dict:

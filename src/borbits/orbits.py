@@ -30,6 +30,7 @@ from .errors import (
 from .involutions import Arc, Involution, rook_matrix_lower
 from .matrices import (
     Matrix,
+    echelon_insert,
     exact_det,
     field_constants,
     identity_matrix,
@@ -91,22 +92,6 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
     return tuple(tuple(row) for row in rows)
 
 
-def _echelon_insert(basis: list, row: list) -> bool:
-    """Reduce row against basis; append if independent.  Returns True on
-    growth.  Basis rows are kept with a leading nonzero pivot position."""
-    for pivot_col, pivot_row in basis:
-        if row[pivot_col]:
-            factor = row[pivot_col] / pivot_row[pivot_col]
-            for k in range(len(row)):
-                row[k] = row[k] - factor * pivot_row[k]
-    for col, value in enumerate(row):
-        if value:
-            basis.append((col, row))
-            basis.sort(key=lambda item: item[0])
-            return True
-    return False
-
-
 def rank_profile(lam: Matrix) -> RankMatrix:
     """Corner ranks of all South-West truncations of a strictly
     lower-triangular matrix, by exact elimination; entries outside the
@@ -118,11 +103,9 @@ def rank_profile(lam: Matrix) -> RankMatrix:
     rows = [[0] * n for _ in range(n)]
     for j in range(1, n + 1):
         basis: list = []
-        rank = 0
         for i in range(n, j, -1):  # rank of lam[i..n, 1..j], i > j
-            if _echelon_insert(basis, list(lam[i - 1][:j])):
-                rank += 1
-            rows[i - 1][j - 1] = rank
+            echelon_insert(basis, list(lam[i - 1][:j]))
+            rows[i - 1][j - 1] = len(basis)
     return RankMatrix(n, tuple(tuple(r) for r in rows))
 
 

@@ -173,11 +173,7 @@ def is_graded(poset: Poset) -> bool:
     tops = [k for k in range(size) if not any(poset.less[b] >> k & 1 for b in range(size) if b != k)]
     if len(bottoms) != 1 or len(tops) != 1:
         return False
-    order_by_downset = sorted(range(size), key=lambda k: poset.less[k].bit_count())
-    rank = [0] * size
-    for b in order_by_downset:
-        for a in poset.covers[b]:
-            rank[b] = max(rank[b], rank[a] + 1)
+    rank = poset_ranks(poset)
     return all(
         rank[b] == rank[a] + 1 for b in range(size) for a in poset.covers[b]
     )

@@ -5,23 +5,19 @@ in the test suite rather than assumed equal:
 
 - combinatorially, the rank of a corner truncation of a rook placement
   equals the number of rooks weakly South-West of the corner;
-- linear-algebraically, by exact Gaussian elimination over the rationals.
+- linear-algebraically, by exact Gaussian elimination over the rationals
+  (the kernel in :mod:`borbits.matrices`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRangeError, SizeMismatchError
-from .involutions import (
-    Arc,
-    Involution,
-    Permutation,
-    to_permutation,
-)
+from .involutions import Arc, Involution, Permutation
+from .matrices import echelon_insert, field_row
 
 Matrix = tuple[tuple, ...]
 
@@ -67,30 +63,13 @@ def pi_truncate(matrix: Matrix, i: int, j: int) -> Matrix:
     )
 
 
-def exact_rank(matrix: Sequence[Sequence]) -> int:
-    """Rank by Gaussian elimination over an exact field (rationals,
-    rational functions, prime fields); no floating point anywhere."""
-    rows = [
-        [Fraction(x) if isinstance(x, int) else x for x in row] for row in matrix
-    ]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / pivot
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def exact_rank(matrix: Sequence[Sequence], q: int | None = None) -> int:
+    """Rank by exact elimination over the rationals (or rational
+    functions), or over GF(q) for a prime q; no floating point anywhere."""
+    basis: list = []
+    for row in matrix:
+        echelon_insert(basis, field_row(row, q), q)
+    return len(basis)
 
 
 def southwest_count(arcs: Iterable[Arc], i: int, j: int) -> int:
@@ -167,17 +146,16 @@ def leq_bruhat(v: Permutation, w: Permutation) -> bool:
     return _dominated(bruhat_rank_matrix(v), bruhat_rank_matrix(w))
 
 
-def leq_bruhat_involutions(tau: Involution, sigma: Involution) -> bool:
-    return leq_bruhat(to_permutation(tau), to_permutation(sigma))
-
-
 def rank_matrix_by_elimination(matrix: Matrix) -> RankMatrix:
     """Corner ranks computed by exact elimination; the independent route
-    cross-checking the South-West counts."""
+    cross-checking the South-West counts.  One pass per column prefix
+    inserts the rows bottom-up, so the rank after row i is the rank of
+    the corner spanning rows i..n."""
     n = len(matrix)
-    exact = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-    rows = tuple(
-        tuple(exact_rank(pi_truncate(exact, i, j)) for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    return RankMatrix(n, rows)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        basis: list = []
+        for i in range(n, 0, -1):
+            echelon_insert(basis, field_row(matrix[i - 1][:j]))
+            rows[i - 1][j - 1] = len(basis)
+    return RankMatrix(n, tuple(tuple(r) for r in rows))

@@ -19,7 +19,7 @@ from .closure import (
     z_contains,
     z_spec,
 )
-from .errors import BoundExceededError, UnknownSuiteError
+from .errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
 from .involutions import (
     Permutation,
     enumerate_involutions,
@@ -47,19 +47,7 @@ from .orbits import (
     rank_profile,
 )
 from .poset import build_poset, hasse_dot, hasse_json, is_graded, l_sets
-from .rankorder import bruhat_rank_matrix, leq_star, star_rank_matrix
-
-SUITE_BOUNDS = {
-    "counts": 8,
-    "order-equivalence": 8,
-    "covers": 6,
-    "graded": 7,
-    "dimension": 6,
-    "rank-invariance": 6,
-    "degeneration": 6,
-    "closure": 6,
-    "essential-set": 4,
-}
+from .rankorder import _dominated, bruhat_rank_matrix, leq_star, star_rank_matrix
 
 HASSE_MAX_N = 8
 
@@ -111,7 +99,7 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _suite_counts(n: int, seed: int, samples: int):
+def _suite_counts(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     for m in range(1, n + 1):
         enumerated = len(enumerate_involutions(m))
@@ -126,23 +114,15 @@ def _suite_counts(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
-def _suite_order_equivalence(n: int, seed: int, samples: int):
+def _suite_order_equivalence(n: int, seed: int, samples: int, explore: bool):
     elements = enumerate_involutions(n)
     checked, failures = 0, []
     stars = [star_rank_matrix(s) for s in elements]
     fulls = [bruhat_rank_matrix(to_permutation(s)) for s in elements]
-
-    def dominated(a, b):
-        for ra, rb in zip(a.rows, b.rows):
-            for x, y in zip(ra, rb):
-                if x > y:
-                    return False
-        return True
-
     for a in range(len(elements)):
         for b in range(len(elements)):
-            star = dominated(stars[a], stars[b])
-            bruhat = dominated(fulls[a], fulls[b])
+            star = _dominated(stars[a], stars[b])
+            bruhat = _dominated(fulls[a], fulls[b])
             checked += 1
             if star != bruhat:
                 failures.append(
@@ -156,7 +136,7 @@ def _suite_order_equivalence(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
-def _suite_covers(n: int, seed: int, samples: int):
+def _suite_covers(n: int, seed: int, samples: int, explore: bool):
     poset = build_poset(n, "star")
     checked, failures = 0, []
     for sigma in poset.elements:
@@ -200,7 +180,7 @@ def _suite_covers(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
-def _suite_graded(n: int, seed: int, samples: int):
+def _suite_graded(n: int, seed: int, samples: int, explore: bool):
     poset = build_poset(n, "star")
     edges = sum(len(c) for c in poset.covers)
     failures = []
@@ -209,7 +189,7 @@ def _suite_graded(n: int, seed: int, samples: int):
     return edges, failures, ()
 
 
-def _suite_dimension(n: int, seed: int, samples: int):
+def _suite_dimension(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     for sigma in enumerate_involutions(n):
         checked += 1
@@ -222,7 +202,7 @@ def _suite_dimension(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
-def _suite_rank_invariance(n: int, seed: int, samples: int):
+def _suite_rank_invariance(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     for index, sigma in enumerate(enumerate_involutions(n)):
         base = orbit_point(sigma)
@@ -238,7 +218,7 @@ def _suite_rank_invariance(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
-def _suite_degeneration(n: int, seed: int, samples: int):
+def _suite_degeneration(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     for sigma in enumerate_involutions(n):
         for move in near_moves(sigma):
@@ -259,7 +239,7 @@ def _suite_degeneration(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
-def _suite_closure(n: int, seed: int, samples: int, explore: bool = False):
+def _suite_closure(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     observations = []
     elements = enumerate_involutions(n)
@@ -297,7 +277,7 @@ def _suite_closure(n: int, seed: int, samples: int, explore: bool = False):
     return checked, failures, tuple(observations)
 
 
-def _suite_essential_set(n: int, seed: int, samples: int):
+def _suite_essential_set(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     n_phi = n * (n - 1) // 2
     w0 = to_permutation(longest_involution(n))
@@ -320,16 +300,17 @@ def _suite_essential_set(n: int, seed: int, samples: int):
     return checked, failures, ()
 
 
+# name -> (suite, largest n it accepts)
 _SUITES = {
-    "counts": _suite_counts,
-    "order-equivalence": _suite_order_equivalence,
-    "covers": _suite_covers,
-    "graded": _suite_graded,
-    "dimension": _suite_dimension,
-    "rank-invariance": _suite_rank_invariance,
-    "degeneration": _suite_degeneration,
-    "closure": _suite_closure,
-    "essential-set": _suite_essential_set,
+    "counts": (_suite_counts, 8),
+    "order-equivalence": (_suite_order_equivalence, 8),
+    "covers": (_suite_covers, 6),
+    "graded": (_suite_graded, 7),
+    "dimension": (_suite_dimension, 6),
+    "rank-invariance": (_suite_rank_invariance, 6),
+    "degeneration": (_suite_degeneration, 6),
+    "closure": (_suite_closure, 6),
+    "essential-set": (_suite_essential_set, 4),
 }
 
 
@@ -345,14 +326,13 @@ def run_suite(
         raise UnknownSuiteError(
             f"unknown suite {name!r}; expected one of {', '.join(suite_names())}"
         )
-    bound = SUITE_BOUNDS[name]
+    suite, bound = _SUITES[name]
     if not 1 <= n <= bound:
         raise BoundExceededError(f"suite {name!r} accepts 1 <= n <= {bound}")
+    if samples < 1:
+        raise IndexOutOfRangeError(f"samples must be >= 1, got {samples}")
     start = time.perf_counter()
-    if name == "closure":
-        checked, failures, observations = _suite_closure(n, seed, samples, explore)
-    else:
-        checked, failures, observations = _SUITES[name](n, seed, samples)
+    checked, failures, observations = suite(n, seed, samples, explore)
     # failures keep enumeration order, so the first is the smallest instance
     failures = tuple(failures)
     return SuiteReport(

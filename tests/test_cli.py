@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from borbits.cli import main
 
 
@@ -119,6 +121,17 @@ def test_verify_bound_exceeded_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "counts", "--n", "99")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_nonpositive_samples_is_usage_error(capsys, samples):
+    # no samples would make a vacuous PASS
+    code, out, err = run_cli(
+        capsys, "verify", "rank-invariance", "--n", "4", "--samples", samples
+    )
+    assert code == 2
+    assert out == ""
+    assert "samples" in err
 
 
 def test_unknown_subcommand_and_suite(capsys):

@@ -30,7 +30,12 @@ from borbits import (
     z_contains,
     z_spec,
 )
-from borbits.errors import NotChainError, NotStrictlyLowerError, TooLargeError
+from borbits.errors import (
+    NotAFieldError,
+    NotChainError,
+    NotStrictlyLowerError,
+    TooLargeError,
+)
 from borbits.moves import phi_lt
 from borbits.rankorder import exact_rank
 
@@ -227,6 +232,13 @@ def test_essential_reduction_guards():
         essential_reduction_check(parse_involution("(3,1)(5,2)", 5), 2)
     with pytest.raises(TooLargeError):
         essential_reduction_check(longest_involution(5), 2)
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 6])
+def test_essential_reduction_rejects_non_prime_modulus(q):
+    # Z/q is no field, so elimination over it would answer nothing
+    with pytest.raises(NotAFieldError):
+        essential_reduction_check(parse_involution("(2,1)", 2), q)
 
 
 def test_length_complement_identity():

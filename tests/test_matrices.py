@@ -1,8 +1,12 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from borbits.errors import NotInvertibleError
+from borbits.closure import _corner_rank_table_bits, _corner_rank_table_gf
+from borbits.errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from borbits.matrices import (
     exact_det,
     identity_matrix,
@@ -17,7 +21,8 @@ from borbits.matrices import (
     transpose,
     upper_inverse,
 )
-from borbits.orbits import random_borel
+from borbits.orbits import act, random_borel
+from borbits.rankorder import exact_rank
 from borbits.ratfunc import EPS, RF_ONE, RFun, poly
 
 
@@ -57,6 +62,72 @@ def test_exact_det():
     assert exact_det(((1, 2), (2, 4))) == 0
     assert exact_det(((2, 0, 0), (0, 3, 0), (0, 0, 4))) == 24
     assert exact_det(((Fraction(1, 2), 0), (0, Fraction(2, 3)))) == Fraction(1, 3)
+    assert exact_det(()) == 1
+    with pytest.raises(SizeMismatchError):
+        exact_det(((1, 2),))
+
+
+def test_non_field_inputs_are_rejected():
+    with pytest.raises(NotAFieldError):
+        promote(((0.5,),))
+    # a float entry of g must not leak into the acted functional
+    with pytest.raises(NotAFieldError):
+        act(((1, 0), (0, 2.0)), ((0, 0), (1, 0)))
+    with pytest.raises(NotAFieldError):
+        exact_rank(((1, 2), (3, 4)), q=4)
+    with pytest.raises(NotAFieldError):
+        exact_det(((Fraction(1, 2),),), q=3)
+
+
+def leibniz_det(m, q=None):
+    """Oracle: the permutation expansion of the determinant."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total if q is None else total % q
+
+
+def largest_nonzero_minor(m, q=None):
+    """Oracle: rank as the size of the largest nonvanishing minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                if leibniz_det([[m[r][c] for c in cols] for r in rows], q):
+                    return k
+    return 0
+
+
+int_matrices = st.integers(1, 4).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=int_matrices, q=st.sampled_from([None, 3, 5]))
+@example(matrix=[[1, 2], [2, 4]], q=None)
+@example(matrix=[[1, 1], [1, 4]], q=3)
+@example(matrix=[[0, 1, 0], [0, 0, 1], [1, 0, 0]], q=None)
+def test_kernel_matches_minor_and_leibniz_oracles(matrix, q):
+    assert exact_rank(matrix, q) == largest_nonzero_minor(matrix, q)
+    k = min(len(matrix), len(matrix[0]))
+    block = [row[:k] for row in matrix[:k]]
+    assert exact_det(block, q) == leibniz_det(block, q)
+
+
+def test_bit_row_tables_equal_generic_kernel_over_f2():
+    n = 3
+    for code in range(2 ** (n * n)):
+        rows = [[code >> (n * r + c) & 1 for c in range(n)] for r in range(n)]
+        bits = tuple(sum(x << c for c, x in enumerate(row)) for row in rows)
+        assert _corner_rank_table_bits(bits, n) == _corner_rank_table_gf(rows, n, 2)
 
 
 def test_transpose():

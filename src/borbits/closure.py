@@ -17,8 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import (
+    NotAFieldError,
     NotChainError,
     NotStrictlyLowerError,
     SizeMismatchError,
@@ -36,7 +38,6 @@ from .matrices import (
     echelon_insert,
     is_strictly_lower,
     promote,
-    require_prime,
 )
 from .moves import phi_lt
 from .orbits import rank_profile
@@ -222,12 +223,14 @@ def essential_reduction_check(sigma: Involution, q: int) -> bool:
     q-element field meeting the corner rank bounds of the matrix of w at
     the essential cells must meet them at every cell.
     """
-    require_prime(q)
     if not is_chain(sigma):
         raise NotChainError(f"{sigma} is not a chain")
     n = sigma.n
     if q ** (n * n) > MAX_FIELD_ENUMERATION:
         raise TooLargeError(f"q^(n^2) = {q ** (n * n)} exceeds budget")
+    # the GF(q) kernel inverts pivots as x^(q-2), which needs Z/q a field
+    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise NotAFieldError(f"field size {q} is not prime")
     w = complement_permutation(sigma)
     # row convention (rook of row k at column w(k)): the one whose corner
     # ranks the diagram formula describes

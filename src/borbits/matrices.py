@@ -12,7 +12,6 @@ q; only the F_2 bit-row corner tables in the closure module bypass it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 
 from .errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from .ratfunc import RF_ONE, RF_ZERO, RFun
@@ -108,24 +107,6 @@ def upper_inverse(g: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def require_prime(q: int) -> None:
-    """Raise unless q is a prime, so that Z/q is a field."""
-    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
-        raise NotAFieldError(f"modulus {q} is not prime")
-
-
-def field_row(row, q: int | None = None) -> list:
-    """A fresh list of the row's entries in the kernel's field: exact
-    (ints promoted to Fraction) when q is None, residues of ints mod q
-    otherwise."""
-    if q is None:
-        return [_exact(x) for x in row]
-    require_prime(q)
-    if not all(isinstance(x, int) for x in row):
-        raise NotAFieldError(f"entries over GF({q}) must be ints")
-    return [x % q for x in row]
-
-
 def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     """Reduce ``row`` in place against an echelon basis and append it if
     independent.
@@ -156,21 +137,24 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     return None
 
 
-def exact_det(matrix: Matrix, q: int | None = None) -> Fraction | int:
-    """Determinant over the rationals, or over GF(q) for a prime q: the
-    sign of the pivot-column order times the product of the pivots."""
+def exact_det(matrix: Matrix) -> Fraction | RFun:
+    """Determinant over the field of the entries (ints count as
+    rationals): the sign of the pivot-column order times the product of
+    the pivots."""
     if any(len(row) != len(matrix) for row in matrix):
         raise SizeMismatchError("determinant of a non-square matrix")
+    rows = promote(matrix)
+    one, zero = field_constants(rows[0][0]) if rows else field_constants(0)
     basis: list = []
-    for row in matrix:
-        if echelon_insert(basis, field_row(row, q), q) is None:
-            return Fraction(0) if q is None else 0
+    for row in rows:
+        if echelon_insert(basis, list(row)) is None:
+            return zero
     cols = [col for col, _ in basis]
     inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
-    det = -1 if inversions % 2 else 1
+    det = -one if inversions % 2 else one
     for col, pivot_row in basis:
-        det *= pivot_row[col]
-    return Fraction(det) if q is None else det % q
+        det = det * pivot_row[col]
+    return det
 
 
 def qmatrix_to_json(m: Matrix) -> dict:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRangeError, SizeMismatchError
 from .involutions import Arc, Involution, Permutation
-from .matrices import echelon_insert, field_row
+from .matrices import echelon_insert, promote
 
 Matrix = tuple[tuple, ...]
 
@@ -63,12 +63,12 @@ def pi_truncate(matrix: Matrix, i: int, j: int) -> Matrix:
     )
 
 
-def exact_rank(matrix: Sequence[Sequence], q: int | None = None) -> int:
+def exact_rank(matrix: Sequence[Sequence]) -> int:
     """Rank by exact elimination over the rationals (or rational
-    functions), or over GF(q) for a prime q; no floating point anywhere."""
+    functions); no floating point anywhere."""
     basis: list = []
-    for row in matrix:
-        echelon_insert(basis, field_row(row, q), q)
+    for row in promote(matrix):
+        echelon_insert(basis, list(row))
     return len(basis)
 
 
@@ -151,11 +151,12 @@ def rank_matrix_by_elimination(matrix: Matrix) -> RankMatrix:
     cross-checking the South-West counts.  One pass per column prefix
     inserts the rows bottom-up, so the rank after row i is the rank of
     the corner spanning rows i..n."""
+    matrix = promote(matrix)
     n = len(matrix)
     rows = [[0] * n for _ in range(n)]
     for j in range(1, n + 1):
         basis: list = []
         for i in range(n, 0, -1):
-            echelon_insert(basis, field_row(matrix[i - 1][:j]))
+            echelon_insert(basis, list(matrix[i - 1][:j]))
             rows[i - 1][j - 1] = len(basis)
     return RankMatrix(n, tuple(tuple(r) for r in rows))

@@ -241,6 +241,13 @@ def test_essential_reduction_rejects_non_prime_modulus(q):
         essential_reduction_check(parse_involution("(2,1)", 2), q)
 
 
+def test_essential_reduction_budget_precedes_primality_test():
+    # a large prime is refused by the enumeration budget before any
+    # trial division up to its square root
+    with pytest.raises(TooLargeError):
+        essential_reduction_check(parse_involution("(2,1)", 2), 2**61 - 1)
+
+
 def test_length_complement_identity():
     for n in range(1, 8):
         n_phi = n * (n - 1) // 2

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import BorbitsError
+from .errors import BorbitsError, BoundExceededError
 from .involutions import (
     enumerate_involutions,
     format_involution,
@@ -99,11 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# n = 12 lists 140,152 involutions in about 3 s; the count grows
+# faster than exponentially beyond it
+ENUM_MAX_N = 12
+
+
 def _rank_rows_text(rows) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
 
 
 def _cmd_enum(args) -> int:
+    if args.n > ENUM_MAX_N:
+        raise BoundExceededError(f"enum accepts n <= {ENUM_MAX_N}")
     elements = enumerate_involutions(args.n)
     if args.format == "json":
         payload = {

@@ -95,6 +95,8 @@ def upper_inverse(g: Matrix) -> Matrix:
     for k in range(n):
         if not g[k][k]:
             raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
+    if not n:
+        return ()
     one, zero = field_constants(g[0][0])
     inv = [[zero] * n for _ in range(n)]
     for j in range(n - 1, -1, -1):

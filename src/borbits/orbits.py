@@ -16,12 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     IndexOutOfRangeError,
     LimitUndefinedError,
     MissingArcError,
     MoveNotApplicableError,
+    NotInvertibleError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
     SingularElementError,
@@ -66,14 +68,93 @@ def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
 
 
 def act(g: Matrix, lam: Matrix) -> Matrix:
-    """The induced action: strictly lower part of g lam g^{-1}."""
+    """The induced action: strictly lower part of g lam g^{-1}.
+
+    Rational inputs take the integer route of :func:`_act_rational`;
+    inputs with an ``RFun`` entry take the generic :func:`_act_field`.
+    Both return the same matrix over Q.
+    """
     g = promote(g)
     lam = promote(lam)
     if not is_upper_triangular(g):
         raise NotUpperTriangularError("group element must be upper triangular")
     if not is_strictly_lower(lam):
         raise NotStrictlyLowerError("functional must be strictly lower triangular")
+    if any(isinstance(x, RFun) for m in (g, lam) for row in m for x in row):
+        return _act_field(g, lam)
+    return _act_rational(g, lam)
+
+
+def _act_field(g: Matrix, lam: Matrix) -> Matrix:
+    """act over any exact field: two dense products and a back-substitution
+    inverse.  Over Q it is the oracle for :func:`_act_rational`."""
     return strictly_lower_part(mat_mul(mat_mul(g, lam), upper_inverse(g)))
+
+
+def _scaled_to_int(m: Matrix) -> tuple[list[list[int]], int]:
+    """(d m, d) for a rational matrix m, d the lcm of its denominators."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _exact_div(a: int, b: int) -> int:
+    quotient, remainder = divmod(a, b)
+    if remainder:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return quotient
+
+
+def _upper_adjugate(g: list[list[int]]) -> tuple[list[list[int]], int]:
+    """(adj g, det g) of an integer upper-triangular g, with adj g =
+    det(g) g^{-1}, by back substitution in which every division is exact."""
+    n = len(g)
+    det = 1
+    for k in range(n):
+        if not g[k][k]:
+            raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
+        det *= g[k][k]
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        adj[j][j] = _exact_div(det, g[j][j])
+        for i in range(j - 1, -1, -1):
+            acc = sum(g[i][k] * adj[k][j] for k in range(i + 1, j + 1))
+            adj[i][j] = _exact_div(-acc, g[i][i])
+    return adj, det
+
+
+_ZERO = Fraction(0)
+
+
+def _act_rational(g: Matrix, lam: Matrix) -> Matrix:
+    """act over Q with Python ints and one division per entry.
+
+    With a g and d lam integral, (a g)(d lam) adj(a g) = d det(a g) g lam
+    g^{-1}, since the scalar a cancels under conjugation.
+    """
+    n = len(g)
+    g_int, _ = _scaled_to_int(g)
+    lam_int, d = _scaled_to_int(lam)
+    adj, det = _upper_adjugate(g_int)
+    # g lam over the nonzero entries of lam: column r of g, scaled, lands
+    # in column c; a rook placement makes this a column gather
+    prod = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r):
+            x = lam_int[r][c]
+            if x:
+                for i in range(r + 1):
+                    prod[i][c] += g_int[i][r] * x
+    denom = d * det
+    rows = []
+    for i in range(n):
+        left = prod[i]
+        row = [_ZERO] * n
+        for j in range(i):
+            m = sum(left[k] * adj[k][j] for k in range(j + 1))
+            if m:
+                row[j] = Fraction(m, denom)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Matrix:

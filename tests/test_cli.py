@@ -3,6 +3,7 @@ import json
 import pytest
 
 from borbits.cli import main
+from borbits.involutions import _involutions_sorted
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +87,22 @@ def test_enum(capsys):
         "arcs": [],
         "one_line": [1, 2, 3],
     }
+
+
+def test_enum_above_bound_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "enum", "--n", "13")
+    assert code == 2
+    assert out == ""
+    assert "n <= 12" in err
+
+
+def test_enum_at_bound_lists_every_involution(capsys):
+    try:
+        code, out, _ = run_cli(capsys, "enum", "--n", "12")
+    finally:
+        _involutions_sorted.cache_clear()  # about 60 MiB at n = 12
+    assert code == 0
+    assert len(out.splitlines()) == 140_152
 
 
 def test_near(capsys):

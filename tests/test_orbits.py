@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from borbits import (
     Arc,
@@ -26,6 +28,7 @@ from borbits import (
 )
 from borbits.errors import (
     MissingArcError,
+    NotAFieldError,
     MoveNotApplicableError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
@@ -35,6 +38,7 @@ from borbits.errors import (
 )
 from borbits.matrices import identity_matrix, mat_from_entries, mat_mul
 from borbits.moves import Move
+from borbits.orbits import _act_field
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RFun
 
 
@@ -55,6 +59,105 @@ def test_act_identity_and_validation():
         act(identity_matrix(2), identity_matrix(2))
     with pytest.raises(NotInvertibleError):
         act(((0, 0), (0, 1)), ((0, 0), (1, 0)))
+
+
+H = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "g, lam, error",
+    [
+        (((H, H), (0, 0)), ((0, 0), (H, 0)), NotInvertibleError),
+        (((H, 0), (H, H)), ((0, 0), (H, 0)), NotUpperTriangularError),
+        (((H, H), (0, H)), ((0, H), (H, 0)), NotStrictlyLowerError),
+        (((H, H), (0, H)), ((H, 0), (H, 0)), NotStrictlyLowerError),
+        (((0.5, 0), (0, 1)), ((0, 0), (1, 0)), NotAFieldError),
+        (((1, 0), (0, 1)), ((0, 0), (0.5, 0)), NotAFieldError),
+    ],
+)
+def test_act_rejects_bad_rational_input(g, lam, error):
+    with pytest.raises(error):
+        act(g, lam)
+
+
+def test_act_on_the_empty_matrix():
+    assert act((), ()) == ()
+    assert _act_field((), ()) == ()
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)
+)
+
+
+@st.composite
+def upper(draw, n, entries=rationals, diagonal=nonzero_rationals):
+    return tuple(
+        tuple(
+            draw(diagonal) if r == c else draw(entries) if r < c else Fraction(0)
+            for c in range(n)
+        )
+        for r in range(n)
+    )
+
+
+@st.composite
+def strictly_lower(draw, n, entries=rationals):
+    return tuple(
+        tuple(draw(entries) if r > c else Fraction(0) for c in range(n))
+        for r in range(n)
+    )
+
+
+# negative non-unit diagonal and denominators above 1 throughout
+_HARD_G = (
+    (Fraction(-2, 3), Fraction(5, 4), Fraction(-7, 2)),
+    (Fraction(0), Fraction(-5, 2), Fraction(1, 6)),
+    (Fraction(0), Fraction(0), Fraction(-3, 5)),
+)
+_HARD_LAM = (
+    (Fraction(0), Fraction(0), Fraction(0)),
+    (Fraction(3, 4), Fraction(0), Fraction(0)),
+    (Fraction(-1, 6), Fraction(9, 2), Fraction(0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.integers(0, 6).flatmap(lambda n: st.tuples(upper(n), strictly_lower(n)))
+)
+@example(pair=(_HARD_G, _HARD_LAM))
+def test_act_integer_route_matches_field_route(pair):
+    g, lam = pair
+    result = act(g, lam)
+    assert result == _act_field(g, lam)
+    assert all(type(x) is Fraction for row in result for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    triple=st.integers(0, 5).flatmap(
+        lambda n: st.tuples(upper(n), upper(n), strictly_lower(n))
+    )
+)
+def test_action_law_over_q(triple):
+    g, h, lam = triple
+    assert act(g, act(h, lam)) == act(mat_mul(g, h), lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.sampled_from(enumerate_involutions(n)),
+            upper(n, st.integers(-50, 50), st.integers(-50, 50).filter(bool)),
+        )
+    )
+)
+def test_rank_profile_invariant_under_integer_borel(pair):
+    sigma, g = pair
+    assert rank_profile(act(g, orbit_point(sigma))) == star_rank_matrix(sigma)
 
 
 def test_act_unchanged_2x2_example():

@@ -199,7 +199,6 @@ def length(w: Permutation) -> int:
     )
 
 
-@lru_cache(maxsize=None)
 def _involutions_sorted(n: int) -> tuple[Involution, ...]:
     found: list[Involution] = []
 
@@ -217,6 +216,13 @@ def _involutions_sorted(n: int) -> tuple[Involution, ...]:
     return tuple(found)
 
 
+# Suites and posets revisit sizes up to 8 (their largest bound); a larger
+# enumeration is built fresh each time so it is freed with its last user
+# (n = 12 alone holds about 60 MiB).
+_CACHED_MAX_N = 8
+_cached_involutions = lru_cache(maxsize=_CACHED_MAX_N)(_involutions_sorted)
+
+
 def enumerate_involutions(n: int) -> tuple[Involution, ...]:
     """All involutions of S_n, ordered lexicographically by one-line form.
 
@@ -225,6 +231,8 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
     """
     if n < 1:
         raise IndexOutOfRangeError(f"size must be >= 1, got {n}")
+    if n <= _CACHED_MAX_N:
+        return _cached_involutions(n)
     return _involutions_sorted(n)
 
 

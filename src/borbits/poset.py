@@ -2,8 +2,8 @@
 neighbour classes.
 
 The covering DAG is one route; the L-classes below are computed from the
-raw order predicate by definition-level scans, so the two can be checked
-against each other and against the move constructions.
+order relation itself by definition-level scans, so the two can be
+checked against each other and against the move constructions.
 """
 
 from __future__ import annotations
@@ -19,20 +19,27 @@ from .involutions import (
     format_involution,
     to_permutation,
 )
-from .rankorder import leq_bruhat, leq_melnikov, leq_star
+from .rankorder import (
+    bit_indices,
+    bruhat_rank_matrix,
+    dominance_masks,
+    melnikov_rank_matrix,
+    star_rank_matrix,
+)
 
 ORDER_NAMES = ("star", "melnikov", "bruhat")
 
-DEFAULT_MAX_N = 8
+POSET_MAX_N = 8
 
 
-def order_predicate(order: str):
+def _order_table(order: str):
+    """The rank table whose entrywise comparison defines ``order``."""
     if order == "star":
-        return leq_star
+        return star_rank_matrix
     if order == "melnikov":
-        return leq_melnikov
+        return melnikov_rank_matrix
     if order == "bruhat":
-        return lambda tau, sigma: leq_bruhat(to_permutation(tau), to_permutation(sigma))
+        return lambda sigma: bruhat_rank_matrix(to_permutation(sigma))
     raise UnknownSuiteError(f"unknown order {order!r}; expected one of {ORDER_NAMES}")
 
 
@@ -67,35 +74,27 @@ class Poset:
 
 
 @lru_cache(maxsize=None)
-def build_poset(n: int, order: str = "star", max_n: int = DEFAULT_MAX_N) -> Poset:
-    """Build the full poset by pairwise comparison; covers come from
-    removing every relation implied by a two-step path."""
-    if n > max_n:
-        raise BoundExceededError(f"n={n} exceeds poset bound {max_n}")
-    pred = order_predicate(order)
+def build_poset(n: int, order: str = "star") -> Poset:
+    """Build the full poset from all-pairs dominance of the order's rank
+    tables; covers come from removing every relation implied by a
+    two-step path."""
+    if n > POSET_MAX_N:
+        raise BoundExceededError(f"n={n} exceeds poset bound {POSET_MAX_N}")
+    table = _order_table(order)
     elements = enumerate_involutions(n)
-    size = len(elements)
-    less = []
-    for b in range(size):
-        mask = 0
-        for a in range(size):
-            if a != b and pred(elements[a], elements[b]):
-                mask |= 1 << a
-        less.append(mask)
+    masks = dominance_masks([table(sigma) for sigma in elements])
+    less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))
     covers = []
-    for b in range(size):
+    for below in less:
         implied = 0
-        below = less[b]
-        for a in range(size):
-            if below >> a & 1:
-                implied |= less[a]
-        direct = below & ~implied
-        covers.append(tuple(a for a in range(size) if direct >> a & 1))
+        for a in bit_indices(below):
+            implied |= less[a]
+        covers.append(tuple(bit_indices(below & ~implied)))
     return Poset(
         order=order,
         n=n,
         elements=elements,
-        less=tuple(less),
+        less=less,
         covers=tuple(covers),
         index={sigma: k for k, sigma in enumerate(elements)},
     )
@@ -104,7 +103,7 @@ def build_poset(n: int, order: str = "star", max_n: int = DEFAULT_MAX_N) -> Pose
 @dataclass(frozen=True)
 class LSets:
     """Order-side neighbour classes of one element, from definition-level
-    scans of the raw order predicate (not from the covers DAG).
+    scans of the order relation (not from the covers DAG).
 
     - ``l_minus``: strictly below with smaller arc count, and minimal
       among such through the arc-count-filtered intermediacy clause;
@@ -125,7 +124,7 @@ class LSets:
 def l_sets(sigma: Involution, poset: Poset) -> LSets:
     b = poset.index_of(sigma)
     elements = poset.elements
-    below = [a for a in range(len(elements)) if poset.less[b] >> a & 1]
+    below = list(bit_indices(poset.less[b]))
     s_sigma = len(sigma.arcs)
 
     def intermediate(a: int, s_filter: bool) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRangeError, SizeMismatchError
 from .involutions import Arc, Involution, Permutation
@@ -123,6 +123,48 @@ def _dominated(low: RankMatrix, high: RankMatrix) -> bool:
             if x > y:
                 return False
     return True
+
+
+def dominance_masks(tables: Sequence[RankMatrix]) -> tuple[int, ...]:
+    """All pairs of tables compared at once: bit a of entry b is set iff
+    ``tables[a]`` is entrywise at most ``tables[b]``.
+
+    Bit-sliced by cell: for each cell, ``at_most[v]`` is the int bitset of
+    the tables whose entry there is at most v (one bucket pass, then a
+    prefix OR), and each table's mask is ANDed with the set for its own
+    entry.  About N*n*n big-int ANDs instead of N*N pairwise scans; a
+    cell on which every table agrees is skipped.  The pairwise
+    :func:`_dominated` is the oracle for this kernel.
+    """
+    if not tables:
+        return ()
+    sizes = {table.n for table in tables}
+    if len(sizes) > 1:
+        raise SizeMismatchError(f"tables of different sizes: {sorted(sizes)}")
+    (n,) = sizes
+    size = len(tables)
+    everyone = (1 << size) - 1
+    bits = [1 << k for k in range(size)]
+    masks = [everyone] * size
+    for i in range(n):
+        for column in zip(*(table.rows[i] for table in tables)):
+            at_most = [0] * (n + 1)
+            for bit, v in zip(bits, column):
+                at_most[v] |= bit
+            if at_most[column[0]] == everyone:
+                continue
+            for v in range(1, n + 1):
+                at_most[v] |= at_most[v - 1]
+            masks = [mask & at_most[v] for mask, v in zip(masks, column)]
+    return tuple(masks)
+
+
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def leq_star(tau: Involution, sigma: Involution) -> bool:

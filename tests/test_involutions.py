@@ -1,4 +1,9 @@
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borbits import (
     Arc,
@@ -64,6 +69,40 @@ def test_format_parse_round_trip():
     for n in range(1, 6):
         for sigma in enumerate_involutions(n):
             assert parse_involution(format_involution(sigma), n) == sigma
+
+
+@st.composite
+def random_involutions(draw):
+    """An involution of S_n, n <= 10, from a shuffled 1..n paired up."""
+    n = draw(st.integers(1, 10))
+    points = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    return involution(n, [(points[2 * m], points[2 * m + 1]) for m in range(k)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sigma=random_involutions())
+def test_format_parse_round_trip_property(sigma):
+    assert parse_involution(format_involution(sigma), sigma.n) == sigma
+
+
+def test_large_enumeration_is_not_kept():
+    # sizes above the ones suites and posets revisit are built fresh and
+    # freed with their last user (n = 11: 35,696 involutions, ~15 MiB)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        elements = enumerate_involutions(11)
+        alive = tracemalloc.get_traced_memory()[0] - before
+        assert len(elements) == 35_696
+        del elements
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert alive > 8 * 2**20
+    assert after < 2**20
 
 
 def test_to_permutation_examples():

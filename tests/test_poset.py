@@ -4,15 +4,20 @@ import pytest
 
 from borbits import (
     build_poset,
+    enumerate_involutions,
     hasse_dot,
     hasse_json,
     identity_involution,
     is_graded,
     l_sets,
+    leq_bruhat,
+    leq_melnikov,
+    leq_star,
     longest_involution,
     near,
     near_prime,
     parse_involution,
+    to_permutation,
 )
 from borbits.errors import BoundExceededError, NotInPosetError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
@@ -137,3 +142,34 @@ def test_determinism():
     build_poset.cache_clear()
     second = hasse_dot(build_poset(4, "star"))
     assert first == second
+
+
+PAIRWISE = {
+    "star": leq_star,
+    "melnikov": leq_melnikov,
+    "bruhat": lambda tau, sigma: leq_bruhat(to_permutation(tau), to_permutation(sigma)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(PAIRWISE))
+def test_poset_matches_pairwise_predicate_scan(order):
+    pred = PAIRWISE[order]
+    for n in range(1, 7):
+        elements = enumerate_involutions(n)
+        size = len(elements)
+        less = [
+            sum(1 << a for a in range(size) if a != b and pred(elements[a], elements[b]))
+            for b in range(size)
+        ]
+        # transitive reduction: drop every relation implied by a two-step path
+        covers = []
+        for b in range(size):
+            implied = 0
+            for a in range(size):
+                if less[b] >> a & 1:
+                    implied |= less[a]
+            covers.append(tuple(a for a in range(size) if (less[b] & ~implied) >> a & 1))
+        poset = build_poset(n, order)
+        assert poset.elements == elements
+        assert poset.less == tuple(less)
+        assert poset.covers == tuple(covers)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borbits import (
     RankMatrix,
@@ -21,7 +23,7 @@ from borbits import (
     to_permutation,
 )
 from borbits.errors import IndexOutOfRangeError, SizeMismatchError
-from borbits.rankorder import rank_matrix_by_elimination
+from borbits.rankorder import _dominated, dominance_masks, rank_matrix_by_elimination
 
 from conftest import all_permutations
 
@@ -225,3 +227,60 @@ def test_rank_matrix_json_round_trip():
 def test_rank_matrix_rejects_impossible_entries():
     with pytest.raises(IndexOutOfRangeError):
         RankMatrix(2, ((2, 0), (0, 0)))
+
+
+TABLE_KINDS = {
+    "star": star_rank_matrix,
+    "melnikov": melnikov_rank_matrix,
+    "bruhat": lambda sigma: bruhat_rank_matrix(to_permutation(sigma)),
+}
+
+
+@st.composite
+def rank_tables(draw, n):
+    """A valid n x n table: the star, Melnikov or Bruhat table of a random
+    involution, or random entries within the rook bound."""
+    if draw(st.booleans()):
+        sigma = draw(st.sampled_from(enumerate_involutions(n)))
+        return TABLE_KINDS[draw(st.sampled_from(sorted(TABLE_KINDS)))](sigma)
+    rows = tuple(
+        tuple(draw(st.integers(0, min(n - i, j + 1))) for j in range(n)) for i in range(n)
+    )
+    return RankMatrix(n, rows)
+
+
+@st.composite
+def table_lists(draw):
+    """0-30 tables of one size, repeats likely: drawn from a pool of up to 8."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(rank_tables(n), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=table_lists())
+def test_dominance_masks_match_pairwise_oracle(tables):
+    masks = dominance_masks(tables)
+    assert len(masks) == len(tables)
+    for b, high in enumerate(tables):
+        for a, low in enumerate(tables):
+            assert bool(masks[b] >> a & 1) == _dominated(low, high)
+        assert masks[b] >> len(tables) == 0
+
+
+def test_dominance_masks_empty_and_mixed_sizes():
+    assert dominance_masks([]) == ()
+    small = star_rank_matrix(parse_involution("id", 3))
+    large = star_rank_matrix(parse_involution("id", 4))
+    with pytest.raises(SizeMismatchError):
+        dominance_masks([small, large])
+    with pytest.raises(SizeMismatchError):
+        dominance_masks([small, small, large])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), kind=st.sampled_from(sorted(TABLE_KINDS)))
+def test_rank_matrix_json_round_trip_property(data, n, kind):
+    sigma = data.draw(st.sampled_from(enumerate_involutions(n)))
+    table = TABLE_KINDS[kind](sigma)
+    assert RankMatrix.from_json(table.to_json()) == table

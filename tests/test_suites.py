@@ -2,8 +2,21 @@ import json
 
 import pytest
 
-from borbits import SuiteReport, emit_hasse, run_suite, suite_names
+from borbits import (
+    SuiteReport,
+    bruhat_rank_matrix,
+    emit_hasse,
+    enumerate_involutions,
+    format_involution,
+    parse_involution,
+    run_suite,
+    star_rank_matrix,
+    suite_names,
+    to_permutation,
+)
+from borbits import suites
 from borbits.errors import BoundExceededError, UnknownSuiteError
+from borbits.rankorder import _dominated
 
 
 def test_suite_names_complete():
@@ -30,6 +43,41 @@ def test_order_equivalence_suite_small():
     report = run_suite("order-equivalence", 5)
     assert report.passed
     assert report.checked == 26 * 26
+
+
+def test_order_equivalence_failures_keep_pairwise_records(monkeypatch):
+    # give (2,1) the Bruhat table of (3,1)(4,2): the orders then disagree
+    # on a few pairs, which must be reported as the pairwise scan would
+    swapped = {
+        to_permutation(parse_involution("(2,1)", 4)): bruhat_rank_matrix(
+            to_permutation(parse_involution("(3,1)(4,2)", 4))
+        )
+    }
+    monkeypatch.setattr(
+        suites, "bruhat_rank_matrix", lambda w: swapped.get(w) or bruhat_rank_matrix(w)
+    )
+    elements = enumerate_involutions(4)
+    want = []
+    for tau in elements:
+        for sigma in elements:
+            star = _dominated(star_rank_matrix(tau), star_rank_matrix(sigma))
+            bruhat = _dominated(
+                suites.bruhat_rank_matrix(to_permutation(tau)),
+                suites.bruhat_rank_matrix(to_permutation(sigma)),
+            )
+            if star != bruhat:
+                want.append(
+                    {
+                        "tau": format_involution(tau),
+                        "sigma": format_involution(sigma),
+                        "star": star,
+                        "bruhat": bruhat,
+                    }
+                )
+    report = run_suite("order-equivalence", 4)
+    assert report.checked == 100
+    assert 0 < len(want) < 100
+    assert list(report.failures) == want
 
 
 def test_dimension_suite_trivial():

@@ -199,7 +199,14 @@ def length(w: Permutation) -> int:
     )
 
 
-def _involutions_sorted(n: int) -> tuple[Involution, ...]:
+def enumerate_involutions(n: int) -> tuple[Involution, ...]:
+    """All involutions of S_n, ordered lexicographically by one-line form.
+
+    Built by direct arc recursion (pair or fix the smallest unused point),
+    never by filtering all n! permutations.
+    """
+    if n < 1:
+        raise IndexOutOfRangeError(f"size must be >= 1, got {n}")
     found: list[Involution] = []
 
     def extend(points: tuple[int, ...], arcs: tuple[tuple[int, int], ...]) -> None:
@@ -214,26 +221,6 @@ def _involutions_sorted(n: int) -> tuple[Involution, ...]:
     extend(tuple(range(1, n + 1)), ())
     found.sort(key=lambda s: s.one_line())
     return tuple(found)
-
-
-# Suites and posets revisit sizes up to 8 (their largest bound); a larger
-# enumeration is built fresh each time so it is freed with its last user
-# (n = 12 alone holds about 60 MiB).
-_CACHED_MAX_N = 8
-_cached_involutions = lru_cache(maxsize=_CACHED_MAX_N)(_involutions_sorted)
-
-
-def enumerate_involutions(n: int) -> tuple[Involution, ...]:
-    """All involutions of S_n, ordered lexicographically by one-line form.
-
-    Built by direct arc recursion (pair or fix the smallest unused point),
-    never by filtering all n! permutations.
-    """
-    if n < 1:
-        raise IndexOutOfRangeError(f"size must be >= 1, got {n}")
-    if n <= _CACHED_MAX_N:
-        return _cached_involutions(n)
-    return _involutions_sorted(n)
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:

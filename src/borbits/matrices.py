@@ -26,7 +26,9 @@ def field_constants(sample) -> tuple:
     return Fraction(1), Fraction(0)
 
 
-def _exact(x):
+def exact_entry(x):
+    """An int promoted to Fraction; Fraction and RFun pass through, and
+    anything else, a float say, is rejected."""
     if isinstance(x, (Fraction, RFun)):
         return x
     if isinstance(x, int):
@@ -37,7 +39,7 @@ def _exact(x):
 def promote(matrix) -> Matrix:
     """Copy with int entries promoted to Fraction (RFun entries pass
     through); any other entry, a float say, is rejected."""
-    return tuple(tuple(_exact(x) for x in row) for row in matrix)
+    return tuple(tuple(exact_entry(x) for x in row) for row in matrix)
 
 
 def zero_matrix(n: int, like=Fraction(0)) -> Matrix:
@@ -53,11 +55,26 @@ def identity_matrix(n: int, like=Fraction(1)) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """The product a b, formed from the terms whose factors are both
+    nonzero.  An entry without such a term is the field zero: an RFun
+    zero when either operand holds an RFun, a Fraction zero otherwise."""
+    inner, width = len(b), len(b[0]) if b else 0
+    if any(len(row) != inner for row in a) or any(len(row) != width for row in b):
+        raise SizeMismatchError("matrix product of mismatched or ragged shapes")
+    has_rfun = any(isinstance(x, RFun) for m in (a, b) for row in m for x in row)
+    zero = RF_ZERO if has_rfun else Fraction(0)
+    # the nonzero entries of each row of b, as (column, value) pairs
+    b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [None] * width
+        for k, x in enumerate(row):
+            if x:
+                for c, y in b_rows[k]:
+                    term = x * y
+                    acc[c] = term if acc[c] is None else acc[c] + term
+        out.append(tuple(zero if s is None else s for s in acc))
+    return tuple(out)
 
 
 def mat_from_entries(n: int, entries: dict, like=Fraction(0)) -> Matrix:
@@ -104,8 +121,10 @@ def upper_inverse(g: Matrix) -> Matrix:
         for i in range(j - 1, -1, -1):
             acc = zero
             for k in range(i + 1, j + 1):
-                acc = acc + g[i][k] * inv[k][j]
-            inv[i][j] = -acc / g[i][i]
+                if g[i][k] and inv[k][j]:
+                    acc = acc + g[i][k] * inv[k][j]
+            if acc:
+                inv[i][j] = -acc / g[i][i]
     return tuple(tuple(row) for row in inv)
 
 

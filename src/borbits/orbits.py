@@ -34,6 +34,7 @@ from .matrices import (
     Matrix,
     echelon_insert,
     exact_det,
+    exact_entry,
     field_constants,
     identity_matrix,
     is_strictly_lower,
@@ -57,8 +58,7 @@ def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
     """
     if not (1 <= j <= n and 1 <= i <= n):
         raise IndexOutOfRangeError(f"({j},{i}) outside 1..{n}")
-    if not isinstance(alpha, RFun):
-        alpha = Fraction(alpha)
+    alpha = exact_entry(alpha)
     one, _ = field_constants(alpha)
     if j == i and not (one + alpha):
         raise SingularElementError("diagonal entry 1 + alpha vanishes")

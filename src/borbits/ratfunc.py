@@ -4,16 +4,23 @@ Polynomials are tuples of ``Fraction`` coefficients in ascending degree
 with no trailing zeros (the zero polynomial is the empty tuple).  Every
 :class:`RFun` is kept reduced: numerator and denominator coprime, the
 denominator monic and nonzero.  Equality is therefore structural.
+
+The public constructors (:func:`poly`, ``RFun(num, den)``) check their
+coefficients; the arithmetic methods build results from polynomials that
+are already trimmed ``Fraction`` tuples and skip that check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NotAFieldError
+
 Poly = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_ONE_POLY = (_ONE,)
 
 
 def _trim(coeffs: list[Fraction]) -> Poly:
@@ -22,9 +29,22 @@ def _trim(coeffs: list[Fraction]) -> Poly:
     return tuple(coeffs)
 
 
+def _exact_poly(coeffs) -> Poly:
+    """Trimmed Fraction tuple from int or Fraction coefficients; any other
+    coefficient, a float say, is rejected."""
+    out = []
+    for c in coeffs:
+        if isinstance(c, int):
+            c = Fraction(c)
+        elif not isinstance(c, Fraction):
+            raise NotAFieldError(f"coefficient {c!r} is not an int or Fraction")
+        out.append(c)
+    return _trim(out)
+
+
 def poly(*coeffs: int | Fraction) -> Poly:
     """Polynomial from ascending coefficients: poly(1, 2) == 1 + 2*eps."""
-    return _trim([Fraction(c) for c in coeffs])
+    return _exact_poly(coeffs)
 
 
 def poly_add(a: Poly, b: Poly) -> Poly:
@@ -106,27 +126,39 @@ class RFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = (_ONE,)):
+    def __init__(self, num, den=_ONE_POLY):
+        """The reduced form of num / den, for int or Fraction coefficients
+        in ascending degree."""
+        self._reduce(_exact_poly(num), _exact_poly(den))
+
+    def _reduce(self, num: Poly, den: Poly) -> None:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", (_ONE,))
+            self.num, self.den = (), _ONE_POLY
             return
-        g = poly_gcd(num, den)
-        if len(g) > 1:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
+        if len(den) > 1:  # a constant denominator is coprime to anything
+            g = poly_gcd(num, den)
+            if len(g) > 1:
+                num, _ = poly_divmod(num, g)
+                den, _ = poly_divmod(den, g)
         lead = den[-1]
         if lead != 1:
             num = tuple(c / lead for c in num)
             den = tuple(c / lead for c in den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num, self.den = num, den
+
+    @classmethod
+    def _from_polys(cls, num: Poly, den: Poly) -> "RFun":
+        """num / den for polynomials that are already trimmed Fraction
+        tuples, as every arithmetic result is."""
+        out = object.__new__(cls)
+        out._reduce(num, den)
+        return out
 
     @staticmethod
     def const(value: int | Fraction) -> "RFun":
-        return RFun(poly(value))
+        return RFun._from_polys(poly(value), _ONE_POLY)
 
     @staticmethod
     def _coerce(value) -> "RFun | None":
@@ -140,7 +172,7 @@ class RFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RFun(
+        return RFun._from_polys(
             poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
             poly_mul(self.den, other.den),
         )
@@ -148,7 +180,7 @@ class RFun:
     __radd__ = __add__
 
     def __neg__(self):
-        return RFun(poly_neg(self.num), self.den)
+        return RFun._from_polys(poly_neg(self.num), self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -166,7 +198,9 @@ class RFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RFun(poly_mul(self.num, other.num), poly_mul(self.den, other.den))
+        return RFun._from_polys(
+            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
+        )
 
     __rmul__ = __mul__
 
@@ -176,7 +210,9 @@ class RFun:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero function")
-        return RFun(poly_mul(self.num, other.den), poly_mul(self.den, other.num))
+        return RFun._from_polys(
+            poly_mul(self.num, other.den), poly_mul(self.den, other.num)
+        )
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

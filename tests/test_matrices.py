@@ -23,7 +23,7 @@ from borbits.matrices import (
 )
 from borbits.orbits import act, random_borel
 from borbits.rankorder import exact_rank
-from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
+from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun, poly
 
 
 def test_upper_inverse_random():
@@ -46,6 +46,78 @@ def test_upper_inverse_over_function_field():
 def test_upper_inverse_requires_unit_diagonal():
     with pytest.raises(NotInvertibleError):
         upper_inverse(((Fraction(0),),))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (((1, 2),), ((1,),)),  # 1x2 times 1x1
+        (((1,), (1, 2)), ((1,),)),  # ragged left factor
+        (((1, 1),), ((1,), (1, 2))),  # ragged right factor
+        (((1,),), ()),  # 1x1 times 0x0
+    ],
+)
+def test_mat_mul_rejects_mismatched_shapes(a, b):
+    with pytest.raises(SizeMismatchError):
+        mat_mul(a, b)
+
+
+def dense_mat_mul(a, b):
+    """Oracle: every term of every entry, summed from int 0."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def dense_upper_inverse(g):
+    """Oracle: back substitution over every term."""
+    n = len(g)
+    zero = RF_ZERO if isinstance(g[0][0], RFun) else Fraction(0)
+    inv = [[zero] * n for _ in range(n)]
+    for j in range(n - 1, -1, -1):
+        inv[j][j] = 1 / g[j][j]
+        for i in range(j - 1, -1, -1):
+            acc = sum(g[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+            inv[i][j] = -acc / g[i][i]
+    return tuple(tuple(row) for row in inv)
+
+
+def same_entries(m, oracle):
+    """Equal entry by entry, and each entry of the same type."""
+    return m == oracle and all(
+        type(x) is type(y) for row, orow in zip(m, oracle) for x, y in zip(row, orow)
+    )
+
+
+# mostly 0 and 1, as in the degeneration curves, with a few other values
+FRACTION_ENTRIES = [Fraction(0)] * 5 + [Fraction(1)] * 3 + [Fraction(-1), Fraction(2, 3)]
+RFUN_ENTRIES = [RF_ZERO] * 5 + [RF_ONE] * 3 + [EPS, -EPS_INV, EPS - EPS_INV]
+
+
+@st.composite
+def square_pairs(draw):
+    """(a, b, g): two square matrices and an invertible upper-triangular
+    one, all n x n over one field, Q or Q(eps)."""
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([FRACTION_ENTRIES, RFUN_ENTRIES]))
+    pick = st.sampled_from(entries)
+    nonzero = st.sampled_from([x for x in entries if x])
+
+    def square():
+        return tuple(tuple(draw(pick) for _ in range(n)) for _ in range(n))
+
+    a, b = square(), square()
+    g = tuple(
+        tuple(draw(nonzero) if r == c else draw(pick) if r < c else entries[0] for c in range(n))
+        for r in range(n)
+    )
+    return a, b, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(square_pairs())
+def test_sparse_products_match_the_dense_route(matrices):
+    a, b, g = matrices
+    assert same_entries(mat_mul(a, b), dense_mat_mul(a, b))
+    assert same_entries(upper_inverse(g), dense_upper_inverse(g))
 
 
 def test_shape_predicates():

@@ -50,6 +50,12 @@ def test_x_elem_examples():
         x_elem(3, 2, 2, -1)
 
 
+@pytest.mark.parametrize("alpha", [0.1, 1.0, "1", None])
+def test_x_elem_rejects_non_field_parameters(alpha):
+    with pytest.raises(NotAFieldError):
+        x_elem(2, 1, 2, alpha)
+
+
 def test_act_identity_and_validation():
     lam = orbit_point(parse_involution("(3,1)", 3))
     assert act(identity_matrix(3), lam) == lam

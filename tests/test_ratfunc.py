@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from borbits.errors import NotAFieldError
 from borbits.ratfunc import (
     EPS,
     EPS_INV,
@@ -79,3 +82,75 @@ def test_json_serialization():
     f = (EPS + 1) / (2 * EPS)
     blob = f.to_json()
     assert blob == {"num": ["1/2", "1/2"], "den": ["0", "1"]}
+
+
+def test_constructor_promotes_int_coefficients_to_fractions():
+    half = RFun((1, 2), (2,))
+    assert half.num == (Fraction(1, 2), Fraction(1)) and half.den == (Fraction(1),)
+    assert all(type(c) is Fraction for c in half.num + half.den)
+
+
+def test_constructor_trims_trailing_zeros():
+    assert RFun((Fraction(1), Fraction(0))) == RFun(poly(1))
+    assert RFun((0, 1, 0), (2, 0)) == EPS / 2
+    assert RFun((0, 0)) == RF_ZERO and RFun((0, 0)).den == (Fraction(1),)
+    with pytest.raises(ZeroDivisionError):
+        RFun((1,), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RFun((0.5,)),
+        lambda: RFun((1,), (2.0,)),
+        lambda: RFun(("1",)),
+        lambda: poly(1, 0.5),
+        lambda: RFun.const(0.5),
+    ],
+)
+def test_constructor_rejects_non_rational_coefficients(build):
+    with pytest.raises(NotAFieldError):
+        build()
+
+
+def is_reduced(f):
+    """Coefficients are Fractions, neither polynomial has a trailing zero,
+    the denominator is monic and coprime to the numerator (zero is 0/1)."""
+    if not all(type(c) is Fraction for c in f.num + f.den):
+        return False
+    if (f.num and f.num[-1] == 0) or f.den[-1] != 1:
+        return False
+    if not f.num:
+        return f.den == poly(1)
+    return poly_gcd(f.num, f.den) == poly(1)
+
+
+small_rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+small_polys = st.lists(small_rationals, max_size=3)
+rfuns = st.one_of(
+    st.sampled_from([RF_ZERO, RF_ONE, EPS, EPS_INV, RFun.const(Fraction(-2, 3))]),
+    st.builds(RFun, small_polys, small_polys.filter(lambda p: any(p))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=rfuns, b=rfuns, c=rfuns)
+@example(a=EPS_INV, b=EPS, c=RF_ONE)
+@example(a=RF_ZERO, b=EPS_INV, c=-EPS_INV)
+def test_field_axioms_and_reduced_results(a, b, c):
+    results = [a + b, a * b, -a, a - b, (a + b) + c, a * (b * c), a * (b + c)]
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + RF_ZERO == a and a * RF_ONE == a
+    assert a + (-a) == RF_ZERO and a - a == RF_ZERO
+    if a:
+        inverse = RF_ONE / a
+        results.append(inverse)
+        assert a * inverse == RF_ONE
+    else:
+        with pytest.raises(ZeroDivisionError):
+            RF_ONE / a
+    for f in results + [a, b, c]:
+        assert is_reduced(f), f

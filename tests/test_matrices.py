@@ -64,7 +64,8 @@ def test_mat_mul_rejects_mismatched_shapes(a, b):
 
 def dense_mat_mul(a, b):
     """Oracle: every term of every entry, summed from int 0."""
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
 def dense_upper_inverse(g):
@@ -105,8 +106,9 @@ def square_pairs(draw):
         return tuple(tuple(draw(pick) for _ in range(n)) for _ in range(n))
 
     a, b = square(), square()
+    zero = entries[0]
     g = tuple(
-        tuple(draw(nonzero) if r == c else draw(pick) if r < c else entries[0] for c in range(n))
+        tuple(draw(nonzero) if r == c else draw(pick) if r < c else zero for c in range(n))
         for r in range(n)
     )
     return a, b, g

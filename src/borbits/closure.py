@@ -7,9 +7,11 @@ Membership asks two condition families of a strictly lower-triangular A:
   cell set spread above the maximal arcs.
 
 For chain supports the variety is known to agree with the orbit closure;
-the essential-set machinery below checks, set-theoretically over a small
+the essential-set machinery below checks, set-theoretically over any
 prime field, that rank bounds at the essential cells of the complementary
-permutation already imply them everywhere.
+permutation already imply them everywhere.  It runs over the corner rank
+tables of the partial permutations, which over every field are those of
+all matrices; the enumeration of all q^(n^2) matrices is the oracle.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from .errors import (
@@ -43,7 +46,9 @@ from .moves import phi_lt
 from .orbits import rank_profile
 from .rankorder import RankMatrix, star_rank_matrix
 
-MAX_FIELD_ENUMERATION = 70_000  # q ** (n*n) budget: q=2 n<=4, q=3 n<=3
+# q ** (n*n) budget, q=2 n<=4 and q=3 n<=3: not the check's cost, which does
+# not grow with q, but the domain where the brute-force oracle still runs
+MAX_FIELD_ENUMERATION = 70_000
 
 
 def maximal_support(sigma: Involution) -> frozenset[Arc]:
@@ -195,24 +200,50 @@ def _corner_rank_table_gf(rows: list[list[int]], n: int, q: int) -> bytes:
 
 @lru_cache(maxsize=4)
 def _all_corner_rank_tables(n: int, q: int) -> tuple[bytes, ...]:
-    """Corner rank tables of every n x n matrix over the prime field,
-    enumerated in row-major odometer order."""
-    total = q ** (n * n)
+    """Corner rank tables of every n x n matrix over the prime field: the
+    brute-force oracle for :func:`_partial_permutation_tables`."""
     tables = []
     if q == 2:
-        for code in range(total):
+        for code in range(2 ** (n * n)):
             rows = tuple((code >> (n * r)) & ((1 << n) - 1) for r in range(n))
             tables.append(_corner_rank_table_bits(rows, n))
     else:
-        for code in range(total):
-            digits = []
-            rest = code
-            for _ in range(n * n):
-                digits.append(rest % q)
-                rest //= q
-            rows = [digits[r * n : (r + 1) * n] for r in range(n)]
+        for entries in product(range(q), repeat=n * n):
+            rows = [list(entries[r * n : (r + 1) * n]) for r in range(n)]
             tables.append(_corner_rank_table_gf(rows, n, q))
     return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def _partial_permutation_tables(n: int) -> tuple[bytes, ...]:
+    """Corner rank tables of every n x n partial permutation matrix, built
+    row by row: row i holds no rook, or one in a column not used yet, and
+    adds one to the ranks of the corners reaching that column."""
+    states = [(0, b"")]  # (mask of used columns, table of the rows so far)
+    for _ in range(n):
+        grown = []
+        for used, table in states:
+            prev = table[-n:] if table else bytes(n)
+            grown.append((used, table + prev))
+            for c in range(n):
+                if not used >> c & 1:
+                    row = bytes(r + (j >= c) for j, r in enumerate(prev))
+                    grown.append((used | 1 << c, table + row))
+        states = grown
+    return tuple(table for _, table in states)
+
+
+def _bounds_imply_all(tables, bounds: bytes, cells) -> bool:
+    """True iff every table within ``bounds`` at the 1-based ``cells`` is
+    within them at every cell."""
+    n = isqrt(len(bounds))
+    flat = [(i - 1) * n + (j - 1) for i, j in cells]
+    for table in tables:
+        if any(table[k] > bounds[k] for k in flat):
+            continue
+        if any(t > b for t, b in zip(table, bounds)):
+            return False
+    return True
 
 
 def essential_reduction_check(sigma: Involution, q: int) -> bool:
@@ -222,33 +253,27 @@ def essential_reduction_check(sigma: Involution, q: int) -> bool:
     With w the complementary permutation of sigma, every matrix over the
     q-element field meeting the corner rank bounds of the matrix of w at
     the essential cells must meet them at every cell.
+
+    The answer does not depend on q.  Corner ranks are unchanged by adding
+    a multiple of a row to a later row or of a column to a later column,
+    and by scaling; those moves reduce any matrix to a partial permutation
+    matrix, a 0/1 matrix over every field.  So the tables over GF(q) are
+    those of the partial permutations, and the check runs over them.
     """
     if not is_chain(sigma):
         raise NotChainError(f"{sigma} is not a chain")
     n = sigma.n
     if q ** (n * n) > MAX_FIELD_ENUMERATION:
         raise TooLargeError(f"q^(n^2) = {q ** (n * n)} exceeds budget")
-    # the GF(q) kernel inverts pivots as x^(q-2), which needs Z/q a field
+    # Z/q is a field, the one the check speaks of, only for prime q
     if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
         raise NotAFieldError(f"field size {q} is not prime")
     w = complement_permutation(sigma)
     # row convention (rook of row k at column w(k)): the one whose corner
     # ranks the diagram formula describes
-    wmat = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        wmat[k - 1][w.apply(k) - 1] = 1
-    if q == 2:
-        wrows = tuple(
-            sum(1 << c for c in range(n) if wmat[r][c]) for r in range(n)
-        )
-        bounds = _corner_rank_table_bits(wrows, n)
-    else:
-        bounds = _corner_rank_table_gf(wmat, n, q)
-    essential = sorted(essential_set(w))
-    ess_flat = [((i - 1) * n + (j - 1)) for i, j in essential]
-    for table in _all_corner_rank_tables(n, q):
-        if any(table[k] > bounds[k] for k in ess_flat):
-            continue
-        if any(table[k] > bounds[k] for k in range(n * n)):
-            return False
-    return True
+    bounds = bytes(
+        sum(w.apply(k) <= j for k in range(1, i + 1))
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+    return _bounds_imply_all(_partial_permutation_tables(n), bounds, essential_set(w))

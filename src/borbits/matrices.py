@@ -6,7 +6,8 @@ that arithmetic never falls back to floating point.
 
 Every rank, corner-rank table and determinant in the package is computed
 by :func:`echelon_insert`, over an exact field or over GF(q) for a prime
-q; only the F_2 bit-row corner tables in the closure module bypass it.
+q; only the closure module's corner tables bypass it: the F_2 bit-row
+oracle, and the partial permutation tables, which count rooks.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ from .ratfunc import RF_ONE, RF_ZERO, RFun
 Matrix = tuple[tuple, ...]
 
 
-def field_constants(sample) -> tuple:
-    """(one, zero) of the field the sample entry lives in."""
-    if isinstance(sample, RFun):
+def field_constants(*matrices) -> tuple:
+    """(one, zero) of the field of the matrices' entries: Q(eps) when an
+    RFun stands anywhere in them, Q otherwise."""
+    if any(isinstance(x, RFun) for m in matrices for row in m for x in row):
         return RF_ONE, RF_ZERO
     return Fraction(1), Fraction(0)
 
@@ -42,13 +44,8 @@ def promote(matrix) -> Matrix:
     return tuple(tuple(exact_entry(x) for x in row) for row in matrix)
 
 
-def zero_matrix(n: int, like=Fraction(0)) -> Matrix:
-    _, zero = field_constants(like)
-    return tuple(tuple(zero for _ in range(n)) for _ in range(n))
-
-
 def identity_matrix(n: int, like=Fraction(1)) -> Matrix:
-    one, zero = field_constants(like)
+    one, zero = field_constants(((like,),))
     return tuple(
         tuple(one if r == c else zero for c in range(n)) for r in range(n)
     )
@@ -61,8 +58,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     inner, width = len(b), len(b[0]) if b else 0
     if any(len(row) != inner for row in a) or any(len(row) != width for row in b):
         raise SizeMismatchError("matrix product of mismatched or ragged shapes")
-    has_rfun = any(isinstance(x, RFun) for m in (a, b) for row in m for x in row)
-    zero = RF_ZERO if has_rfun else Fraction(0)
+    _, zero = field_constants(a, b)
     # the nonzero entries of each row of b, as (column, value) pairs
     b_rows = [[(c, y) for c, y in enumerate(row) if y] for row in b]
     out = []
@@ -79,15 +75,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_from_entries(n: int, entries: dict, like=Fraction(0)) -> Matrix:
     """Matrix from a {(row, col): value} dict, 1-based keys."""
-    _, zero = field_constants(like)
+    _, zero = field_constants(((like,),))
     return tuple(
         tuple(entries.get((r, c), zero) for c in range(1, n + 1))
         for r in range(1, n + 1)
     )
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m))
 
 
 def is_upper_triangular(m: Matrix) -> bool:
@@ -100,7 +92,7 @@ def is_strictly_lower(m: Matrix) -> bool:
 
 def strictly_lower_part(m: Matrix) -> Matrix:
     n = len(m)
-    _, zero = field_constants(m[0][0]) if n else (None, Fraction(0))
+    _, zero = field_constants(m)
     return tuple(
         tuple(m[r][c] if r > c else zero for c in range(n)) for r in range(n)
     )
@@ -112,9 +104,7 @@ def upper_inverse(g: Matrix) -> Matrix:
     for k in range(n):
         if not g[k][k]:
             raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
-    if not n:
-        return ()
-    one, zero = field_constants(g[0][0])
+    one, zero = field_constants(g)
     inv = [[zero] * n for _ in range(n)]
     for j in range(n - 1, -1, -1):
         inv[j][j] = one / g[j][j]
@@ -165,7 +155,7 @@ def exact_det(matrix: Matrix) -> Fraction | RFun:
     if any(len(row) != len(matrix) for row in matrix):
         raise SizeMismatchError("determinant of a non-square matrix")
     rows = promote(matrix)
-    one, zero = field_constants(rows[0][0]) if rows else field_constants(0)
+    one, zero = field_constants(rows)
     basis: list = []
     for row in rows:
         if echelon_insert(basis, list(row)) is None:
@@ -177,26 +167,3 @@ def exact_det(matrix: Matrix) -> Fraction | RFun:
         det = det * pivot_row[col]
     return det
 
-
-def qmatrix_to_json(m: Matrix) -> dict:
-    """Exact rationals serialized as "p/q" strings."""
-    return {
-        "n": len(m),
-        "rows": [[str(Fraction(x)) for x in row] for row in m],
-    }
-
-
-def qmatrix_from_json(data: dict) -> Matrix:
-    return tuple(
-        tuple(Fraction(entry) for entry in row) for row in data["rows"]
-    )
-
-
-def rfmatrix_to_json(m: Matrix) -> dict:
-    return {
-        "n": len(m),
-        "rows": [
-            [entry.to_json() if isinstance(entry, RFun) else RFun.const(entry).to_json() for entry in row]
-            for row in m
-        ],
-    }

@@ -59,7 +59,7 @@ def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
     if not (1 <= j <= n and 1 <= i <= n):
         raise IndexOutOfRangeError(f"({j},{i}) outside 1..{n}")
     alpha = exact_entry(alpha)
-    one, _ = field_constants(alpha)
+    one, _ = field_constants(((alpha,),))
     if j == i and not (one + alpha):
         raise SingularElementError("diagonal entry 1 + alpha vanishes")
     rows = [list(row) for row in identity_matrix(n, like=one)]

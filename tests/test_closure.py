@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,11 @@ from borbits import (
     to_permutation,
     z_contains,
     z_spec,
+)
+from borbits.closure import (
+    _all_corner_rank_tables,
+    _bounds_imply_all,
+    _partial_permutation_tables,
 )
 from borbits.errors import (
     NotAFieldError,
@@ -225,6 +231,47 @@ def test_essential_reduction_all_chains_n4():
     for sigma in enumerate_involutions(4):
         if is_chain(sigma):
             assert essential_reduction_check(sigma, 2)
+
+
+# (n, q) where the brute force over all q^(n^2) matrices is the oracle
+ORACLE_DOMAIN = [(n, 2) for n in range(1, 5)] + [(n, 3) for n in range(1, 4)] + [(1, 5), (2, 5)]
+
+
+@pytest.mark.parametrize("n, q", ORACLE_DOMAIN)
+def test_partial_permutations_give_every_corner_table(n, q):
+    rooks = _partial_permutation_tables(n)
+    assert len(rooks) == len(set(rooks))
+    assert set(rooks) == set(_all_corner_rank_tables(n, q))
+
+
+def test_partial_permutation_counts():
+    # sum over k of C(n,k)^2 k!
+    assert [len(_partial_permutation_tables(n)) for n in range(6)] == [1, 2, 7, 34, 209, 1546]
+
+
+def test_filter_agrees_on_both_table_sources_for_every_cell_subset():
+    failed = 0
+    for n, q in ORACLE_DOMAIN:
+        for sigma in enumerate_involutions(n):
+            if not is_chain(sigma):
+                continue
+            w = complement_permutation(sigma)
+            # rook of row k at column w(k)
+            wmat = permutation_matrix(w.inverse())
+            bounds = bytes(
+                exact_rank(tuple(row[:j] for row in wmat[:i]))
+                for i in range(1, n + 1)
+                for j in range(1, n + 1)
+            )
+            essential = sorted(essential_set(w))
+            for size in range(len(essential) + 1):
+                for cells in itertools.combinations(essential, size):
+                    verdict = _bounds_imply_all(_partial_permutation_tables(n), bounds, cells)
+                    assert verdict == _bounds_imply_all(_all_corner_rank_tables(n, q), bounds, cells)
+                    assert verdict or size < len(essential)
+                    failed += not verdict
+    # weakened cell sets must be able to fail, or the filter proves nothing
+    assert failed
 
 
 def test_essential_reduction_guards():

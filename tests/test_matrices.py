@@ -14,11 +14,7 @@ from borbits.matrices import (
     is_upper_triangular,
     mat_mul,
     promote,
-    qmatrix_from_json,
-    qmatrix_to_json,
-    rfmatrix_to_json,
     strictly_lower_part,
-    transpose,
     upper_inverse,
 )
 from borbits.orbits import act, random_borel
@@ -148,6 +144,21 @@ def test_exact_det_stays_in_the_entry_field():
     assert isinstance(exact_det(((EPS, EPS), (RF_ONE, RF_ONE))), RFun)
 
 
+@pytest.mark.parametrize(
+    "fn, m",
+    [
+        (lambda m: mat_mul(m, m), ((0, 1), (EPS, 0))),
+        (upper_inverse, ((1, EPS), (0, 1))),
+        (strictly_lower_part, ((1, 0), (EPS, 0))),
+        (lambda m: ((exact_det(m),),), ((1, EPS), (0, 1))),
+    ],
+    ids=["mat_mul", "upper_inverse", "strictly_lower_part", "exact_det"],
+)
+def test_one_rfun_entry_puts_the_whole_matrix_over_qeps(fn, m):
+    # the top-left entry is a rational; the RFun elsewhere decides the field
+    assert {type(x) for row in fn(promote(m)) for x in row} == {RFun}
+
+
 def test_non_field_inputs_are_rejected():
     with pytest.raises(NotAFieldError):
         promote(((0.5,),))
@@ -219,20 +230,3 @@ def test_bit_row_tables_equal_generic_kernel_over_f2():
         bits = tuple(sum(x << c for c, x in enumerate(row)) for row in rows)
         assert _corner_rank_table_bits(bits, n) == _corner_rank_table_gf(rows, n, 2)
 
-
-def test_transpose():
-    assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
-
-
-def test_qmatrix_json_round_trip():
-    m = ((Fraction(1, 2), Fraction(0)), (Fraction(-3), Fraction(7, 5)))
-    blob = qmatrix_to_json(m)
-    assert blob["rows"] == [["1/2", "0"], ["-3", "7/5"]]
-    assert qmatrix_from_json(blob) == m
-
-
-def test_rfmatrix_json():
-    m = ((EPS, RF_ONE),) + ((RF_ONE, EPS),)
-    blob = rfmatrix_to_json(m)
-    assert blob["n"] == 2
-    assert blob["rows"][0][0] == {"num": ["0", "1"], "den": ["1"]}

@@ -8,6 +8,7 @@ Subcommands: enum, rank, compare, near, hasse, verify.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -207,16 +208,21 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    # what lives before the command, the imports above all, outlives it:
+    # keep the collector from traversing it while the command runs
+    gc.freeze()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return _COMMANDS[args.command](args)
     except BorbitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

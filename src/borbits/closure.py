@@ -17,7 +17,6 @@ all matrices; the enumeration of all q^(n^2) matrices is the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt
@@ -38,13 +37,11 @@ from .involutions import (
 )
 from .matrices import (
     Matrix,
-    echelon_insert,
+    integral_multiple,
     is_strictly_lower,
-    promote,
 )
 from .moves import phi_lt
-from .orbits import rank_profile
-from .rankorder import RankMatrix, star_rank_matrix
+from .rankorder import RankMatrix, corner_ranks, star_rank_matrix
 
 # q ** (n*n) budget, q=2 n<=4 and q=3 n<=3: not the check's cost, which does
 # not grow with q, but the domain where the brute-force oracle still runs
@@ -71,13 +68,10 @@ def quadric_cells(sigma: Involution) -> frozenset[tuple[int, int]]:
     )
 
 
-def gamma(a: Matrix, r: int, s: int) -> Fraction:
+def gamma(a: Matrix, r: int, s: int):
     """The (r, s) entry of A^2 for strictly lower-triangular A:
-    sum over s < k < r of A[r,k] A[k,s]."""
-    total = Fraction(0)
-    for k in range(s + 1, r):
-        total += Fraction(a[r - 1][k - 1]) * Fraction(a[k - 1][s - 1])
-    return total
+    sum over s < k < r of A[r,k] A[k,s], in the ring of the entries."""
+    return sum(a[r - 1][k - 1] * a[k - 1][s - 1] for k in range(s + 1, r))
 
 
 @dataclass(frozen=True)
@@ -103,17 +97,18 @@ def z_spec(sigma: Involution) -> ZSpec:
 
 def z_contains(spec: ZSpec, a: Matrix) -> bool:
     """Membership test: rank bounds on every strict lower cell and
-    vanishing quadrics on the spread cells."""
-    a = promote(a)
+    vanishing quadrics on the spread cells.  Both run on ints: a rational
+    matrix is replaced by its integral multiple, which neither the ranks
+    nor the quadrics, homogeneous of degree 2, can tell apart from it."""
+    a = integral_multiple(a)
     if len(a) != spec.sigma.n:
         raise SizeMismatchError(f"matrix size {len(a)} vs n={spec.sigma.n}")
     if not is_strictly_lower(a):
         raise NotStrictlyLowerError("membership is defined for functionals")
-    profile = rank_profile(a)
-    for i in range(2, spec.sigma.n + 1):
-        for j in range(1, i):
-            if profile.entry(i, j) > spec.rank_bounds.entry(i, j):
-                return False
+    # both tables read 0 on and above the diagonal
+    ranks = zip(corner_ranks(a, strict=True), spec.rank_bounds.rows)
+    if any(x > y for row, bounds in ranks for x, y in zip(row, bounds)):
+        return False
     return all(gamma(a, r, s) == 0 for r, s in spec.quadric_cells)
 
 
@@ -188,14 +183,8 @@ def _corner_rank_table_bits(rows: tuple[int, ...], n: int) -> bytes:
 
 def _corner_rank_table_gf(rows: list[list[int]], n: int, q: int) -> bytes:
     """Ranks of all upper-left i x j corners over GF(q), entries residues
-    mod q: one incremental pass per column prefix."""
-    out = bytearray(n * n)
-    for j in range(1, n + 1):
-        basis: list = []
-        for i in range(1, n + 1):
-            echelon_insert(basis, rows[i - 1][:j], q)
-            out[(i - 1) * n + (j - 1)] = len(basis)
-    return bytes(out)
+    mod q: the lower-left corner ranks of the rows in reverse order."""
+    return bytes(x for row in reversed(corner_ranks(rows[::-1], q=q)) for x in row)
 
 
 @lru_cache(maxsize=4)

@@ -5,14 +5,17 @@ or :class:`~borbits.ratfunc.RFun`.  Constructors promote plain ints so
 that arithmetic never falls back to floating point.
 
 Every rank, corner-rank table and determinant in the package is computed
-by :func:`echelon_insert`, over an exact field or over GF(q) for a prime
-q; only the closure module's corner tables bypass it: the F_2 bit-row
-oracle, and the partial permutation tables, which count rooks.
+by :func:`echelon_insert` in one of three modes: over an exact field
+(``Fraction``, ``RFun``), fraction-free over the integers (Bareiss, *Math.
+Comp.* 22, 1968), which ranks use for every rational matrix, or over GF(q)
+for a prime q.  Only the closure module's corner tables bypass it: the F_2
+bit-row oracle, and the partial permutation tables, which count rooks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from .ratfunc import RF_ONE, RF_ZERO, RFun
@@ -42,6 +45,19 @@ def promote(matrix) -> Matrix:
     """Copy with int entries promoted to Fraction (RFun entries pass
     through); any other entry, a float say, is rejected."""
     return tuple(tuple(exact_entry(x) for x in row) for row in matrix)
+
+
+def integral_multiple(matrix) -> Matrix:
+    """An int matrix as it is, any other rational one scaled to ints by
+    the lcm of its denominators, one with an RFun entry promoted to Q(eps),
+    and one with any other entry, a float say, rejected."""
+    if all(type(x) is int for row in matrix for x in row):
+        return matrix
+    rows = promote(matrix)
+    if any(isinstance(x, RFun) for row in rows for x in row):
+        return rows
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
 def identity_matrix(n: int, like=Fraction(1)) -> Matrix:
@@ -125,14 +141,24 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     ``basis`` holds (pivot column, row) pairs in insertion order.  A
     row's pivot is its first nonzero entry, and every row is zero at the
     pivots of the rows before it, so one pass in that order reduces a new
-    row to zero at all pivots, and ``len(basis)`` is the rank so far.  The
-    entries lie in an exact field (Fraction, RFun) when q is None and are
-    residues mod the prime q otherwise.  Returns the new pivot column, or
-    None when the row depends on the basis.
+    row to zero at all pivots, and ``len(basis)`` is the rank so far.
+    With q given the entries are residues mod the prime q.  Otherwise a
+    row of plain ints, against int rows, becomes ``p row - x pivot_row``
+    divided by its content, and any other row is reduced over its exact
+    field (Fraction, RFun).  Returns the new pivot column, or None when
+    the row depends on the basis.
     """
+    integral = q is None and all(type(x) is int for x in row)
     for col, pivot_row in basis:
         x = row[col]
         if not x:
+            continue
+        if integral:  # the whole row: it may be nonzero left of col
+            p = pivot_row[col]
+            row[:] = [p * y - x * z for y, z in zip(row, pivot_row)]
+            content = gcd(*row)
+            if content > 1:
+                row[:] = [y // content for y in row]
             continue
         tail = zip(row[col:], pivot_row[col:])
         if q is None:

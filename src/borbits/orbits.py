@@ -6,6 +6,10 @@ Because conjugation by an upper-triangular g sends upper-plus-diagonal
 matrices to upper-plus-diagonal matrices, truncating between steps is
 harmless: act(g, act(h, lam)) == act(g h, lam).
 
+Over Q the action runs on ints: :func:`act` divides the numerator
+``det(g) act(g, lam)`` of integer g and lam once per entry, and the
+sampled suites test the numerator itself, of g from the int sampler.
+
 Degeneration curves live over the exact rational-function field in eps,
 so limits at eps -> 0 and identities of curves are exact equalities, not
 numeric approximations.
@@ -32,11 +36,11 @@ from .errors import (
 from .involutions import Arc, Involution, rook_matrix_lower
 from .matrices import (
     Matrix,
-    echelon_insert,
     exact_det,
     exact_entry,
     field_constants,
     identity_matrix,
+    integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
     mat_from_entries,
@@ -46,7 +50,7 @@ from .matrices import (
     upper_inverse,
 )
 from .moves import Move, apply_move, near_moves
-from .rankorder import RankMatrix, exact_rank
+from .rankorder import RankMatrix, corner_ranks, exact_rank
 from .ratfunc import EPS, EPS_INV, RF_ONE, RFun
 
 
@@ -91,70 +95,43 @@ def _act_field(g: Matrix, lam: Matrix) -> Matrix:
     return strictly_lower_part(mat_mul(mat_mul(g, lam), upper_inverse(g)))
 
 
-def _scaled_to_int(m: Matrix) -> tuple[list[list[int]], int]:
-    """(d m, d) for a rational matrix m, d the lcm of its denominators."""
-    d = lcm(*(x.denominator for row in m for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
-
-
-def _exact_div(a: int, b: int) -> int:
-    quotient, remainder = divmod(a, b)
-    if remainder:
-        raise ArithmeticError(f"{a} is not divisible by {b}")
-    return quotient
-
-
-def _upper_adjugate(g: list[list[int]]) -> tuple[list[list[int]], int]:
-    """(adj g, det g) of an integer upper-triangular g, with adj g =
-    det(g) g^{-1}, by back substitution in which every division is exact."""
+def _act_numerator(g: Matrix, lam: Matrix) -> tuple[Matrix, int]:
+    """(det(g) act(g, lam), det g) for integer g and lam, unchecked but
+    for the diagonal of g: the strictly lower part of the integer matrix m
+    with m g = det(g) g lam, row by row by forward substitution, in which
+    every division is exact."""
     n = len(g)
     det = 1
     for k in range(n):
         if not g[k][k]:
             raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
         det *= g[k][k]
-    adj = [[0] * n for _ in range(n)]
-    for j in range(n):
-        adj[j][j] = _exact_div(det, g[j][j])
-        for i in range(j - 1, -1, -1):
-            acc = sum(g[i][k] * adj[k][j] for k in range(i + 1, j + 1))
-            adj[i][j] = _exact_div(-acc, g[i][i])
-    return adj, det
-
-
-_ZERO = Fraction(0)
-
-
-def _act_rational(g: Matrix, lam: Matrix) -> Matrix:
-    """act over Q with Python ints and one division per entry.
-
-    With a g and d lam integral, (a g)(d lam) adj(a g) = d det(a g) g lam
-    g^{-1}, since the scalar a cancels under conjugation.
-    """
-    n = len(g)
-    g_int, _ = _scaled_to_int(g)
-    lam_int, d = _scaled_to_int(lam)
-    adj, det = _upper_adjugate(g_int)
-    # g lam over the nonzero entries of lam: column r of g, scaled, lands
-    # in column c; a rook placement makes this a column gather
+    # det(g) g lam over the nonzero entries of lam: column r of g, scaled,
+    # lands in column c; a rook placement makes this a column gather
     prod = [[0] * n for _ in range(n)]
     for r in range(n):
         for c in range(r):
-            x = lam_int[r][c]
+            x = lam[r][c]
             if x:
+                x *= det
                 for i in range(r + 1):
-                    prod[i][c] += g_int[i][r] * x
-    denom = d * det
-    rows = []
-    for i in range(n):
-        left = prod[i]
-        row = [_ZERO] * n
+                    prod[i][c] += g[i][r] * x
+    for i, row in enumerate(prod):
         for j in range(i):
-            m = sum(left[k] * adj[k][j] for k in range(j + 1))
-            if m:
-                row[j] = Fraction(m, denom)
-        rows.append(tuple(row))
-    return tuple(rows)
+            acc = row[j] - sum(row[k] * g[k][j] for k in range(j))
+            row[j], remainder = divmod(acc, g[j][j])
+            if remainder:
+                raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
+        row[i:] = [0] * (n - i)
+    return tuple(map(tuple, prod)), det
+
+
+def _act_rational(g: Matrix, lam: Matrix) -> Matrix:
+    """act over Q: the numerator of the integral multiples a g and d lam
+    over d det(a g), since the scalar a cancels under conjugation."""
+    d = lcm(*(x.denominator for row in lam for x in row))
+    m, det = _act_numerator(integral_multiple(g), integral_multiple(lam))
+    return tuple(tuple(Fraction(x, d * det) for x in row) for row in m)
 
 
 def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Matrix:
@@ -176,18 +153,12 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
 def rank_profile(lam: Matrix) -> RankMatrix:
     """Corner ranks of all South-West truncations of a strictly
     lower-triangular matrix, by exact elimination; entries outside the
-    strict lower triangle are 0."""
-    lam = promote(lam)
+    strict lower triangle are 0.  Integer input is ranked as it is and
+    rational input as its :func:`~borbits.matrices.integral_multiple`."""
+    lam = integral_multiple(lam)
     if not is_strictly_lower(lam):
         raise NotStrictlyLowerError("rank profile is defined on functionals")
-    n = len(lam)
-    rows = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        basis: list = []
-        for i in range(n, j, -1):  # rank of lam[i..n, 1..j], i > j
-            echelon_insert(basis, list(lam[i - 1][:j]))
-            rows[i - 1][j - 1] = len(basis)
-    return RankMatrix(n, tuple(tuple(r) for r in rows))
+    return RankMatrix(len(lam), corner_ranks(lam, strict=True))
 
 
 def orbit_dimension(sigma: Involution) -> int:
@@ -211,7 +182,7 @@ def orbit_dimension(sigma: Involution) -> int:
                 value += lam[q - 1][s - 1]
             if q == s:
                 value -= lam[r - 1][p - 1]
-            row.append(Fraction(value))
+            row.append(value)
         matrix.append(tuple(row))
     return exact_rank(tuple(matrix)) if matrix else 0
 
@@ -227,18 +198,23 @@ def delta_minors(y: Matrix) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def random_borel(n: int, seed: int, bound: int = 3) -> Matrix:
-    """Seeded random upper-triangular matrix: diagonal in 1..bound,
-    above-diagonal in -bound..bound.  Deterministic per (n, seed, bound)."""
+def _random_borel_int(n: int, seed: int, bound: int = 3) -> Matrix:
+    """The entries of :func:`random_borel` as ints, from the same stream."""
     if bound < 1:
         raise IndexOutOfRangeError(f"bound must be >= 1, got {bound}")
     rng = random.Random(seed * 1_000_003 + n * 1_009 + bound)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for r in range(n):
-        rows[r][r] = Fraction(rng.randint(1, bound))
+        rows[r][r] = rng.randint(1, bound)
         for c in range(r + 1, n):
-            rows[r][c] = Fraction(rng.randint(-bound, bound))
+            rows[r][c] = rng.randint(-bound, bound)
     return tuple(tuple(row) for row in rows)
+
+
+def random_borel(n: int, seed: int, bound: int = 3) -> Matrix:
+    """Seeded random upper-triangular matrix: diagonal in 1..bound,
+    above-diagonal in -bound..bound.  Deterministic per (n, seed, bound)."""
+    return tuple(tuple(map(Fraction, row)) for row in _random_borel_int(n, seed, bound))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ in the test suite rather than assumed equal:
 
 - combinatorially, the rank of a corner truncation of a rook placement
   equals the number of rooks weakly South-West of the corner;
-- linear-algebraically, by exact Gaussian elimination over the rationals
-  (the kernel in :mod:`borbits.matrices`).
+- linear-algebraically, by exact elimination over the integers or the
+  rational functions (the kernel in :mod:`borbits.matrices`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRangeError, SizeMismatchError
 from .involutions import Arc, Involution, Permutation
-from .matrices import echelon_insert, promote
+from .matrices import echelon_insert, integral_multiple
 
 Matrix = tuple[tuple, ...]
 
@@ -64,10 +64,10 @@ def pi_truncate(matrix: Matrix, i: int, j: int) -> Matrix:
 
 
 def exact_rank(matrix: Sequence[Sequence]) -> int:
-    """Rank by exact elimination over the rationals (or rational
-    functions); no floating point anywhere."""
+    """Rank by exact elimination, fraction-free over the integers or over
+    Q(eps); no floating point anywhere."""
     basis: list = []
-    for row in promote(matrix):
+    for row in integral_multiple(matrix):
         echelon_insert(basis, list(row))
     return len(basis)
 
@@ -188,17 +188,16 @@ def leq_bruhat(v: Permutation, w: Permutation) -> bool:
     return _dominated(bruhat_rank_matrix(v), bruhat_rank_matrix(w))
 
 
-def rank_matrix_by_elimination(matrix: Matrix) -> RankMatrix:
-    """Corner ranks computed by exact elimination; the independent route
-    cross-checking the South-West counts.  One pass per column prefix
-    inserts the rows bottom-up, so the rank after row i is the rank of
-    the corner spanning rows i..n."""
-    matrix = promote(matrix)
+def corner_ranks(matrix: Matrix, strict: bool = False, q: int | None = None) -> Matrix:
+    """Ranks of the corners spanning rows i..n and columns 1..j of a matrix
+    the kernel takes as it is (ints, one exact field, or residues mod q):
+    one pass per column prefix inserts the rows bottom-up.  With
+    ``strict`` only the corners with i > j are ranked; the others read 0."""
     n = len(matrix)
     rows = [[0] * n for _ in range(n)]
     for j in range(1, n + 1):
         basis: list = []
-        for i in range(n, 0, -1):
-            echelon_insert(basis, list(matrix[i - 1][:j]))
+        for i in range(n, j if strict else 0, -1):
+            echelon_insert(basis, list(matrix[i - 1][:j]), q)
             rows[i - 1][j - 1] = len(basis)
-    return RankMatrix(n, tuple(tuple(r) for r in rows))
+    return tuple(tuple(r) for r in rows)

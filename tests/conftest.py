@@ -4,10 +4,23 @@ check."""
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
-from borbits import Involution, Permutation, involution_from_one_line
+from borbits import (
+    Involution,
+    Permutation,
+    RankMatrix,
+    act,
+    enumerate_involutions,
+    involution_from_one_line,
+    orbit_point,
+    parse_involution,
+    random_borel,
+)
+from borbits.matrices import echelon_insert
 
 
 def filter_involutions(n: int) -> list[Involution]:
@@ -30,6 +43,86 @@ def apply_cycles_oracle(n: int, pairs) -> tuple[int, ...]:
     for a, b in pairs:
         image[a - 1], image[b - 1] = image[b - 1], image[a - 1]
     return tuple(image)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)
+)
+
+
+@st.composite
+def upper(draw, n, entries=rationals, diagonal=nonzero_rationals):
+    return tuple(
+        tuple(
+            draw(diagonal) if r == c else draw(entries) if r < c else Fraction(0)
+            for c in range(n)
+        )
+        for r in range(n)
+    )
+
+
+@st.composite
+def strictly_lower(draw, n, entries=rationals):
+    return tuple(
+        tuple(draw(entries) if r > c else Fraction(0) for c in range(n))
+        for r in range(n)
+    )
+
+
+@st.composite
+def orbit_functional(draw, n):
+    """An orbit point act(g, weighted base point): its corners are rank
+    deficient, as those of a generic matrix are not."""
+    sigma = draw(st.sampled_from(enumerate_involutions(n)))
+    xi = {arc: draw(nonzero_rationals) for arc in sigma.arcs}
+    return act(draw(upper(n)), orbit_point(sigma, xi))
+
+
+# (sigma, orbit sample) at n = 6 whose corner ranks a fraction-free kernel
+# gets wrong when it scales only the row's tail, or divides by the
+# content of the tail only
+ORBIT_EXAMPLES = [
+    (sigma, act(random_borel(6, seed), orbit_point(sigma)))
+    for sigma, seed in (
+        (parse_involution("(5,1)(6,2)", 6), 25),
+        (parse_involution("(4,1)(6,2)(5,3)", 6), 14),
+    )
+]
+
+
+def field_rank_profile(lam) -> RankMatrix:
+    """Oracle: every corner rank of a functional, i > j, by the kernel's
+    field mode on Fraction rows."""
+    n = len(lam)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(2, n + 1):
+        for j in range(1, i):
+            basis: list = []
+            for r in range(i - 1, n):
+                echelon_insert(basis, [Fraction(x) for x in lam[r][:j]])
+            rows[i - 1][j - 1] = len(basis)
+    return RankMatrix(n, tuple(map(tuple, rows)))
+
+
+def field_z_contains(spec, a) -> bool:
+    """Oracle: closure membership with the corner ranks of
+    :func:`field_rank_profile` and the quadrics summed over Fractions."""
+    profile = field_rank_profile(a)
+    n = spec.sigma.n
+    if any(
+        profile.entry(i, j) > spec.rank_bounds.entry(i, j)
+        for i in range(2, n + 1)
+        for j in range(1, i)
+    ):
+        return False
+    q = [[Fraction(x) for x in row] for row in a]
+
+    def square(r, s):
+        terms = (q[r - 1][k - 1] * q[k - 1][s - 1] for k in range(s + 1, r))
+        return sum(terms, Fraction(0))
+
+    return all(square(r, s) == 0 for r, s in spec.quadric_cells)
 
 
 @pytest.fixture(scope="session")

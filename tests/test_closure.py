@@ -2,6 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    ORBIT_EXAMPLES,
+    field_z_contains,
+    nonzero_rationals,
+    orbit_functional,
+)
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from borbits import (
     Arc,
@@ -9,6 +17,7 @@ from borbits import (
     act,
     bruhat_rank_matrix,
     complement_permutation,
+    degeneration,
     delta_minors,
     enumerate_involutions,
     essential_reduction_check,
@@ -20,11 +29,13 @@ from borbits import (
     leq_star,
     longest_involution,
     maximal_support,
+    near_moves,
     orbit_point,
     parse_involution,
     permutation_matrix,
     quadric_cells,
     random_borel,
+    rank_profile,
     rotate90,
     rothe_diagram,
     to_permutation,
@@ -42,6 +53,7 @@ from borbits.errors import (
     NotStrictlyLowerError,
     TooLargeError,
 )
+from borbits.matrices import integral_multiple
 from borbits.moves import phi_lt
 from borbits.rankorder import exact_rank
 
@@ -126,6 +138,72 @@ def test_z_contains_rejects_bigger_rank():
     assert not z_contains(z_spec(small), orbit_point(big))
     with pytest.raises(NotStrictlyLowerError):
         z_contains(z_spec(small), ((Fraction(1),) * 3,) * 3)
+
+
+# (3,1)(4,2) has the quadric cell (4, 1); this point meets every rank
+# bound of the variety, and only (A^2)_{4,1} = -3/2 keeps it out
+_QUADRIC_ONLY = (
+    parse_involution("(3,1)(4,2)", 4),
+    (
+        (0, 0, 0, 0),
+        (0, 0, 0, 0),
+        (Fraction(1, 2), 0, 0, 0),
+        (0, 0, Fraction(-3), 0),
+    ),
+)
+
+
+def test_z_contains_fails_on_a_quadric_alone():
+    sigma, a = _QUADRIC_ONLY
+    spec = z_spec(sigma)
+    profile = rank_profile(a)
+    assert all(
+        profile.entry(i, j) <= spec.rank_bounds.entry(i, j)
+        for i in range(2, 5)
+        for j in range(1, i)
+    )
+    assert spec.quadric_cells == {(4, 1)} and gamma(a, 4, 1) == Fraction(-3, 2)
+    assert z_contains(spec, a) is False
+    assert z_contains(spec, integral_multiple(a)) is False
+
+
+@st.composite
+def membership_cases(draw):
+    """(sigma, A): A an orbit point of some tau, as it is, with one entry
+    set to 0, or with one entry moved, and scaled to ints or not."""
+    n = draw(st.integers(2, 6))
+    sigma = draw(st.sampled_from(enumerate_involutions(n)))
+    a = [list(row) for row in draw(orbit_functional(n))]
+    r = draw(st.integers(1, n - 1))
+    c = draw(st.integers(0, r - 1))
+    change = draw(st.sampled_from(["none", "weaken", "perturb"]))
+    if change == "weaken":
+        a[r][c] = Fraction(0)
+    elif change == "perturb":
+        a[r][c] += draw(nonzero_rationals)
+    a = tuple(map(tuple, a))
+    return sigma, integral_multiple(a) if draw(st.booleans()) else a
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=membership_cases())
+@example(case=_QUADRIC_ONLY)
+@example(case=ORBIT_EXAMPLES[0])
+@example(case=ORBIT_EXAMPLES[1])
+def test_z_contains_integer_route_matches_field_route(case):
+    sigma, a = case
+    spec = z_spec(sigma)
+    assert z_contains(spec, a) is field_z_contains(spec, a)
+
+
+def test_degeneration_curves_lie_in_the_variety_over_qeps():
+    # for eps != 0 a curve point is in the orbit of sigma; over Q(eps) the
+    # membership test takes the field route (it used to stop in gamma)
+    for n in range(2, 6):
+        for sigma in enumerate_involutions(n):
+            spec = z_spec(sigma)
+            for move in near_moves(sigma):
+                assert z_contains(spec, degeneration(sigma, move).curve) is True
 
 
 def test_top_variety_admits_all_nonvanishing_minors():

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from borbits.closure import _corner_rank_table_bits, _corner_rank_table_gf
 from borbits.errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from borbits.matrices import (
+    echelon_insert,
     exact_det,
     identity_matrix,
+    integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
     mat_mul,
@@ -230,3 +232,55 @@ def test_bit_row_tables_equal_generic_kernel_over_f2():
         bits = tuple(sum(x << c for c, x in enumerate(row)) for row in rows)
         assert _corner_rank_table_bits(bits, n) == _corner_rank_table_gf(rows, n, 2)
 
+
+def test_integer_rows_stay_integers():
+    # int rows with q None used to be divided with /, storing 0.0 and -0.5
+    basis: list = []
+    echelon_insert(basis, [2, 1])
+    echelon_insert(basis, [3, 1])
+    assert basis == [(0, [2, 1]), (1, [0, -1])]
+    assert all(type(x) is int for _, row in basis for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=int_matrices)
+@example(matrix=[[2, 1], [3, 1]])
+# the pivot of the first row lies right of an entry of the second: the
+# whole row must be scaled, not the part from the pivot column on
+@example(matrix=[[0, 2, 1, 1], [1, 1, 1, 1]])
+# the content of the whole row is 1, that of its part from column 1 on 2
+@example(matrix=[[0, 1, 1], [1, 2, 4]])
+def test_fraction_free_rows_are_multiples_of_the_field_rows(matrix):
+    int_basis: list = []
+    field_basis: list = []
+    for row in matrix:
+        echelon_insert(int_basis, list(row))
+        echelon_insert(field_basis, [Fraction(x) for x in row])
+    assert len(int_basis) == len(field_basis) == exact_rank(matrix)
+    for (col, row), (field_col, field_row) in zip(int_basis, field_basis):
+        assert col == field_col
+        assert all(type(x) is int for x in row)
+        # proportional, the pivots giving the ratio
+        assert all(x * field_row[col] == y * row[col] for x, y in zip(row, field_row))
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (((1, 2), (3, 4)), ((1, 2), (3, 4))),
+        (((Fraction(1, 2), 0), (Fraction(-2, 3), 1)), ((3, 0), (-4, 6))),
+        (((Fraction(4), True),), ((4, 1),)),
+        ((), ()),
+    ],
+)
+def test_integral_multiple_of_rational_matrices(matrix, expected):
+    result = integral_multiple(matrix)
+    assert result == expected
+    assert all(type(x) is int for row in result for x in row)
+
+
+def test_integral_multiple_keeps_qeps_and_rejects_floats():
+    # an RFun entry keeps the field route: the matrix is promoted as it was
+    assert same_entries(integral_multiple(((1, EPS),)), promote(((1, EPS),)))
+    with pytest.raises(NotAFieldError):
+        integral_multiple(((1, 0.5),))

@@ -1,6 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from conftest import (
+    ORBIT_EXAMPLES,
+    field_rank_profile,
+    orbit_functional,
+    strictly_lower,
+    upper,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,9 +44,14 @@ from borbits.errors import (
     SingularElementError,
     ZeroXiError,
 )
-from borbits.matrices import identity_matrix, mat_from_entries, mat_mul
+from borbits.matrices import (
+    identity_matrix,
+    integral_multiple,
+    mat_from_entries,
+    mat_mul,
+)
 from borbits.moves import Move
-from borbits.orbits import _act_field
+from borbits.orbits import _act_field, _act_numerator, _random_borel_int
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RFun
 
 
@@ -91,31 +104,6 @@ def test_act_on_the_empty_matrix():
     assert _act_field((), ()) == ()
 
 
-rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-nonzero_rationals = st.builds(
-    Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)
-)
-
-
-@st.composite
-def upper(draw, n, entries=rationals, diagonal=nonzero_rationals):
-    return tuple(
-        tuple(
-            draw(diagonal) if r == c else draw(entries) if r < c else Fraction(0)
-            for c in range(n)
-        )
-        for r in range(n)
-    )
-
-
-@st.composite
-def strictly_lower(draw, n, entries=rationals):
-    return tuple(
-        tuple(draw(entries) if r > c else Fraction(0) for c in range(n))
-        for r in range(n)
-    )
-
-
 # negative non-unit diagonal and denominators above 1 throughout
 _HARD_G = (
     (Fraction(-2, 3), Fraction(5, 4), Fraction(-7, 2)),
@@ -164,6 +152,46 @@ def test_action_law_over_q(triple):
 def test_rank_profile_invariant_under_integer_borel(pair):
     sigma, g = pair
     assert rank_profile(act(g, orbit_point(sigma))) == star_rank_matrix(sigma)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.integers(0, 6).flatmap(lambda n: st.tuples(upper(n), strictly_lower(n)))
+)
+@example(pair=(_HARD_G, _HARD_LAM))
+def test_act_numerator_over_d_det_is_the_field_route(pair):
+    g, lam = pair
+    # a g and d lam are integral; the numerator of the pair is d det(a g) act(g, lam)
+    d = lcm(*(x.denominator for row in lam for x in row))
+    m, det = _act_numerator(integral_multiple(g), integral_multiple(lam))
+    assert type(det) is int and all(type(x) is int for row in m for x in row)
+    divided = tuple(tuple(Fraction(x, d * det) for x in row) for row in m)
+    assert divided == _act_field(g, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lam=st.integers(1, 6).flatmap(
+        lambda n: st.one_of(strictly_lower(n), orbit_functional(n))
+    )
+)
+@example(lam=ORBIT_EXAMPLES[0][1])
+@example(lam=ORBIT_EXAMPLES[1][1])
+def test_rank_profile_integer_route_matches_field_route(lam):
+    profile = rank_profile(lam)
+    assert profile == field_rank_profile(lam)
+    assert all(type(x) is int for row in profile.rows for x in row)
+    # the integral multiple has the same profile, ranked as it is
+    assert rank_profile(integral_multiple(lam)) == profile
+
+
+def test_integer_sampler_is_the_stream_of_random_borel():
+    for n, seed, bound in ((1, 0, 3), (4, 7, 3), (6, 123, 5), (5, 3, 1)):
+        ints = _random_borel_int(n, seed, bound)
+        assert all(type(x) is int for row in ints for x in row)
+        fractions = random_borel(n, seed, bound)
+        assert fractions == ints
+        assert all(type(x) is Fraction for row in fractions for x in row)
 
 
 def test_act_unchanged_2x2_example():

@@ -18,17 +18,9 @@ from .involutions import (
     format_involution,
     involution_to_json,
     parse_involution,
-    to_permutation,
 )
 from .moves import near, near_prime
-from .rankorder import (
-    bruhat_rank_matrix,
-    leq_bruhat,
-    leq_melnikov,
-    leq_star,
-    melnikov_rank_matrix,
-    star_rank_matrix,
-)
+from .rankorder import ORDER_TABLES, _dominated, order_table
 from .suites import emit_hasse, run_suite, suite_names
 
 
@@ -48,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--sigma", required=True, help="cycle notation, e.g. (3,1)(5,2)")
     rank.add_argument(
         "--order",
-        choices=("melnikov", "star", "bruhat"),
+        choices=ORDER_TABLES,
         default="melnikov",
         help="which rank matrix to print",
     )
@@ -63,9 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--n", type=int, required=True)
     compare.add_argument("--sigma", required=True)
     compare.add_argument("--tau", required=True)
-    compare.add_argument(
-        "--order", choices=("star", "melnikov", "bruhat"), default="star"
-    )
+    compare.add_argument("--order", choices=ORDER_TABLES, default="star")
     compare.add_argument("--format", choices=("text", "json"), default="text")
 
     near_cmd = sub.add_parser("near", help="list the move neighbours of an involution")
@@ -80,9 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hasse = sub.add_parser("hasse", help="render the covering diagram")
     hasse.add_argument("--n", type=int, required=True)
-    hasse.add_argument(
-        "--order", choices=("star", "melnikov", "bruhat"), default="star"
-    )
+    hasse.add_argument("--order", choices=ORDER_TABLES, default="star")
     hasse.add_argument("--format", choices=("dot", "json"), default="dot")
 
     verify = sub.add_parser("verify", help="run a verification suite")
@@ -128,13 +116,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_rank(args) -> int:
     sigma = parse_involution(args.sigma, args.n)
-    order = "star" if args.star else args.order
-    if order == "star":
-        matrix = star_rank_matrix(sigma)
-    elif order == "melnikov":
-        matrix = melnikov_rank_matrix(sigma)
-    else:
-        matrix = bruhat_rank_matrix(to_permutation(sigma))
+    matrix = order_table("star" if args.star else args.order)(sigma)
     if args.format == "json":
         print(json.dumps(matrix.to_json(), sort_keys=True))
     else:
@@ -145,12 +127,8 @@ def _cmd_rank(args) -> int:
 def _cmd_compare(args) -> int:
     sigma = parse_involution(args.sigma, args.n)
     tau = parse_involution(args.tau, args.n)
-    if args.order == "star":
-        result = leq_star(tau, sigma)
-    elif args.order == "melnikov":
-        result = leq_melnikov(tau, sigma)
-    else:
-        result = leq_bruhat(to_permutation(tau), to_permutation(sigma))
+    table = order_table(args.order)
+    result = _dominated(table(tau), table(sigma))
     if args.format == "json":
         payload = {
             "order": args.order,

@@ -39,6 +39,7 @@ from .matrices import (
     Matrix,
     integral_multiple,
     is_strictly_lower,
+    square_size,
 )
 from .moves import phi_lt
 from .rankorder import RankMatrix, corner_ranks, star_rank_matrix
@@ -90,7 +91,6 @@ class ZSpec:
         }
 
 
-@lru_cache(maxsize=None)
 def z_spec(sigma: Involution) -> ZSpec:
     return ZSpec(sigma, star_rank_matrix(sigma), quadric_cells(sigma))
 
@@ -101,7 +101,7 @@ def z_contains(spec: ZSpec, a: Matrix) -> bool:
     matrix is replaced by its integral multiple, which neither the ranks
     nor the quadrics, homogeneous of degree 2, can tell apart from it."""
     a = integral_multiple(a)
-    if len(a) != spec.sigma.n:
+    if square_size(a) != spec.sigma.n:
         raise SizeMismatchError(f"matrix size {len(a)} vs n={spec.sigma.n}")
     if not is_strictly_lower(a):
         raise NotStrictlyLowerError("membership is defined for functionals")

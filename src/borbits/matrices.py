@@ -60,6 +60,16 @@ def integral_multiple(matrix) -> Matrix:
     return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
 
 
+def square_size(*matrices) -> int:
+    """The common size n of square n x n matrices; a ragged or
+    non-square matrix, or two of different sizes, raise
+    :class:`SizeMismatchError`."""
+    n = len(matrices[0])
+    if any(len(m) != n or any(len(row) != n for row in m) for m in matrices):
+        raise SizeMismatchError("ragged, non-square or mismatched matrices")
+    return n
+
+
 def identity_matrix(n: int, like=Fraction(1)) -> Matrix:
     one, zero = field_constants(((like,),))
     return tuple(
@@ -116,7 +126,7 @@ def strictly_lower_part(m: Matrix) -> Matrix:
 
 def upper_inverse(g: Matrix) -> Matrix:
     """Inverse of an upper-triangular matrix by back substitution."""
-    n = len(g)
+    n = square_size(g)
     for k in range(n):
         if not g[k][k]:
             raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
@@ -178,8 +188,7 @@ def exact_det(matrix: Matrix) -> Fraction | RFun:
     """Determinant over the field of the entries (ints count as
     rationals): the sign of the pivot-column order times the product of
     the pivots."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise SizeMismatchError("determinant of a non-square matrix")
+    square_size(matrix)
     rows = promote(matrix)
     one, zero = field_constants(rows)
     basis: list = []

@@ -46,6 +46,7 @@ from .matrices import (
     mat_from_entries,
     mat_mul,
     promote,
+    square_size,
     strictly_lower_part,
     upper_inverse,
 )
@@ -78,6 +79,7 @@ def act(g: Matrix, lam: Matrix) -> Matrix:
     inputs with an ``RFun`` entry take the generic :func:`_act_field`.
     Both return the same matrix over Q.
     """
+    square_size(g, lam)
     g = promote(g)
     lam = promote(lam)
     if not is_upper_triangular(g):
@@ -156,9 +158,10 @@ def rank_profile(lam: Matrix) -> RankMatrix:
     strict lower triangle are 0.  Integer input is ranked as it is and
     rational input as its :func:`~borbits.matrices.integral_multiple`."""
     lam = integral_multiple(lam)
+    n = square_size(lam)
     if not is_strictly_lower(lam):
         raise NotStrictlyLowerError("rank profile is defined on functionals")
-    return RankMatrix(len(lam), corner_ranks(lam, strict=True))
+    return RankMatrix(n, corner_ranks(lam, strict=True))
 
 
 def orbit_dimension(sigma: Involution) -> int:

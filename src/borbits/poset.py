@@ -12,35 +12,11 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BoundExceededError, NotInPosetError, UnknownSuiteError
-from .involutions import (
-    Involution,
-    enumerate_involutions,
-    format_involution,
-    to_permutation,
-)
-from .rankorder import (
-    bit_indices,
-    bruhat_rank_matrix,
-    dominance_masks,
-    melnikov_rank_matrix,
-    star_rank_matrix,
-)
-
-ORDER_NAMES = ("star", "melnikov", "bruhat")
+from .errors import BoundExceededError, NotInPosetError
+from .involutions import Involution, enumerate_involutions, format_involution
+from .rankorder import bit_indices, dominance_masks, order_table
 
 POSET_MAX_N = 8
-
-
-def _order_table(order: str):
-    """The rank table whose entrywise comparison defines ``order``."""
-    if order == "star":
-        return star_rank_matrix
-    if order == "melnikov":
-        return melnikov_rank_matrix
-    if order == "bruhat":
-        return lambda sigma: bruhat_rank_matrix(to_permutation(sigma))
-    raise UnknownSuiteError(f"unknown order {order!r}; expected one of {ORDER_NAMES}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +56,7 @@ def build_poset(n: int, order: str = "star") -> Poset:
     two-step path."""
     if n > POSET_MAX_N:
         raise BoundExceededError(f"n={n} exceeds poset bound {POSET_MAX_N}")
-    table = _order_table(order)
+    table = order_table(order)
     elements = enumerate_involutions(n)
     masks = dominance_masks([table(sigma) for sigma in elements])
     less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))

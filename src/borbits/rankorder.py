@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .errors import IndexOutOfRangeError, SizeMismatchError
-from .involutions import Arc, Involution, Permutation
+from .errors import IndexOutOfRangeError, SizeMismatchError, UnknownSuiteError
+from .involutions import Arc, Involution, Permutation, to_permutation
 from .matrices import echelon_insert, integral_multiple
 
 Matrix = tuple[tuple, ...]
@@ -115,6 +115,25 @@ def bruhat_rank_matrix(w: Permutation) -> RankMatrix:
     row w(k)), over the whole n x n grid."""
     rooks = [(w.apply(k), k) for k in range(1, w.n + 1)]
     return RankMatrix(w.n, _southwest_table(rooks, w.n))
+
+
+# order name -> the rank table of an involution whose entrywise
+# comparison defines the order
+ORDER_TABLES = {
+    "star": star_rank_matrix,
+    "melnikov": melnikov_rank_matrix,
+    "bruhat": lambda sigma: bruhat_rank_matrix(to_permutation(sigma)),
+}
+
+
+def order_table(order: str):
+    """The rank table whose entrywise comparison defines ``order``."""
+    try:
+        return ORDER_TABLES[order]
+    except KeyError:
+        raise UnknownSuiteError(
+            f"unknown order {order!r}; expected one of {tuple(ORDER_TABLES)}"
+        ) from None
 
 
 def _dominated(low: RankMatrix, high: RankMatrix) -> bool:

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .closure import (
+    complement_permutation,
     essential_reduction_check,
     is_chain,
     z_contains,
@@ -25,7 +26,6 @@ from .involutions import (
     enumerate_involutions,
     format_involution,
     length,
-    longest_involution,
     rook_matrix_lower,
     to_permutation,
 )
@@ -47,7 +47,7 @@ from .orbits import (
     orbit_point,
     rank_profile,
 )
-from .poset import build_poset, hasse_dot, hasse_json, is_graded, l_sets
+from .poset import POSET_MAX_N, build_poset, hasse_dot, hasse_json, is_graded, l_sets
 from .rankorder import (
     bit_indices,
     bruhat_rank_matrix,
@@ -55,8 +55,6 @@ from .rankorder import (
     leq_star,
     star_rank_matrix,
 )
-
-HASSE_MAX_N = 8
 
 
 @dataclass
@@ -146,39 +144,27 @@ def _suite_covers(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     for sigma in poset.elements:
         sets = l_sets(sigma, poset)
-        got = {
-            "minus": n_minus(sigma),
-            "zero": n_zero(sigma),
-            "plus": n_plus(sigma),
-            "prime": n_prime(sigma),
-        }
-        want = {
-            "minus": sets.l_minus,
-            "zero": sets.l_zero,
-            "plus": sets.l_plus,
-            "prime": sets.l_prime,
+        covering = near_prime(sigma)
+        # set name -> (move side, order side)
+        compared = {
+            "minus": (n_minus(sigma), sets.l_minus),
+            "zero": (n_zero(sigma), sets.l_zero),
+            "plus": (n_plus(sigma), sets.l_plus),
+            "prime": (n_prime(sigma), sets.l_prime),
+            "covering": (covering, poset.covers_of(sigma)),
         }
         checked += 1
-        for name in got:
-            if got[name] != want[name]:
+        for name, (by_moves, by_order) in compared.items():
+            if by_moves != by_order:
                 failures.append(
                     {
                         "sigma": format_involution(sigma),
                         "set": name,
-                        "moves": sorted(map(format_involution, got[name])),
-                        "order": sorted(map(format_involution, want[name])),
+                        "moves": sorted(map(format_involution, by_moves)),
+                        "order": sorted(map(format_involution, by_order)),
                     }
                 )
-        if near_prime(sigma) != poset.covers_of(sigma):
-            failures.append(
-                {
-                    "sigma": format_involution(sigma),
-                    "set": "covering",
-                    "moves": sorted(map(format_involution, near_prime(sigma))),
-                    "order": sorted(map(format_involution, poset.covers_of(sigma))),
-                }
-            )
-        if near_prime(sigma) != sets.l_star:
+        if covering != sets.l_star:
             failures.append(
                 {"sigma": format_involution(sigma), "set": "l_star mismatch"}
             )
@@ -288,9 +274,8 @@ def _suite_closure(n: int, seed: int, samples: int, explore: bool):
 def _suite_essential_set(n: int, seed: int, samples: int, explore: bool):
     checked, failures = 0, []
     n_phi = n * (n - 1) // 2
-    w0 = to_permutation(longest_involution(n))
     for sigma in enumerate_involutions(n):
-        w = w0.compose(to_permutation(sigma))
+        w = complement_permutation(sigma)
         checked += 1
         if length(w) != n_phi - length(to_permutation(sigma)):
             failures.append(
@@ -355,8 +340,8 @@ def run_suite(
 
 def emit_hasse(n: int, order: str = "star", format: str = "dot") -> str:
     """Render the covering diagram of all involutions of S_n."""
-    if not 1 <= n <= HASSE_MAX_N:
-        raise BoundExceededError(f"hasse rendering accepts 1 <= n <= {HASSE_MAX_N}")
+    if not 1 <= n <= POSET_MAX_N:
+        raise BoundExceededError(f"hasse rendering accepts 1 <= n <= {POSET_MAX_N}")
     poset = build_poset(n, order)
     if format == "dot":
         return hasse_dot(poset)

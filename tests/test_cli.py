@@ -2,6 +2,17 @@ import json
 
 import pytest
 
+from borbits import (
+    bruhat_rank_matrix,
+    enumerate_involutions,
+    format_involution,
+    leq_bruhat,
+    leq_melnikov,
+    leq_star,
+    melnikov_rank_matrix,
+    star_rank_matrix,
+    to_permutation,
+)
 from borbits.cli import main
 
 
@@ -44,6 +55,35 @@ def test_compare_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["tau_leq_sigma"] is False
+
+
+# order name -> (rank table, order predicate), each stated directly
+ORDERS = {
+    "star": (star_rank_matrix, leq_star),
+    "melnikov": (melnikov_rank_matrix, leq_melnikov),
+    "bruhat": (
+        lambda s: bruhat_rank_matrix(to_permutation(s)),
+        lambda t, s: leq_bruhat(to_permutation(t), to_permutation(s)),
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_rank_and_compare_follow_each_order(capsys, order):
+    table, leq = ORDERS[order]
+    elements = enumerate_involutions(4)
+    for sigma in elements:
+        name = format_involution(sigma)
+        code, out, _ = run_cli(capsys, "rank", "--n", "4", "--sigma", name, "--order", order)
+        assert code == 0
+        assert out == "".join(" ".join(map(str, row)) + "\n" for row in table(sigma).rows)
+        for tau in elements:
+            code, out, _ = run_cli(
+                capsys, "compare", "--n", "4", "--sigma", name,
+                "--tau", format_involution(tau), "--order", order, "--format", "json",
+            )
+            assert code == 0
+            assert json.loads(out)["tau_leq_sigma"] is leq(tau, sigma)
 
 
 def test_rank_star_prints_display_matrix(capsys):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from borbits.closure import _corner_rank_table_bits, _corner_rank_table_gf
+from borbits.closure import (
+    _corner_rank_table_bits,
+    _corner_rank_table_gf,
+    z_contains,
+    z_spec,
+)
 from borbits.errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from borbits.matrices import (
     echelon_insert,
@@ -16,10 +21,12 @@ from borbits.matrices import (
     is_upper_triangular,
     mat_mul,
     promote,
+    square_size,
     strictly_lower_part,
     upper_inverse,
 )
-from borbits.orbits import act, random_borel
+from borbits.involutions import parse_involution
+from borbits.orbits import act, random_borel, rank_profile
 from borbits.rankorder import exact_rank
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun, poly
 
@@ -137,6 +144,37 @@ def test_exact_det():
     assert exact_det(()) == 1
     with pytest.raises(SizeMismatchError):
         exact_det(((1, 2),))
+
+
+_I2 = ((1, 0), (0, 1))
+_I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_LAM3 = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+_RAGGED = ((0, 0), (1, 0, 0))
+
+
+def test_square_size():
+    assert square_size(_I3, _LAM3) == 3
+    assert square_size(()) == 0
+    for bad in ((_I2, _LAM3), (_RAGGED,), (((1, 2),),)):
+        with pytest.raises(SizeMismatchError):
+            square_size(*bad)
+
+
+# each call once answered or failed with IndexError on these shapes
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: act(_I2, _LAM3),
+        lambda: act(_I3, ((0, 0), (1, 0))),
+        lambda: upper_inverse(((1, 2), (0,))),
+        lambda: rank_profile(_RAGGED),
+        lambda: z_contains(z_spec(parse_involution("(2,1)", 2)), _RAGGED),
+    ],
+    ids=["act-small-g", "act-small-lam", "upper_inverse", "rank_profile", "z_contains"],
+)
+def test_ragged_or_mismatched_shapes_raise(call):
+    with pytest.raises(SizeMismatchError):
+        call()
 
 
 def test_exact_det_stays_in_the_entry_field():

@@ -19,7 +19,7 @@ from borbits import (
     parse_involution,
     to_permutation,
 )
-from borbits.errors import BoundExceededError, NotInPosetError
+from borbits.errors import BoundExceededError, NotInPosetError, UnknownSuiteError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
 
 
@@ -173,3 +173,8 @@ def test_poset_matches_pairwise_predicate_scan(order):
         assert poset.elements == elements
         assert poset.less == tuple(less)
         assert poset.covers == tuple(covers)
+
+
+def test_unknown_order():
+    with pytest.raises(UnknownSuiteError, match="expected one of"):
+        build_poset(3, "nope")

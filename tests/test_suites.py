@@ -111,6 +111,11 @@ def test_bound_exceeded():
         emit_hasse(9)
 
 
+def test_emit_hasse_unknown_order():
+    with pytest.raises(UnknownSuiteError):
+        emit_hasse(3, order="nope")
+
+
 def test_report_serialization_deterministic():
     first = run_suite("rank-invariance", 3, seed=2, samples=4)
     second = run_suite("rank-invariance", 3, seed=2, samples=4)

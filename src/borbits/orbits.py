@@ -12,7 +12,9 @@ sampled suites test the numerator itself, of g from the int sampler.
 
 Degeneration curves live over the exact rational-function field in eps,
 so limits at eps -> 0 and identities of curves are exact equalities, not
-numeric approximations.
+numeric approximations.  A curve acts with a word of elementary factors,
+g = x_1 ... x_k, so it conjugates lam by one factor at a time, x_k first:
+each conjugation is one row and one column operation.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .matrices import (
 )
 from .moves import Move, apply_move, near_moves
 from .rankorder import RankMatrix, corner_ranks, exact_rank
-from .ratfunc import EPS, EPS_INV, RF_ONE, RFun
+from .ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
 
 
 def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
@@ -308,20 +310,40 @@ def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
     return mat_from_entries(sigma.n, entries, like=RF_ONE)
 
 
+def _act_word(word: tuple[tuple[int, int, RFun], ...], rook: Matrix) -> Matrix:
+    """act(g, lam) over Q(eps) for g the product of the :func:`x_elem`
+    factors of ``word`` and lam the 0/1 matrix ``rook``: lam is conjugated
+    by each factor x, rightmost first, as x lam x^{-1}, visiting nonzero
+    entries only, and truncated once at the end.  For x = I + alpha E_{j,i}
+    that is row j += alpha row i, then column i -= alpha column j; for a
+    diagonal factor, with d = 1 + alpha, row i *= d, then column i /= d."""
+    rows = [[RF_ONE if x else RF_ZERO for x in row] for row in rook]
+    for j, i, alpha in reversed(word):
+        j, i = j - 1, i - 1
+        if j == i:
+            d = RF_ONE + alpha
+            rows[i] = [x * d if x else x for x in rows[i]]
+            for row in rows:
+                if row[i]:
+                    row[i] = row[i] / d
+            continue
+        target = rows[j]
+        for c, x in enumerate(rows[i]):
+            if x:
+                target[c] = target[c] + alpha * x
+        for row in rows:
+            if row[j]:
+                row[i] = row[i] - alpha * row[j]
+    return strictly_lower_part(rows)
+
+
 def degeneration(sigma: Involution, move: Move) -> Degeneration:
-    """Compute the degeneration curve of a move by the honest group
-    action over the rational-function field, and its limit at 0."""
+    """Compute the degeneration curve of a move by the group action over
+    the rational-function field, factor by factor, and its limit at 0."""
     if move not in near_moves(sigma):
         raise MoveNotApplicableError(f"{move} not applicable to {sigma}")
     word = degeneration_word(sigma, move)
-    n = sigma.n
-    g = identity_matrix(n, like=RF_ONE)
-    for jj, ii, alpha in word:
-        g = mat_mul(g, x_elem(n, jj, ii, alpha))
-    lam = tuple(
-        tuple(RFun.const(x) for x in row) for row in rook_matrix_lower(sigma)
-    )
-    curve = act(g, lam)
+    curve = _act_word(word, rook_matrix_lower(sigma))
     try:
         limit = tuple(tuple(entry.eval_at(0) for entry in row) for row in curve)
     except ZeroDivisionError as exc:

@@ -238,8 +238,13 @@ class RFun:
         return f"RFun(({poly_str(self.num)})/({poly_str(self.den)}))"
 
     def eval_at(self, x: int | Fraction) -> Fraction:
-        """Value at a rational point; raises ZeroDivisionError on a pole."""
+        """Value at a rational point; raises ZeroDivisionError on a pole.
+        At 0 the value is the ratio of the constant terms."""
         x = Fraction(x)
+        if not x:
+            if not self.den[0]:
+                raise ZeroDivisionError(f"pole at {x}")
+            return self.num[0] / self.den[0] if self.num else _ZERO
         bottom = poly_eval(self.den, x)
         if bottom == 0:
             raise ZeroDivisionError(f"pole at {x}")

@@ -30,6 +30,7 @@ from borbits import (
     parse_involution,
     random_borel,
     rank_profile,
+    rook_matrix_lower,
     star_rank_matrix,
     to_permutation,
     x_elem,
@@ -51,8 +52,8 @@ from borbits.matrices import (
     mat_mul,
 )
 from borbits.moves import Move
-from borbits.orbits import _act_field, _act_numerator, _random_borel_int
-from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RFun
+from borbits.orbits import _act_field, _act_numerator, _act_word, _random_borel_int
+from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
 
 
 def test_x_elem_examples():
@@ -326,6 +327,55 @@ def test_degeneration_agrees_with_closed_form_small():
                 result = degeneration(sigma, move)
                 assert result.curve == degeneration_closed_form(sigma, move)
                 assert result.limit == orbit_point(apply_move(sigma, move))
+
+
+def _product_action(n: int, word, rook) -> tuple:
+    """Oracle: g as the product of the x_elem factors of word, then act."""
+    g = identity_matrix(n, like=RF_ONE)
+    for j, i, alpha in word:
+        g = mat_mul(g, x_elem(n, j, i, alpha))
+    return act(g, tuple(tuple(RFun.const(x) for x in row) for row in rook))
+
+
+def _typed(m) -> list:
+    return [[(type(x), x) for x in row] for row in m]
+
+
+def test_factorwise_curve_is_the_action_of_the_product():
+    for n in range(1, 6):
+        for sigma in enumerate_involutions(n):
+            rook = rook_matrix_lower(sigma)
+            for move in near_moves(sigma):
+                result = degeneration(sigma, move)
+                expect = _product_action(n, result.word, rook)
+                assert _typed(result.curve) == _typed(expect)
+                assert all(type(x) is RFun for row in result.curve for x in row)
+                assert all(type(x) is Fraction for row in result.limit for x in row)
+
+
+_ALPHAS = [RF_ZERO, RF_ONE, -RF_ONE, EPS, -EPS, EPS_INV, -EPS_INV, EPS - 1, EPS - EPS_INV]
+
+
+@st.composite
+def _words(draw, n):
+    """Upper-triangular factors (j, i, alpha), j <= i, whose diagonal entry
+    1 + alpha does not vanish."""
+    word = []
+    for _ in range(draw(st.integers(1, 4))):
+        j = draw(st.integers(1, n))
+        i = draw(st.integers(j, n))
+        alphas = _ALPHAS if j != i else [a for a in _ALPHAS if RF_ONE + a]
+        word.append((j, i, draw(st.sampled_from(alphas))))
+    return tuple(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4))
+def test_factorwise_action_of_any_word(data, n):
+    sigma = data.draw(st.sampled_from(enumerate_involutions(n)))
+    word = data.draw(_words(n))
+    rook = rook_matrix_lower(sigma)
+    assert _typed(_act_word(word, rook)) == _typed(_product_action(n, word, rook))
 
 
 def test_degeneration_rejects_inapplicable_move():

@@ -13,6 +13,7 @@ from borbits.ratfunc import (
     RFun,
     poly,
     poly_divmod,
+    poly_eval,
     poly_gcd,
     poly_mul,
 )
@@ -154,3 +155,29 @@ def test_field_axioms_and_reduced_results(a, b, c):
             RF_ONE / a
     for f in results + [a, b, c]:
         assert is_reduced(f), f
+
+
+# a denominator with a factor eps^k, k up to 2, so that poles at 0 come up
+polar_rfuns = st.builds(
+    lambda num, shift, den: RFun(num, [0] * shift + den),
+    small_polys,
+    st.integers(0, 2),
+    small_polys.filter(any),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.one_of(rfuns, polar_rfuns))
+@example(f=EPS_INV)
+@example(f=RF_ZERO)
+@example(f=(EPS + 2) / (3 * EPS + 1))
+def test_eval_at_zero_is_the_horner_value(f):
+    zero = Fraction(0)
+    try:
+        horner = poly_eval(f.num, zero) / poly_eval(f.den, zero)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="pole at 0"):
+            f.eval_at(0)
+        return
+    value = f.eval_at(0)
+    assert type(value) is Fraction and value == horner

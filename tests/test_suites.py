@@ -106,9 +106,23 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
         run_suite("counts", 9)
     with pytest.raises(BoundExceededError):
-        run_suite("degeneration", 7)
+        run_suite("degeneration", 8)
     with pytest.raises(BoundExceededError):
         emit_hasse(9)
+
+
+def test_degeneration_suite_at_its_bound():
+    report = run_suite("degeneration", 7)
+    assert report.passed and report.checked == 1126
+
+
+def test_emit_hasse_checks_the_format_before_building_the_poset(monkeypatch):
+    def build_poset(n, order="star"):
+        raise AssertionError("poset built for an unknown format")
+
+    monkeypatch.setattr(suites, "build_poset", build_poset)
+    with pytest.raises(UnknownSuiteError, match="unknown format 'svg'; expected dot or json"):
+        emit_hasse(8, format="svg")
 
 
 def test_emit_hasse_unknown_order():

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from .errors import BoundExceededError, NotInPosetError
 from .involutions import Involution, enumerate_involutions, format_involution
 from .rankorder import bit_indices, dominance_masks, order_table
 
-POSET_MAX_N = 8
+POSET_MAX_N = 9
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,28 +53,42 @@ class Poset:
 @lru_cache(maxsize=None)
 def build_poset(n: int, order: str = "star") -> Poset:
     """Build the full poset from all-pairs dominance of the order's rank
-    tables; covers come from removing every relation implied by a
-    two-step path."""
+    tables; covers come from peeling maximal elements off each down-set."""
     if n > POSET_MAX_N:
         raise BoundExceededError(f"n={n} exceeds poset bound {POSET_MAX_N}")
     table = order_table(order)
     elements = enumerate_involutions(n)
-    masks = dominance_masks([table(sigma) for sigma in elements])
+    tables = [table(sigma) for sigma in elements]
+    masks = dominance_masks(tables)
     less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))
-    covers = []
-    for below in less:
-        implied = 0
-        for a in bit_indices(below):
-            implied |= less[a]
-        covers.append(tuple(bit_indices(below & ~implied)))
     return Poset(
         order=order,
         n=n,
         elements=elements,
         less=less,
-        covers=tuple(covers),
+        covers=_lower_covers(tables, less),
         index={sigma: k for k, sigma in enumerate(elements)},
     )
+
+
+def _lower_covers(tables, less) -> tuple[tuple[int, ...], ...]:
+    """Lower covers of distinct ``tables`` under dominance, whose strict
+    down-sets are ``less``.  Sorted by the number below, the tables come
+    in a linear extension (a < b makes less[a] a proper subset of
+    less[b]); with bits in that order the top bit left in a down-set is a
+    cover, and removing its down-set brings the next one to the top."""
+    ranked = sorted(range(len(tables)), key=lambda k: less[k].bit_count())
+    masks = dominance_masks([tables[k] for k in ranked])
+    covers = [()] * len(tables)
+    for p, mask in enumerate(masks):
+        rest = mask & ~(1 << p)
+        found = []
+        while rest:
+            a = rest.bit_length() - 1
+            found.append(ranked[a])
+            rest &= ~masks[a]
+        covers[ranked[p]] = tuple(sorted(found))
+    return tuple(covers)
 
 
 @dataclass(frozen=True)
@@ -145,7 +160,9 @@ def is_graded(poset: Poset) -> bool:
     """
     size = len(poset.elements)
     bottoms = [k for k in range(size) if poset.less[k] == 0]
-    tops = [k for k in range(size) if not any(poset.less[b] >> k & 1 for b in range(size) if b != k)]
+    # a top lies below nothing: its bit is in no mask
+    below_some = reduce(or_, poset.less, 0)
+    tops = [k for k in range(size) if not below_some >> k & 1]
     if len(bottoms) != 1 or len(tops) != 1:
         return False
     rank = poset_ranks(poset)

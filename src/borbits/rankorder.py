@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRangeError, SizeMismatchError, UnknownSuiteError
@@ -20,6 +22,13 @@ from .involutions import Arc, Involution, Permutation, to_permutation
 from .matrices import echelon_insert, integral_multiple
 
 Matrix = tuple[tuple, ...]
+
+
+@lru_cache(maxsize=None)
+def _rook_bounds(n: int) -> tuple[int, ...]:
+    """The largest corner rank at each cell, row by row, flattened: the
+    corner at (i, j) spans n-i+1 rows and j columns, one rook each."""
+    return tuple(min(n - i + 1, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -30,15 +39,17 @@ class RankMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.n or any(len(r) != self.n for r in self.rows):
-            raise SizeMismatchError(f"expected {self.n}x{self.n} table")
-        for i, row in enumerate(self.rows, start=1):
-            for j, entry in enumerate(row, start=1):
-                # a corner spans n-i+1 rows and j columns, one rook each
-                if not 0 <= entry <= min(self.n - i + 1, j):
-                    raise IndexOutOfRangeError(
-                        f"entry {entry} at ({i},{j}) exceeds rook bound"
-                    )
+        n = self.n
+        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+            raise SizeMismatchError(f"expected {n}x{n} table")
+        cells, bounds = list(chain.from_iterable(self.rows)), _rook_bounds(n)
+        if all(map(le, cells, bounds)) and min(cells, default=0) >= 0:
+            return
+        for k, (entry, bound) in enumerate(zip(cells, bounds)):
+            if not 0 <= entry <= bound:
+                raise IndexOutOfRangeError(
+                    f"entry {entry} at ({k // n + 1},{k % n + 1}) exceeds rook bound"
+                )
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i - 1][j - 1]
@@ -78,22 +89,23 @@ def southwest_count(arcs: Iterable[Arc], i: int, j: int) -> int:
 
 
 def _southwest_table(rooks: Iterable[tuple[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
-    grid = [[0] * (n + 2) for _ in range(n + 2)]
-    for a, b in rooks:
-        grid[a][b] = 1
-    table = [[0] * (n + 1) for _ in range(n + 2)]
+    """South-West counts of rooks (row, column), at most one per row, built
+    from the bottom row up: row i is row i+1 plus one from its rook on."""
+    column = dict(rooks)
+    row, rows = [0] * n, []
     for i in range(n, 0, -1):
-        for j in range(1, n + 1):
-            table[i][j] = grid[i][j] + table[i + 1][j] + table[i][j - 1] - table[i + 1][j - 1]
-    return tuple(tuple(table[i][1 : n + 1]) for i in range(1, n + 1))
+        if i in column:
+            c = column[i] - 1
+            row[c:] = [x + 1 for x in row[c:]]
+        rows.append(tuple(row))
+    return tuple(reversed(rows))
 
 
 @lru_cache(maxsize=None)
 def melnikov_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly upper-triangular placement of sigma,
     with a rook at (j, i) for each arc (i, j)."""
-    rooks = [(j, i) for i, j in sigma.arcs]
-    return RankMatrix(sigma.n, _southwest_table(rooks, sigma.n))
+    return RankMatrix(sigma.n, _southwest_table(((j, i) for i, j in sigma.arcs), sigma.n))
 
 
 @lru_cache(maxsize=None)
@@ -102,19 +114,15 @@ def star_rank_matrix(sigma: Involution) -> RankMatrix:
     entries on and above the diagonal are defined to be 0."""
     n = sigma.n
     full = _southwest_table(sigma.arcs, n)
-    rows = tuple(
-        tuple(full[i - 1][j - 1] if i > j else 0 for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    return RankMatrix(n, rows)
+    zeros = (0,) * n
+    return RankMatrix(n, tuple(row[:i] + zeros[i:] for i, row in enumerate(full)))
 
 
 @lru_cache(maxsize=None)
 def bruhat_rank_matrix(w: Permutation) -> RankMatrix:
     """Corner ranks of the full permutation matrix (rook of column k in
     row w(k)), over the whole n x n grid."""
-    rooks = [(w.apply(k), k) for k in range(1, w.n + 1)]
-    return RankMatrix(w.n, _southwest_table(rooks, w.n))
+    return RankMatrix(w.n, _southwest_table(zip(w.one_line, range(1, w.n + 1)), w.n))
 
 
 # order name -> the rank table of an involution whose entrywise

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from borbits import (
     build_poset,
@@ -21,6 +23,10 @@ from borbits import (
 )
 from borbits.errors import BoundExceededError, NotInPosetError, UnknownSuiteError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
+from borbits.poset import _lower_covers
+from borbits.rankorder import dominance_masks
+
+from test_rankorder import rank_tables
 
 
 def test_chain_for_n2():
@@ -57,7 +63,7 @@ def test_leq_and_membership():
 
 def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
-        build_poset(9, "star")
+        build_poset(10, "star")
 
 
 def test_l_sets_example_n3():
@@ -151,28 +157,43 @@ PAIRWISE = {
 }
 
 
+def implied_or_covers(less):
+    """Transitive reduction: drop every relation implied by a two-step path."""
+    covers = []
+    for below in less:
+        implied = 0
+        for a in range(len(less)):
+            if below >> a & 1:
+                implied |= less[a]
+        covers.append(tuple(a for a in range(len(less)) if (below & ~implied) >> a & 1))
+    return tuple(covers)
+
+
 @pytest.mark.parametrize("order", sorted(PAIRWISE))
 def test_poset_matches_pairwise_predicate_scan(order):
     pred = PAIRWISE[order]
-    for n in range(1, 7):
+    for n in range(1, 8):
         elements = enumerate_involutions(n)
         size = len(elements)
         less = [
             sum(1 << a for a in range(size) if a != b and pred(elements[a], elements[b]))
             for b in range(size)
         ]
-        # transitive reduction: drop every relation implied by a two-step path
-        covers = []
-        for b in range(size):
-            implied = 0
-            for a in range(size):
-                if less[b] >> a & 1:
-                    implied |= less[a]
-            covers.append(tuple(a for a in range(size) if (less[b] & ~implied) >> a & 1))
         poset = build_poset(n, order)
         assert poset.elements == elements
         assert poset.less == tuple(less)
-        assert poset.covers == tuple(covers)
+        assert poset.covers == implied_or_covers(less)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_peeled_covers_match_implied_or_reduction(data):
+    # distinct tables, so entrywise dominance is a partial order
+    n = data.draw(st.integers(1, 6))
+    tables = data.draw(st.lists(rank_tables(n), unique=True, max_size=24))
+    masks = dominance_masks(tables)
+    less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))
+    assert _lower_covers(tables, less) == implied_or_covers(less)
 
 
 def test_unknown_order():

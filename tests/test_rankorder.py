@@ -100,14 +100,22 @@ def test_southwest_count_examples():
     assert southwest_count((), 3, 3) == 0
 
 
-def test_star_entries_equal_southwest_counts():
-    # rank route vs counting route, independently of each other
+def test_every_table_cell_equals_its_southwest_count():
+    # the row-by-row tables against one count per cell
     for n in range(1, 7):
         for sigma in enumerate_involutions(n):
             star = star_rank_matrix(sigma)
-            for i in range(2, n + 1):
-                for j in range(1, i):
-                    assert star.entry(i, j) == southwest_count(sigma.arcs, i, j)
+            melnikov = melnikov_rank_matrix(sigma)
+            w = to_permutation(sigma)
+            bruhat = bruhat_rank_matrix(w)
+            upper = [(j, i) for i, j in sigma.arcs]
+            full = [(w.apply(k), k) for k in range(1, n + 1)]
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    lower = southwest_count(sigma.arcs, i, j) if i > j else 0
+                    assert star.entry(i, j) == lower
+                    assert melnikov.entry(i, j) == southwest_count(upper, i, j)
+                    assert bruhat.entry(i, j) == southwest_count(full, i, j)
 
 
 def test_rank_matrices_match_exact_elimination():
@@ -220,6 +228,18 @@ def test_rank_matrix_step_lipschitz():
 def test_rank_matrix_rejects_impossible_entries():
     with pytest.raises(IndexOutOfRangeError):
         RankMatrix(2, ((2, 0), (0, 0)))
+
+
+def test_rank_matrix_names_the_first_bad_cell_of_a_middle_row():
+    # (3,2) is the first cell over its bound of 2; (3,4) and (4,1) are
+    # over theirs too, and rows 1 and 2 are within theirs
+    rows = ((0, 1, 2, 3), (0, 2, 3, 3), (1, 3, 1, 5), (2, 0, 0, 0))
+    with pytest.raises(IndexOutOfRangeError) as error:
+        RankMatrix(4, rows)
+    assert str(error.value) == "entry 3 at (3,2) exceeds rook bound"
+    with pytest.raises(IndexOutOfRangeError) as error:
+        RankMatrix(4, ((0,) * 4, (0, 1, 2, 3), (0, -1, 0, 0), (0,) * 4))
+    assert str(error.value) == "entry -1 at (3,2) exceeds rook bound"
 
 
 TABLE_KINDS = {

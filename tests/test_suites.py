@@ -108,12 +108,20 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
         run_suite("degeneration", 8)
     with pytest.raises(BoundExceededError):
-        emit_hasse(9)
+        run_suite("graded", 10)
+    with pytest.raises(BoundExceededError):
+        emit_hasse(10)
 
 
 def test_degeneration_suite_at_its_bound():
     report = run_suite("degeneration", 7)
     assert report.passed and report.checked == 1126
+
+
+def test_graded_suite_at_its_bound():
+    # every cover edge of the n = 9 star poset raises the rank by one
+    report = run_suite("graded", 9)
+    assert report.passed and report.checked == 15892
 
 
 def test_emit_hasse_checks_the_format_before_building_the_poset(monkeypatch):

@@ -87,7 +87,6 @@ from .closure import (
     is_chain,
     maximal_support,
     quadric_cells,
-    rotate90,
     rothe_diagram,
     z_contains,
     z_spec,

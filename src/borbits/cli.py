@@ -78,11 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--samples", type=int, default=100)
-    verify.add_argument(
-        "--explore",
-        action="store_true",
-        help="closure suite: report order-unrelated variety members",
-    )
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -165,9 +160,7 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(
-        args.suite, args.n, seed=args.seed, samples=args.samples, explore=args.explore
-    )
+    report = run_suite(args.suite, args.n, seed=args.seed, samples=args.samples)
     if args.format == "json":
         print(report.to_json())
     else:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import isqrt
+from operator import le, mul
 
 from .errors import (
     NotAFieldError,
@@ -75,6 +76,34 @@ def gamma(a: Matrix, r: int, s: int):
     return sum(a[r - 1][k - 1] * a[k - 1][s - 1] for k in range(s + 1, r))
 
 
+# (n, strict corner ranks row by row, cells where A^2 != 0)
+ZPoint = tuple[int, tuple[int, ...], frozenset[tuple[int, int]]]
+
+
+def z_point(a: Matrix, n: int | None = None) -> ZPoint:
+    """What membership reads of a strictly lower-triangular matrix, for
+    any number of varieties.  It reads the integral multiple, which the
+    ranks and the quadrics, homogeneous of degree 2, cannot tell apart
+    from the matrix.  A size other than ``n`` is named first."""
+    a = integral_multiple(a)
+    size = square_size(a)
+    if n is not None and size != n:
+        raise SizeMismatchError(f"matrix size {size} vs n={n}")
+    if not is_strictly_lower(a):
+        raise NotStrictlyLowerError("membership is defined for functionals")
+    ranks = tuple(chain.from_iterable(corner_ranks(a, strict=True)))
+    # (A^2)_{r,s} is row r times column s; for strictly lower A only the
+    # terms of gamma, s < k < r, can be nonzero
+    columns = tuple(zip(*a))
+    support = frozenset(
+        (r, s)
+        for r, row in enumerate(a, 1)
+        for s in range(1, r - 1)
+        if sum(map(mul, row, columns[s - 1]))
+    )
+    return size, ranks, support
+
+
 @dataclass(frozen=True)
 class ZSpec:
     """Defining data of the candidate closure variety of one involution."""
@@ -82,6 +111,14 @@ class ZSpec:
     sigma: Involution
     rank_bounds: RankMatrix
     quadric_cells: frozenset[tuple[int, int]]
+
+    def contains(self, point: ZPoint) -> bool:
+        """Membership of a :func:`z_point`: ranks within bounds, no quadric."""
+        n, ranks, support = point
+        if n != self.sigma.n:
+            raise SizeMismatchError(f"matrix size {n} vs n={self.sigma.n}")
+        bounds = chain.from_iterable(self.rank_bounds.rows)
+        return all(map(le, ranks, bounds)) and support.isdisjoint(self.quadric_cells)
 
     def to_json(self) -> dict:
         return {
@@ -96,20 +133,8 @@ def z_spec(sigma: Involution) -> ZSpec:
 
 
 def z_contains(spec: ZSpec, a: Matrix) -> bool:
-    """Membership test: rank bounds on every strict lower cell and
-    vanishing quadrics on the spread cells.  Both run on ints: a rational
-    matrix is replaced by its integral multiple, which neither the ranks
-    nor the quadrics, homogeneous of degree 2, can tell apart from it."""
-    a = integral_multiple(a)
-    if square_size(a) != spec.sigma.n:
-        raise SizeMismatchError(f"matrix size {len(a)} vs n={spec.sigma.n}")
-    if not is_strictly_lower(a):
-        raise NotStrictlyLowerError("membership is defined for functionals")
-    # both tables read 0 on and above the diagonal
-    ranks = zip(corner_ranks(a, strict=True), spec.rank_bounds.rows)
-    if any(x > y for row, bounds in ranks for x, y in zip(row, bounds)):
-        return False
-    return all(gamma(a, r, s) == 0 for r, s in spec.quadric_cells)
+    """Membership test: :meth:`ZSpec.contains` of :func:`z_point`."""
+    return spec.contains(z_point(a, spec.sigma.n))
 
 
 def is_chain(sigma: Involution) -> bool:
@@ -141,14 +166,6 @@ def essential_set(w: Permutation) -> frozenset[tuple[int, int]]:
         (i, j)
         for i, j in diagram
         if (i + 1, j) not in diagram and (i, j + 1) not in diagram
-    )
-
-
-def rotate90(y: Matrix) -> Matrix:
-    """Clockwise quarter turn: result[i][j] = y[n-j+1][i] (1-based)."""
-    n = len(y)
-    return tuple(
-        tuple(y[n - j - 1][i] for j in range(n)) for i in range(n)
     )
 
 

@@ -8,8 +8,9 @@ Every rank, corner-rank table and determinant in the package is computed
 by :func:`echelon_insert` in one of three modes: over an exact field
 (``Fraction``, ``RFun``), fraction-free over the integers (Bareiss, *Math.
 Comp.* 22, 1968), which ranks use for every rational matrix, or over GF(q)
-for a prime q.  Only the closure module's corner tables bypass it: the F_2
-bit-row oracle, and the partial permutation tables, which count rooks.
+for a prime q.  A corner-rank table is one pass of it, each row inserted
+once from the bottom up.  Only the F_2 bit-row oracle and the partial
+permutation tables of the closure module, which count rooks, bypass it.
 """
 
 from __future__ import annotations

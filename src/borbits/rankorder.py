@@ -5,8 +5,9 @@ in the test suite rather than assumed equal:
 
 - combinatorially, the rank of a corner truncation of a rook placement
   equals the number of rooks weakly South-West of the corner;
-- linear-algebraically, by exact elimination over the integers or the
-  rational functions (the kernel in :mod:`borbits.matrices`).
+- linear-algebraically, by one bottom-up exact elimination (the kernel
+  in :mod:`borbits.matrices`) whose pivots are a rook placement with the
+  same corner ranks; one pass per column prefix is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRangeError, SizeMismatchError, UnknownSuiteError
 from .involutions import Arc, Involution, Permutation, to_permutation
-from .matrices import echelon_insert, integral_multiple
+from .matrices import echelon_insert, integral_multiple, square_size
 
 Matrix = tuple[tuple, ...]
 
@@ -101,6 +102,12 @@ def _southwest_table(rooks: Iterable[tuple[int, int]], n: int) -> tuple[tuple[in
     return tuple(reversed(rows))
 
 
+def _below_diagonal(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The table with its entries on and above the diagonal set to 0."""
+    zeros = (0,) * len(rows)
+    return tuple(row[:i] + zeros[i:] for i, row in enumerate(rows))
+
+
 @lru_cache(maxsize=None)
 def melnikov_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly upper-triangular placement of sigma,
@@ -112,10 +119,7 @@ def melnikov_rank_matrix(sigma: Involution) -> RankMatrix:
 def star_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly lower-triangular placement of sigma;
     entries on and above the diagonal are defined to be 0."""
-    n = sigma.n
-    full = _southwest_table(sigma.arcs, n)
-    zeros = (0,) * n
-    return RankMatrix(n, tuple(row[:i] + zeros[i:] for i, row in enumerate(full)))
+    return RankMatrix(sigma.n, _below_diagonal(_southwest_table(sigma.arcs, sigma.n)))
 
 
 @lru_cache(maxsize=None)
@@ -216,15 +220,17 @@ def leq_bruhat(v: Permutation, w: Permutation) -> bool:
 
 
 def corner_ranks(matrix: Matrix, strict: bool = False, q: int | None = None) -> Matrix:
-    """Ranks of the corners spanning rows i..n and columns 1..j of a matrix
-    the kernel takes as it is (ints, one exact field, or residues mod q):
-    one pass per column prefix inserts the rows bottom-up.  With
-    ``strict`` only the corners with i > j are ranked; the others read 0."""
-    n = len(matrix)
-    rows = [[0] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        basis: list = []
-        for i in range(n, j if strict else 0, -1):
-            echelon_insert(basis, list(matrix[i - 1][:j]), q)
-            rows[i - 1][j - 1] = len(basis)
-    return tuple(tuple(r) for r in rows)
+    """Ranks of the corners rows i..n x columns 1..j of a square matrix
+    over ints, one exact field or GF(q), by its rank profile (Dumas,
+    Pernet and Sultan, ISSAC 2015): rows n..1 go into one echelon basis,
+    and dropping columns commutes with row operations, so corner (i, j)
+    has rank the number of new pivots South-West of it.  With ``strict``
+    the corners with i <= j read 0."""
+    n = square_size(matrix)
+    basis, rooks = [], []
+    for i in range(n, 0, -1):
+        col = echelon_insert(basis, list(matrix[i - 1]), q)
+        if col is not None:
+            rooks.append((i, col + 1))
+    rows = _southwest_table(rooks, n)
+    return _below_diagonal(rows) if strict else rows

@@ -19,6 +19,7 @@ from .closure import (
     essential_reduction_check,
     is_chain,
     z_contains,
+    z_point,
     z_spec,
 )
 from .errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
@@ -65,7 +66,6 @@ class SuiteReport:
     checked: int
     failures: tuple[dict, ...]
     wall_time: float
-    observations: tuple[dict, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -74,16 +74,13 @@ class SuiteReport:
     def to_dict(self) -> dict:
         # wall_time deliberately excluded: reports must be byte-identical
         # across runs for fixed (n, seed)
-        out = {
+        return {
             "suite": self.suite,
             "n": self.n,
             "checked": self.checked,
             "failures": list(self.failures),
             "passed": self.passed,
         }
-        if self.observations:
-            out["observations"] = list(self.observations)
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -97,13 +94,11 @@ class SuiteReport:
             )
         lines.append(f"checked: {self.checked}")
         lines.append(f"failures: {len(self.failures)}")
-        for obs in self.observations:
-            lines.append("observation: " + json.dumps(obs, sort_keys=True))
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines) + "\n"
 
 
-def _suite_counts(n: int, seed: int, samples: int, explore: bool):
+def _suite_counts(n: int, seed: int, samples: int):
     checked, failures = 0, []
     for m in range(1, n + 1):
         enumerated = len(enumerate_involutions(m))
@@ -118,10 +113,10 @@ def _suite_counts(n: int, seed: int, samples: int, explore: bool):
         checked += 1
         if enumerated != filtered:
             failures.append({"n": m, "enumerated": enumerated, "filtered": filtered})
-    return checked, failures, ()
+    return checked, failures
 
 
-def _suite_order_equivalence(n: int, seed: int, samples: int, explore: bool):
+def _suite_order_equivalence(n: int, seed: int, samples: int):
     elements = enumerate_involutions(n)
     stars = dominance_masks([star_rank_matrix(s) for s in elements])
     fulls = dominance_masks([bruhat_rank_matrix(to_permutation(s)) for s in elements])
@@ -138,10 +133,10 @@ def _suite_order_equivalence(n: int, seed: int, samples: int, explore: bool):
         }
         for a, b in disagree
     ]
-    return len(elements) ** 2, failures, ()
+    return len(elements) ** 2, failures
 
 
-def _suite_covers(n: int, seed: int, samples: int, explore: bool):
+def _suite_covers(n: int, seed: int, samples: int):
     poset = build_poset(n, "star")
     checked, failures = 0, []
     for sigma in poset.elements:
@@ -170,19 +165,19 @@ def _suite_covers(n: int, seed: int, samples: int, explore: bool):
             failures.append(
                 {"sigma": format_involution(sigma), "set": "l_star mismatch"}
             )
-    return checked, failures, ()
+    return checked, failures
 
 
-def _suite_graded(n: int, seed: int, samples: int, explore: bool):
+def _suite_graded(n: int, seed: int, samples: int):
     poset = build_poset(n, "star")
     edges = sum(len(c) for c in poset.covers)
     failures = []
     if not is_graded(poset):
         failures.append({"n": n, "detail": "maximal chains of unequal length"})
-    return edges, failures, ()
+    return edges, failures
 
 
-def _suite_dimension(n: int, seed: int, samples: int, explore: bool):
+def _suite_dimension(n: int, seed: int, samples: int):
     checked, failures = 0, []
     for sigma in enumerate_involutions(n):
         checked += 1
@@ -192,7 +187,7 @@ def _suite_dimension(n: int, seed: int, samples: int, explore: bool):
             failures.append(
                 {"sigma": format_involution(sigma), "dimension": dim, "length": expect}
             )
-    return checked, failures, ()
+    return checked, failures
 
 
 def _orbit_samples(n: int, seed: int, samples: int, index: int, sigma):
@@ -204,7 +199,7 @@ def _orbit_samples(n: int, seed: int, samples: int, index: int, sigma):
         yield sample_seed, _act_numerator(_random_borel_int(n, sample_seed), base)[0]
 
 
-def _suite_rank_invariance(n: int, seed: int, samples: int, explore: bool):
+def _suite_rank_invariance(n: int, seed: int, samples: int):
     checked, failures = 0, []
     for index, sigma in enumerate(enumerate_involutions(n)):
         expect = star_rank_matrix(sigma)
@@ -214,10 +209,10 @@ def _suite_rank_invariance(n: int, seed: int, samples: int, explore: bool):
                 failures.append(
                     {"sigma": format_involution(sigma), "seed": sample_seed}
                 )
-    return checked, failures, ()
+    return checked, failures
 
 
-def _suite_degeneration(n: int, seed: int, samples: int, explore: bool):
+def _suite_degeneration(n: int, seed: int, samples: int):
     checked, failures = 0, []
     for sigma in enumerate_involutions(n):
         for move in near_moves(sigma):
@@ -235,15 +230,16 @@ def _suite_degeneration(n: int, seed: int, samples: int, explore: bool):
             tau = apply_move(sigma, move)
             if result.limit != orbit_point(tau):
                 failures.append({**record, "detail": "limit != target functional"})
-    return checked, failures, ()
+    return checked, failures
 
 
-def _suite_closure(n: int, seed: int, samples: int, explore: bool):
+def _suite_closure(n: int, seed: int, samples: int):
     checked, failures = 0, []
-    observations = []
     elements = enumerate_involutions(n)
     # bit a of below[b]: elements[a] <=* elements[b]
     below = dominance_masks([star_rank_matrix(s) for s in elements])
+    # each base point validated and ranked once, for every sigma above it
+    base_points = [z_point(rook_matrix_lower(tau)) for tau in elements]
     for index, sigma in enumerate(elements):
         spec = z_spec(sigma)
         for sample_seed, point in _orbit_samples(n, seed, samples, index, sigma):
@@ -252,29 +248,20 @@ def _suite_closure(n: int, seed: int, samples: int, explore: bool):
                 failures.append(
                     {"sigma": format_involution(sigma), "seed": sample_seed}
                 )
-        for a, tau in enumerate(elements):
-            if below[index] >> a & 1:
-                checked += 1
-                if not z_contains(spec, rook_matrix_lower(tau)):
-                    failures.append(
-                        {
-                            "sigma": format_involution(sigma),
-                            "tau": format_involution(tau),
-                            "detail": "comparable base point escapes variety",
-                        }
-                    )
-            elif explore and tau != sigma and z_contains(spec, rook_matrix_lower(tau)):
-                observations.append(
+        for a in bit_indices(below[index]):
+            checked += 1
+            if not spec.contains(base_points[a]):
+                failures.append(
                     {
                         "sigma": format_involution(sigma),
-                        "tau": format_involution(tau),
-                        "detail": "member of variety though not below in order",
+                        "tau": format_involution(elements[a]),
+                        "detail": "comparable base point escapes variety",
                     }
                 )
-    return checked, failures, tuple(observations)
+    return checked, failures
 
 
-def _suite_essential_set(n: int, seed: int, samples: int, explore: bool):
+def _suite_essential_set(n: int, seed: int, samples: int):
     checked, failures = 0, []
     n_phi = n * (n - 1) // 2
     for sigma in enumerate_involutions(n):
@@ -293,7 +280,7 @@ def _suite_essential_set(n: int, seed: int, samples: int, explore: bool):
                         "detail": "essential cells do not pin the rank bounds",
                     }
                 )
-    return checked, failures, ()
+    return checked, failures
 
 
 # name -> (suite, largest n it accepts)
@@ -314,9 +301,7 @@ def suite_names() -> tuple[str, ...]:
     return tuple(sorted(_SUITES))
 
 
-def run_suite(
-    name: str, n: int, seed: int = 0, samples: int = 100, explore: bool = False
-) -> SuiteReport:
+def run_suite(name: str, n: int, seed: int = 0, samples: int = 100) -> SuiteReport:
     """Run one named suite at size n.  Deterministic given (n, seed)."""
     if name not in _SUITES:
         raise UnknownSuiteError(
@@ -328,7 +313,7 @@ def run_suite(
     if samples < 1:
         raise IndexOutOfRangeError(f"samples must be >= 1, got {samples}")
     start = time.perf_counter()
-    checked, failures, observations = suite(n, seed, samples, explore)
+    checked, failures = suite(n, seed, samples)
     # failures keep enumeration order, so the first is the smallest instance
     failures = tuple(failures)
     return SuiteReport(
@@ -337,7 +322,6 @@ def run_suite(
         checked=checked,
         failures=failures,
         wall_time=time.perf_counter() - start,
-        observations=observations,
     )
 
 

@@ -45,6 +45,12 @@ def apply_cycles_oracle(n: int, pairs) -> tuple[int, ...]:
     return tuple(image)
 
 
+def rotate90(y):
+    """Clockwise quarter turn: result[i][j] = y[n-j+1][i] (1-based)."""
+    n = len(y)
+    return tuple(tuple(y[n - j - 1][i] for j in range(n)) for i in range(n))
+
+
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 nonzero_rationals = st.builds(
     Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)
@@ -89,6 +95,19 @@ ORBIT_EXAMPLES = [
         (parse_involution("(4,1)(6,2)(5,3)", 6), 14),
     )
 ]
+
+
+def prefix_corner_ranks(matrix, strict: bool = False, q: int | None = None):
+    """Oracle: the corner ranks by one elimination per column prefix, the
+    rows i..n of the first j columns inserted bottom-up."""
+    n = len(matrix)
+    rows = [[0] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        basis: list = []
+        for i in range(n, j if strict else 0, -1):
+            echelon_insert(basis, list(matrix[i - 1][:j]), q)
+            rows[i - 1][j - 1] = len(basis)
+    return tuple(tuple(r) for r in rows)
 
 
 def field_rank_profile(lam) -> RankMatrix:

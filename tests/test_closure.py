@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from operator import le
 
 import pytest
 from conftest import (
@@ -7,6 +8,7 @@ from conftest import (
     field_z_contains,
     nonzero_rationals,
     orbit_functional,
+    rotate90,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,13 +38,13 @@ from borbits import (
     quadric_cells,
     random_borel,
     rank_profile,
-    rotate90,
     rothe_diagram,
     to_permutation,
     z_contains,
     z_spec,
 )
 from borbits.closure import (
+    z_point,
     _all_corner_rank_tables,
     _bounds_imply_all,
     _partial_permutation_tables,
@@ -51,6 +53,7 @@ from borbits.errors import (
     NotAFieldError,
     NotChainError,
     NotStrictlyLowerError,
+    SizeMismatchError,
     TooLargeError,
 )
 from borbits.matrices import integral_multiple
@@ -138,6 +141,43 @@ def test_z_contains_rejects_bigger_rank():
     assert not z_contains(z_spec(small), orbit_point(big))
     with pytest.raises(NotStrictlyLowerError):
         z_contains(z_spec(small), ((Fraction(1),) * 3,) * 3)
+
+
+def test_z_contains_error_order():
+    spec = z_spec(parse_involution("(2,1)", 2))
+    # a float is named first, even in a ragged matrix of the wrong size
+    with pytest.raises(NotAFieldError):
+        z_contains(spec, ((0, 0, 0), (1.0, 0)))
+    # a ragged matrix, even one with an entry on the diagonal
+    with pytest.raises(SizeMismatchError):
+        z_contains(spec, ((1, 0), (1,)))
+    # a wrong size, even for a matrix that is not strictly lower either
+    with pytest.raises(SizeMismatchError):
+        z_contains(spec, ((1, 0, 0), (0, 0, 0), (0, 0, 0)))
+    # the right size with an entry on or above the diagonal
+    for bad in (((1, 0), (0, 0)), ((0, Fraction(1, 2)), (0, 0))):
+        with pytest.raises(NotStrictlyLowerError):
+            z_contains(spec, bad)
+    # a point of the wrong size against a variety
+    with pytest.raises(SizeMismatchError):
+        spec.contains(z_point(((0, 0, 0), (1, 0, 0), (0, 1, 0))))
+
+
+def test_z_point_once_serves_every_variety():
+    # one base point, ranked once, against every sigma, as the closure
+    # suite uses it; the field route is the oracle
+    for n in range(1, 6):
+        elements = enumerate_involutions(n)
+        specs = [z_spec(sigma) for sigma in elements]
+        for tau in elements:
+            base = orbit_point(tau)
+            point = z_point(base)
+            for sigma, spec in zip(elements, specs):
+                assert spec.contains(point) is field_z_contains(spec, base)
+                # the rank half of membership is tau <=* sigma
+                bounds = itertools.chain.from_iterable(spec.rank_bounds.rows)
+                ranks_hold = all(map(le, point[1], bounds))
+                assert ranks_hold is leq_star(tau, sigma)
 
 
 # (3,1)(4,2) has the quadric cell (4, 1); this point meets every rank

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borbits import (
@@ -24,8 +24,9 @@ from borbits import (
 )
 from borbits.errors import IndexOutOfRangeError, SizeMismatchError
 from borbits.rankorder import _dominated, corner_ranks, dominance_masks
+from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
-from conftest import all_permutations
+from conftest import all_permutations, prefix_corner_ranks, rationals
 
 # the four displayed 5x5 matrices
 R_SIGMA = (
@@ -126,6 +127,66 @@ def test_rank_matrices_match_exact_elimination():
             # both read 0 on and above the diagonal
             lower = corner_ranks(rook_matrix_lower(sigma), strict=True)
             assert lower == star_rank_matrix(sigma).rows
+
+
+def test_base_point_strict_corner_ranks_are_star_tables():
+    # so a base point meets sigma's rank bounds exactly when tau <=* sigma:
+    # no member of a variety lies outside the order
+    for n in range(1, 9):
+        for tau in enumerate_involutions(n):
+            ranks = corner_ranks(rook_matrix_lower(tau), strict=True)
+            assert ranks == star_rank_matrix(tau).rows
+
+
+# entries of each ring the kernel takes, with the prime for residues
+_RINGS = {
+    "int": (st.integers(-2, 2), None),
+    "fraction": (st.one_of(st.just(Fraction(0)), rationals), None),
+    "rfun": (
+        st.sampled_from(
+            [RF_ZERO, RF_ZERO, RF_ONE, -RF_ONE, EPS, EPS + RF_ONE, RFun(poly(1), poly(1, 1))]
+        ),
+        None,
+    ),
+    "mod3": (st.integers(0, 2), 3),
+    "mod5": (st.integers(0, 4), 5),
+}
+
+
+@st.composite
+def corner_rank_cases(draw):
+    """(matrix, q): an n x n matrix, n <= 6, over one ring, with some rows
+    replaced by a combination of two rows so that corners lose rank."""
+    entries, q = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+    n = draw(st.integers(0, 6))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for r in range(n):
+        if draw(st.booleans()):
+            s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            x, y = draw(entries), draw(entries)
+            rows[r] = [x * u + y * v for u, v in zip(rows[s], rows[t])]
+            if q:
+                rows[r] = [e % q for e in rows[r]]
+    return tuple(map(tuple, rows)), q
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=corner_rank_cases(), strict=st.booleans())
+@example(case=(((0, 0, 0), (1, 0, 0), (2, 3, 0)), None), strict=True)
+@example(case=(((1, 2, 3), (2, 4, 6), (1, 1, 1)), None), strict=False)
+def test_one_pass_corner_ranks_match_per_prefix_oracle(case, strict):
+    matrix, q = case
+    assert corner_ranks(matrix, strict, q) == prefix_corner_ranks(matrix, strict, q)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6)), ((1, 2), (3,))],
+    ids=["2x3", "3x2", "ragged"],
+)
+def test_corner_ranks_rejects_non_square(matrix):
+    with pytest.raises(SizeMismatchError):
+        corner_ranks(matrix)
 
 
 def test_star_is_lower_part_of_full_rank_matrix():

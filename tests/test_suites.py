@@ -178,12 +178,6 @@ def test_failed_report_rendering():
     assert json.loads(report.to_json())["passed"] is False
 
 
-def test_closure_explore_flag_reports_no_false_members_small():
-    report = run_suite("closure", 3, seed=0, samples=3, explore=True)
-    assert report.passed
-    assert report.observations == ()
-
-
 def test_emit_hasse_dot():
     text = emit_hasse(2)
     assert text.count("->") == 1 and text.count("label=") == 2

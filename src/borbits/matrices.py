@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import NotAFieldError, NotInvertibleError, SizeMismatchError
-from .ratfunc import RF_ONE, RF_ZERO, RFun
+from .ratfunc import Q_ONE, Q_ZERO, RF_ONE, RF_ZERO, RFun
 
 Matrix = tuple[tuple, ...]
 
@@ -29,7 +29,7 @@ def field_constants(*matrices) -> tuple:
     RFun stands anywhere in them, Q otherwise."""
     if any(isinstance(x, RFun) for m in matrices for row in m for x in row):
         return RF_ONE, RF_ZERO
-    return Fraction(1), Fraction(0)
+    return Q_ONE, Q_ZERO
 
 
 def exact_entry(x):

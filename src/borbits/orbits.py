@@ -54,7 +54,16 @@ from .matrices import (
 )
 from .moves import Move, apply_move, near_moves
 from .rankorder import RankMatrix, corner_ranks, exact_rank
-from .ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
+from .ratfunc import (
+    EPS,
+    EPS_INV,
+    Q_ONE,
+    Q_ZERO,
+    RF_ONE,
+    RF_ZERO,
+    RFun,
+    exact_rational,
+)
 
 
 def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
@@ -142,12 +151,13 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
     """The base functional of sigma: weight xi(arc) at each arc position,
     weight 1 everywhere when xi is omitted."""
     if xi is None:
-        return promote(rook_matrix_lower(sigma))
-    rows = [[Fraction(0)] * sigma.n for _ in range(sigma.n)]
+        rook = rook_matrix_lower(sigma)
+        return tuple(tuple(Q_ONE if x else Q_ZERO for x in row) for row in rook)
+    rows = [[Q_ZERO] * sigma.n for _ in range(sigma.n)]
     for arc in sigma.arcs:
         if arc not in xi:
             raise MissingArcError(f"no weight for arc {arc!r}")
-        value = Fraction(xi[arc])
+        value = exact_rational(xi[arc])
         if value == 0:
             raise ZeroXiError(f"weight of {arc!r} must be nonzero")
         rows[arc.i - 1][arc.j - 1] = value
@@ -354,7 +364,5 @@ def degeneration(sigma: Involution, move: Move) -> Degeneration:
 def diagonal_weights(sigma: Involution, d: Matrix) -> dict[Arc, Fraction]:
     """The arc weights produced by acting with a diagonal matrix:
     weight(arc) = d_i / d_j."""
-    return {
-        arc: Fraction(d[arc.i - 1][arc.i - 1]) / Fraction(d[arc.j - 1][arc.j - 1])
-        for arc in sigma.arcs
-    }
+    diagonal = [exact_rational(d[k][k]) for k in range(len(d))]
+    return {arc: diagonal[arc.i - 1] / diagonal[arc.j - 1] for arc in sigma.arcs}

@@ -8,19 +8,30 @@ denominator monic and nonzero.  Equality is therefore structural.
 The public constructors (:func:`poly`, ``RFun(num, den)``) check their
 coefficients; the arithmetic methods build results from polynomials that
 are already trimmed ``Fraction`` tuples and skip that check.
+
+A degeneration curve combines the same few functions (0, 1, eps, 1/eps)
+thousands of times, so each field operation is one bounded ``lru_cache``
+(:func:`rf_add`, :func:`rf_mul`, :func:`rf_div`, :func:`rf_neg`) that
+computes each distinct exact result once per process; the uncached
+bodies, as ``__wrapped__``, are the tests' oracle.  An ``RFun`` stores
+its hash, and a constant hashes like the ``Fraction`` it equals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotAFieldError
 
 Poly = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_ONE_POLY = (_ONE,)
+# the rational 0 and 1, shared so that equal entries are often identical
+Q_ZERO = Fraction(0)
+Q_ONE = Fraction(1)
+_ONE_POLY = (Q_ONE,)
+# entries per operation cache; a degeneration suite needs a few dozen
+_MEMO_SIZE = 4096
 
 
 def _trim(coeffs: list[Fraction]) -> Poly:
@@ -29,17 +40,20 @@ def _trim(coeffs: list[Fraction]) -> Poly:
     return tuple(coeffs)
 
 
+def exact_rational(x) -> Fraction:
+    """An int promoted to Fraction and a Fraction as it is; anything else,
+    a float say, is rejected."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise NotAFieldError(f"{x!r} is not an int or Fraction")
+
+
 def _exact_poly(coeffs) -> Poly:
     """Trimmed Fraction tuple from int or Fraction coefficients; any other
     coefficient, a float say, is rejected."""
-    out = []
-    for c in coeffs:
-        if isinstance(c, int):
-            c = Fraction(c)
-        elif not isinstance(c, Fraction):
-            raise NotAFieldError(f"coefficient {c!r} is not an int or Fraction")
-        out.append(c)
-    return _trim(out)
+    return _trim([exact_rational(c) for c in coeffs])
 
 
 def poly(*coeffs: int | Fraction) -> Poly:
@@ -63,7 +77,7 @@ def poly_neg(a: Poly) -> Poly:
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [Q_ZERO] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -73,7 +87,7 @@ def poly_mul(a: Poly, b: Poly) -> Poly:
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    quotient = [_ZERO] * max(0, len(a) - len(b) + 1)
+    quotient = [Q_ZERO] * max(0, len(a) - len(b) + 1)
     rest = list(a)
     lead = b[-1]
     while len(rest) >= len(b):
@@ -99,7 +113,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def poly_eval(a: Poly, x: Fraction) -> Fraction:
-    acc = _ZERO
+    acc = Q_ZERO
     for c in reversed(a):
         acc = acc * x + c
     return acc
@@ -124,7 +138,7 @@ def poly_str(a: Poly, var: str = "e") -> str:
 class RFun:
     """A reduced fraction of polynomials in eps with rational coefficients."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=_ONE_POLY):
         """The reduced form of num / den, for int or Fraction coefficients
@@ -134,8 +148,9 @@ class RFun:
     def _reduce(self, num: Poly, den: Poly) -> None:
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
+        # a constant equals its Fraction (zero equals 0), so it hashes alike
         if not num:
-            self.num, self.den = (), _ONE_POLY
+            self.num, self.den, self._hash = (), _ONE_POLY, hash(0)
             return
         if len(den) > 1:  # a constant denominator is coprime to anything
             g = poly_gcd(num, den)
@@ -147,6 +162,7 @@ class RFun:
             num = tuple(c / lead for c in num)
             den = tuple(c / lead for c in den)
         self.num, self.den = num, den
+        self._hash = hash(num[0]) if len(num) == len(den) == 1 else hash((num, den))
 
     @classmethod
     def _from_polys(cls, num: Poly, den: Poly) -> "RFun":
@@ -172,15 +188,12 @@ class RFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RFun._from_polys(
-            poly_add(poly_mul(self.num, other.den), poly_mul(other.num, self.den)),
-            poly_mul(self.den, other.den),
-        )
+        return rf_add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RFun._from_polys(poly_neg(self.num), self.den)
+        return rf_neg(self)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -198,9 +211,7 @@ class RFun:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RFun._from_polys(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den)
-        )
+        return rf_mul(self, other)
 
     __rmul__ = __mul__
 
@@ -210,9 +221,7 @@ class RFun:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by the zero function")
-        return RFun._from_polys(
-            poly_mul(self.num, other.den), poly_mul(self.den, other.num)
-        )
+        return rf_div(self, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -227,24 +236,30 @@ class RFun:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return self._hash
 
     def __bool__(self):
         return bool(self.num)
 
     def __repr__(self):
-        if self.den == (_ONE,):
+        if self.den == (Q_ONE,):
             return f"RFun({poly_str(self.num)})"
         return f"RFun(({poly_str(self.num)})/({poly_str(self.den)}))"
 
     def eval_at(self, x: int | Fraction) -> Fraction:
         """Value at a rational point; raises ZeroDivisionError on a pole.
         At 0 the value is the ratio of the constant terms."""
-        x = Fraction(x)
+        if not isinstance(x, (int, Fraction)):
+            raise NotAFieldError(f"point {x!r} is not an int or Fraction")
         if not x:
+            if not self.num:
+                return Q_ZERO
+            if len(self.den) == 1:  # monic, so the denominator is 1
+                return self.num[0]
             if not self.den[0]:
                 raise ZeroDivisionError(f"pole at {x}")
-            return self.num[0] / self.den[0] if self.num else _ZERO
+            return self.num[0] / self.den[0]
+        x = Fraction(x)
         bottom = poly_eval(self.den, x)
         if bottom == 0:
             raise ZeroDivisionError(f"pole at {x}")
@@ -257,7 +272,34 @@ class RFun:
         }
 
 
+# The field operations on reduced RFuns, one bounded cache each.
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def rf_add(a: RFun, b: RFun) -> RFun:
+    return RFun._from_polys(
+        poly_add(poly_mul(a.num, b.den), poly_mul(b.num, a.den)),
+        poly_mul(a.den, b.den),
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def rf_mul(a: RFun, b: RFun) -> RFun:
+    return RFun._from_polys(poly_mul(a.num, b.num), poly_mul(a.den, b.den))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def rf_div(a: RFun, b: RFun) -> RFun:
+    """a / b for nonzero b, which ``RFun.__truediv__`` checks first."""
+    return RFun._from_polys(poly_mul(a.num, b.den), poly_mul(a.den, b.num))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def rf_neg(a: RFun) -> RFun:
+    return RFun._from_polys(poly_neg(a.num), a.den)
+
+
 RF_ZERO = RFun(())
-RF_ONE = RFun.const(1)
+RF_ONE = RFun._from_polys(_ONE_POLY, _ONE_POLY)
 EPS = RFun(poly(0, 1))
 EPS_INV = RF_ONE / EPS

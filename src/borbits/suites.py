@@ -291,7 +291,7 @@ _SUITES = {
     "graded": (_suite_graded, 9),
     "dimension": (_suite_dimension, 6),
     "rank-invariance": (_suite_rank_invariance, 6),
-    "degeneration": (_suite_degeneration, 7),
+    "degeneration": (_suite_degeneration, 8),
     "closure": (_suite_closure, 6),
     "essential-set": (_suite_essential_set, 4),
 }

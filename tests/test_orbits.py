@@ -224,6 +224,26 @@ def test_orbit_point_examples():
         orbit_point(sigma, {Arc(3, 1): Fraction(0), Arc(5, 2): Fraction(1)})
 
 
+def test_unweighted_orbit_point_shares_its_zero_and_one():
+    sigma = parse_involution("(3,1)(5,2)", 5)
+    lam = orbit_point(sigma)
+    assert len({id(x) for row in lam for x in row}) == 2
+    assert all(type(x) is Fraction for row in lam for x in row)
+    assert lam == rook_matrix_lower(sigma)
+
+
+def test_float_weights_are_rejected():
+    sigma = parse_involution("(3,1)", 3)
+    with pytest.raises(NotAFieldError):
+        orbit_point(sigma, {Arc(3, 1): 0.1})
+    d = mat_from_entries(3, {(1, 1): Fraction(2), (2, 2): Fraction(1), (3, 3): 1.5})
+    with pytest.raises(NotAFieldError):
+        diagonal_weights(sigma, d)
+    # int and Fraction diagonals still give exact weights
+    d = ((2, 0, 0), (0, 1, 0), (0, 0, Fraction(3)))
+    assert diagonal_weights(sigma, d) == {Arc(3, 1): Fraction(3, 2)}
+
+
 def test_action_law():
     lam = orbit_point(parse_involution("(3,1)(4,2)", 4))
     for seed in range(5):

@@ -16,7 +16,14 @@ from borbits.ratfunc import (
     poly_eval,
     poly_gcd,
     poly_mul,
+    rf_add,
+    rf_div,
+    rf_mul,
+    rf_neg,
 )
+from borbits.suites import run_suite
+
+MEMOS = (rf_add, rf_mul, rf_div, rf_neg)
 
 
 def test_poly_arithmetic():
@@ -170,6 +177,8 @@ polar_rfuns = st.builds(
 @given(f=st.one_of(rfuns, polar_rfuns))
 @example(f=EPS_INV)
 @example(f=RF_ZERO)
+@example(f=RF_ONE)
+@example(f=RFun.const(Fraction(-2, 3)))
 @example(f=(EPS + 2) / (3 * EPS + 1))
 def test_eval_at_zero_is_the_horner_value(f):
     zero = Fraction(0)
@@ -181,3 +190,89 @@ def test_eval_at_zero_is_the_horner_value(f):
         return
     value = f.eval_at(0)
     assert type(value) is Fraction and value == horner
+
+
+@pytest.mark.parametrize("f", [RF_ZERO, RF_ONE, EPS, EPS_INV, (EPS + 2) / (3 * EPS)])
+@pytest.mark.parametrize("x", [0.0, 0.1, 1.0, "0", None])
+def test_eval_at_rejects_non_rational_points(f, x):
+    # 0.1 would become 3602879701896397/36028797018963968; 0.0 must not
+    # slip through the shortcut at zero
+    with pytest.raises(NotAFieldError):
+        f.eval_at(x)
+
+
+def test_constants_hash_like_the_numbers_they_equal():
+    assert {1: "a"}.get(RF_ONE) == "a" and {RF_ZERO: "b"}.get(0) == "b"
+    assert 1 in {RF_ONE} and Fraction(0) in {RF_ZERO}
+
+
+numbers = st.one_of(st.integers(-3, 3), small_rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(rfuns, numbers), b=st.one_of(rfuns, numbers))
+@example(a=RF_ONE, b=1)
+@example(a=RF_ZERO, b=Fraction(0))
+@example(a=EPS * EPS_INV, b=RF_ONE)
+@example(a=RFun.const(Fraction(-2, 3)), b=Fraction(-2, 3))
+def test_equal_values_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=numbers)
+def test_a_constant_built_any_way_hashes_like_its_number(c):
+    for f in (RFun.const(c), RFun((c,), (1,)), c * EPS / EPS, (c + EPS) - EPS):
+        assert f == c and hash(f) == hash(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(rfuns, polar_rfuns), b=st.one_of(rfuns, polar_rfuns))
+@example(a=EPS_INV, b=-EPS_INV)
+@example(a=EPS, b=RF_ZERO)
+def test_memoized_operations_match_their_uncached_bodies(a, b):
+    cases = [(rf_add, (a, b)), (rf_mul, (a, b)), (rf_neg, (a,))]
+    if b:
+        cases.append((rf_div, (a, b)))
+    for memo, args in cases:
+        result, oracle = memo(*args), memo.__wrapped__(*args)
+        assert result == oracle and hash(result) == hash(oracle)
+        assert is_reduced(result), (memo.__name__, args, result)
+    # the operators go through the memos
+    assert a + b is rf_add(a, b) and a * b is rf_mul(a, b) and -a is rf_neg(a)
+
+
+def test_a_repeated_operation_is_a_cache_hit():
+    a = RFun(poly(7, 11), poly(13, 1))
+    b = RFun(poly(-5, 3), poly(2, 0, 1))
+    before = rf_mul.cache_info()
+    first = a * b
+    middle = rf_mul.cache_info()
+    # equal operands, built afresh, find the same entry
+    second = RFun(poly(7, 11), poly(13, 1)) * b
+    after = rf_mul.cache_info()
+    assert middle.misses == before.misses + 1
+    assert after.misses == middle.misses and after.hits == middle.hits + 1
+    assert second is first
+
+
+def test_division_by_zero_is_raised_before_the_cache():
+    before = rf_div.cache_info()
+    for zero in (RF_ZERO, 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError):
+            EPS / zero
+    with pytest.raises(ZeroDivisionError):
+        1 / RF_ZERO
+    assert rf_div.cache_info() == before
+
+
+def test_memos_are_bounded():
+    assert all(0 < memo.cache_info().maxsize <= 4096 for memo in MEMOS)
+
+
+def test_degeneration_suite_needs_few_distinct_operations():
+    # thousands of field operations, a few dozen distinct ones
+    before = sum(memo.cache_info().misses for memo in MEMOS)
+    assert run_suite("degeneration", 6).passed
+    assert sum(memo.cache_info().misses for memo in MEMOS) - before <= 40

@@ -106,7 +106,7 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
         run_suite("counts", 9)
     with pytest.raises(BoundExceededError):
-        run_suite("degeneration", 8)
+        run_suite("degeneration", 9)
     with pytest.raises(BoundExceededError):
         run_suite("graded", 10)
     with pytest.raises(BoundExceededError):
@@ -114,8 +114,8 @@ def test_bound_exceeded():
 
 
 def test_degeneration_suite_at_its_bound():
-    report = run_suite("degeneration", 7)
-    assert report.passed and report.checked == 1126
+    report = run_suite("degeneration", 8)
+    assert report.passed and report.checked == 4489
 
 
 def test_graded_suite_at_its_bound():

@@ -156,10 +156,13 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     With q given the entries are residues mod the prime q.  Otherwise a
     row of plain ints, against int rows, becomes ``p row - x pivot_row``
     divided by its content, and any other row is reduced over its exact
-    field (Fraction, RFun).  Returns the new pivot column, or None when
-    the row depends on the basis.
+    field (Fraction, RFun), after a check that rejects any other entry,
+    a float say.  Returns the new pivot column, or None when the row
+    depends on the basis.
     """
     integral = q is None and all(type(x) is int for x in row)
+    if not (integral or q or all(isinstance(x, (int, Fraction, RFun)) for x in row)):
+        raise NotAFieldError(f"row {row!r} has an entry outside the exact fields")
     for col, pivot_row in basis:
         x = row[col]
         if not x:

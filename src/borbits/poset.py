@@ -2,8 +2,8 @@
 neighbour classes.
 
 The covering DAG is one route; the L-classes below are computed from the
-order relation itself by definition-level scans, so the two can be
-checked against each other and against the move constructions.
+order relation itself by down-set unions, so the two can be checked
+against each other and against the move constructions.
 """
 
 from __future__ import annotations
@@ -93,15 +93,15 @@ def _lower_covers(tables, less) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class LSets:
-    """Order-side neighbour classes of one element, from definition-level
-    scans of the order relation (not from the covers DAG).
+    """Order-side neighbour classes of one element, from down-set unions
+    of the order relation (not from the covers DAG).
 
-    - ``l_minus``: strictly below with smaller arc count, and minimal
-      among such through the arc-count-filtered intermediacy clause;
+    - ``l_minus``: strictly below with smaller arc count, and with no
+      element of smaller arc count strictly between;
     - ``l_zero`` / ``l_plus``: strictly below with equal / larger arc
       count and no strictly intermediate element at all;
-    - ``l_prime``: the subset of ``l_minus`` passing the unconditional
-      intermediacy clause;
+    - ``l_prime``: the subset of ``l_minus`` with no strictly
+      intermediate element at all;
     - ``l_star``: the covering set, equal to l_prime | l_zero | l_plus.
     """
 
@@ -113,42 +113,31 @@ class LSets:
 
 
 def l_sets(sigma: Involution, poset: Poset) -> LSets:
+    """The L-classes of sigma in one pass over its down-set: a < sigma has
+    an element strictly between exactly when a lies below some w < sigma,
+    i.e. in the union ``through`` of those w's down-sets; ``through_fewer``
+    is the union over the w with fewer arcs than sigma."""
     b = poset.index_of(sigma)
-    elements = poset.elements
-    below = list(bit_indices(poset.less[b]))
+    elements, less = poset.elements, poset.less
     s_sigma = len(sigma.arcs)
-
-    def intermediate(a: int, s_filter: bool) -> bool:
-        # some w with a <= w < b, w != a (strictly between in the weak sense)
-        for w in below:
-            if w == a:
-                continue
-            if not (poset.less[w] >> a & 1):
-                continue
-            if s_filter and len(elements[w].arcs) >= s_sigma:
-                continue
-            return True
-        return False
-
-    minus, zero, plus, prime, star = [], [], [], [], []
-    for a in below:
-        s_a = len(elements[a].arcs)
-        blocked_plain = intermediate(a, s_filter=False)
-        if s_a < s_sigma:
-            if not intermediate(a, s_filter=True):
-                minus.append(a)
-            if not blocked_plain:
-                prime.append(a)
-        elif s_a == s_sigma:
-            if not blocked_plain:
-                zero.append(a)
-        else:
-            if not blocked_plain:
-                plus.append(a)
-        if not blocked_plain:
-            star.append(a)
-    wrap = lambda idxs: frozenset(elements[k] for k in idxs)
-    return LSets(wrap(minus), wrap(zero), wrap(plus), wrap(prime), wrap(star))
+    through = through_fewer = fewer = same = 0
+    for w in bit_indices(less[b]):
+        through |= less[w]
+        s_w = len(elements[w].arcs)
+        if s_w < s_sigma:
+            fewer |= 1 << w
+            through_fewer |= less[w]
+        elif s_w == s_sigma:
+            same |= 1 << w
+    star = less[b] & ~through
+    wrap = lambda mask: frozenset(elements[k] for k in bit_indices(mask))
+    return LSets(
+        l_minus=wrap(fewer & ~through_fewer),
+        l_zero=wrap(star & same),
+        l_plus=wrap(star & ~(fewer | same)),
+        l_prime=wrap(star & fewer),
+        l_star=wrap(star),
+    )
 
 
 def is_graded(poset: Poset) -> bool:

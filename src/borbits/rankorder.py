@@ -77,7 +77,10 @@ def pi_truncate(matrix: Matrix, i: int, j: int) -> Matrix:
 
 def exact_rank(matrix: Sequence[Sequence]) -> int:
     """Rank by exact elimination, fraction-free over the integers or over
-    Q(eps); no floating point anywhere."""
+    Q(eps); no floating point anywhere.  The matrix may be rectangular,
+    but ragged rows raise :class:`SizeMismatchError`."""
+    if len({len(row) for row in matrix}) > 1:
+        raise SizeMismatchError("ragged rows")
     basis: list = []
     for row in integral_multiple(matrix):
         echelon_insert(basis, list(row))

@@ -287,7 +287,7 @@ def _suite_essential_set(n: int, seed: int, samples: int):
 _SUITES = {
     "counts": (_suite_counts, 8),
     "order-equivalence": (_suite_order_equivalence, 8),
-    "covers": (_suite_covers, 6),
+    "covers": (_suite_covers, 8),
     "graded": (_suite_graded, 9),
     "dimension": (_suite_dimension, 6),
     "rank-invariance": (_suite_rank_invariance, 6),

@@ -21,6 +21,8 @@ from borbits import (
     random_borel,
 )
 from borbits.matrices import echelon_insert
+from borbits.poset import LSets
+from borbits.rankorder import bit_indices
 
 
 def filter_involutions(n: int) -> list[Involution]:
@@ -142,6 +144,47 @@ def field_z_contains(spec, a) -> bool:
         return sum(terms, Fraction(0))
 
     return all(square(r, s) == 0 for r, s in spec.quadric_cells)
+
+
+def scan_l_sets(sigma, poset) -> LSets:
+    """Oracle: the L-classes by the definition, one scan of the down-set
+    for a strictly intermediate element per element below sigma."""
+    b = poset.index_of(sigma)
+    elements = poset.elements
+    below = list(bit_indices(poset.less[b]))
+    s_sigma = len(sigma.arcs)
+
+    def intermediate(a: int, s_filter: bool) -> bool:
+        # some w with a <= w < b, w != a (strictly between in the weak sense)
+        for w in below:
+            if w == a:
+                continue
+            if not (poset.less[w] >> a & 1):
+                continue
+            if s_filter and len(elements[w].arcs) >= s_sigma:
+                continue
+            return True
+        return False
+
+    minus, zero, plus, prime, star = [], [], [], [], []
+    for a in below:
+        s_a = len(elements[a].arcs)
+        blocked_plain = intermediate(a, s_filter=False)
+        if s_a < s_sigma:
+            if not intermediate(a, s_filter=True):
+                minus.append(a)
+            if not blocked_plain:
+                prime.append(a)
+        elif s_a == s_sigma:
+            if not blocked_plain:
+                zero.append(a)
+        else:
+            if not blocked_plain:
+                plus.append(a)
+        if not blocked_plain:
+            star.append(a)
+    wrap = lambda idxs: frozenset(elements[k] for k in idxs)
+    return LSets(wrap(minus), wrap(zero), wrap(plus), wrap(prime), wrap(star))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 import json
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from borbits import (
     leq_bruhat,
     leq_melnikov,
     leq_star,
+    length,
     longest_involution,
     near,
     near_prime,
@@ -23,9 +26,10 @@ from borbits import (
 )
 from borbits.errors import BoundExceededError, NotInPosetError, UnknownSuiteError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
-from borbits.poset import _lower_covers
+from borbits.poset import _lower_covers, poset_ranks
 from borbits.rankorder import dominance_masks
 
+from conftest import scan_l_sets
 from test_rankorder import rank_tables
 
 
@@ -98,6 +102,48 @@ def test_move_sets_equal_order_sets_small():
             assert n_prime(sigma) == sets.l_prime
             assert near_prime(sigma) == sets.l_star == poset.covers_of(sigma)
             assert near(sigma) == sets.l_minus | sets.l_zero | sets.l_plus
+
+
+@pytest.mark.parametrize("order", ["star", "melnikov", "bruhat"])
+def test_l_sets_match_the_scan_oracle(order):
+    for n in range(1, 8):
+        poset = build_poset(n, order)
+        for sigma in poset.elements:
+            assert l_sets(sigma, poset) == scan_l_sets(sigma, poset)
+
+
+@pytest.mark.parametrize("order", ["star", "bruhat"])
+def test_incitti_rank_is_the_poset_rank(order):
+    # Incitti: the involution poset is graded by (length + arcs) / 2
+    for n in range(1, 9):
+        poset = build_poset(n, order)
+        incitti = [
+            (length(to_permutation(sigma)) + len(sigma.arcs)) // 2
+            for sigma in poset.elements
+        ]
+        assert tuple(incitti) == poset_ranks(poset)
+        for b, lower in enumerate(poset.covers):
+            assert all(incitti[b] == incitti[a] + 1 for a in lower)
+
+
+def test_melnikov_n3_has_two_maximal_elements():
+    poset = build_poset(3, "melnikov")
+    below_some = reduce(or_, poset.less)
+    maximal = {s for k, s in enumerate(poset.elements) if not below_some >> k & 1}
+    assert maximal == {parse_involution("(3,2)", 3), parse_involution("(2,1)", 3)}
+    assert not is_graded(poset)
+
+
+def test_star_and_melnikov_orders_are_incomparable():
+    for n in range(3, 9):
+        star = build_poset(n, "star").less
+        melnikov = build_poset(n, "melnikov").less
+        assert any(s & ~m for s, m in zip(star, melnikov))
+        assert any(m & ~s for s, m in zip(star, melnikov))
+    # strict relations at n = 8, the last size of the loop
+    relations = lambda less: sum(mask.bit_count() for mask in less)
+    assert relations(star) == 117869
+    assert relations(melnikov) == 79846
 
 
 def test_graded_small():

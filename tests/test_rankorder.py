@@ -22,7 +22,7 @@ from borbits import (
     star_rank_matrix,
     to_permutation,
 )
-from borbits.errors import IndexOutOfRangeError, SizeMismatchError
+from borbits.errors import IndexOutOfRangeError, NotAFieldError, SizeMismatchError
 from borbits.rankorder import _dominated, corner_ranks, dominance_masks
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
@@ -92,6 +92,14 @@ def test_exact_rank_examples():
     assert exact_rank(tuple(tuple(int(r == c) for c in range(4)) for r in range(4))) == 4
     assert exact_rank(((1, 2), (2, 4))) == 1
     assert exact_rank(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3), Fraction(2)))) == 1
+
+
+def test_exact_rank_rectangular_and_ragged():
+    # orbit_dimension ranks a non-square matrix; only ragged rows are wrong
+    assert exact_rank(((1, 2, 3), (2, 4, 6))) == 1
+    assert exact_rank(((1, 0), (0, 1), (1, 1))) == 2
+    with pytest.raises(SizeMismatchError):
+        exact_rank([[1, 2], [3]])
 
 
 def test_southwest_count_examples():
@@ -186,6 +194,17 @@ def test_one_pass_corner_ranks_match_per_prefix_oracle(case, strict):
 )
 def test_corner_ranks_rejects_non_square(matrix):
     with pytest.raises(SizeMismatchError):
+        corner_ranks(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((0.1, 0.3), (1, 3)), ((1, 3), (0.1, 0.3)), ((Fraction(1, 3), 0.5), (1, 1))],
+    ids=["float-row-last", "float-row-first", "float-beside-fraction"],
+)
+def test_corner_ranks_rejects_floats(matrix):
+    # float arithmetic would give the first rank 2 at corner (1,2); it is 1
+    with pytest.raises(NotAFieldError):
         corner_ranks(matrix)
 
 

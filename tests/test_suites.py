@@ -106,11 +106,19 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
         run_suite("counts", 9)
     with pytest.raises(BoundExceededError):
+        run_suite("covers", 9)
+    with pytest.raises(BoundExceededError):
         run_suite("degeneration", 9)
     with pytest.raises(BoundExceededError):
         run_suite("graded", 10)
     with pytest.raises(BoundExceededError):
         emit_hasse(10)
+
+
+def test_covers_suite_at_its_bound():
+    # moves and down-set unions agree on every involution of S_8
+    report = run_suite("covers", 8)
+    assert report.passed and report.checked == 764
 
 
 def test_degeneration_suite_at_its_bound():

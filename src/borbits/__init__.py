@@ -36,7 +36,6 @@ from .rankorder import (
     leq_melnikov,
     leq_star,
     melnikov_rank_matrix,
-    pi_truncate,
     southwest_count,
     star_rank_matrix,
 )

@@ -120,13 +120,6 @@ class ZSpec:
         bounds = chain.from_iterable(self.rank_bounds.rows)
         return all(map(le, ranks, bounds)) and support.isdisjoint(self.quadric_cells)
 
-    def to_json(self) -> dict:
-        return {
-            "sigma": str(self.sigma),
-            "rank_bounds": self.rank_bounds.to_json(),
-            "quadric_cells": sorted(list(c) for c in self.quadric_cells),
-        }
-
 
 def z_spec(sigma: Involution) -> ZSpec:
     return ZSpec(sigma, star_rank_matrix(sigma), quadric_cells(sigma))
@@ -268,6 +261,8 @@ def essential_reduction_check(sigma: Involution, q: int) -> bool:
     """
     if not is_chain(sigma):
         raise NotChainError(f"{sigma} is not a chain")
+    if not isinstance(q, int):
+        raise NotAFieldError(f"field size {q!r} is not an int")
     n = sigma.n
     if q ** (n * n) > MAX_FIELD_ENUMERATION:
         raise TooLargeError(f"q^(n^2) = {q ** (n * n)} exceeds budget")

@@ -8,9 +8,11 @@ Every rank, corner-rank table and determinant in the package is computed
 by :func:`echelon_insert` in one of three modes: over an exact field
 (``Fraction``, ``RFun``), fraction-free over the integers (Bareiss, *Math.
 Comp.* 22, 1968), which ranks use for every rational matrix, or over GF(q)
-for a prime q.  A corner-rank table is one pass of it, each row inserted
-once from the bottom up.  Only the F_2 bit-row oracle and the partial
-permutation tables of the closure module, which count rooks, bypass it.
+for a prime q.  It checks no types: a caller types its matrix once, by
+:func:`integral_multiple` or :func:`promote`, which reject a float.  A
+corner-rank table is one pass of it, each row inserted once from the
+bottom up.  Only the F_2 bit-row oracle and the partial permutation
+tables of the closure module, which count rooks, bypass it.
 """
 
 from __future__ import annotations
@@ -154,15 +156,14 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     pivots of the rows before it, so one pass in that order reduces a new
     row to zero at all pivots, and ``len(basis)`` is the rank so far.
     With q given the entries are residues mod the prime q.  Otherwise a
-    row of plain ints, against int rows, becomes ``p row - x pivot_row``
-    divided by its content, and any other row is reduced over its exact
-    field (Fraction, RFun), after a check that rejects any other entry,
-    a float say.  Returns the new pivot column, or None when the row
-    depends on the basis.
+    row of plain ints becomes ``p row - x pivot_row`` divided by its
+    content, and any other row is reduced over its exact field (Fraction,
+    RFun).  The caller types the matrix: all of its rows are ints, or all
+    lie in one exact field, never a mix, and no entry is a float.
+    Returns the new pivot column, or None when the row depends on the
+    basis.
     """
     integral = q is None and all(type(x) is int for x in row)
-    if not (integral or q or all(isinstance(x, (int, Fraction, RFun)) for x in row)):
-        raise NotAFieldError(f"row {row!r} has an entry outside the exact fields")
     for col, pivot_row in basis:
         x = row[col]
         if not x:

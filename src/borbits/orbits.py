@@ -166,10 +166,8 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
 
 def rank_profile(lam: Matrix) -> RankMatrix:
     """Corner ranks of all South-West truncations of a strictly
-    lower-triangular matrix, by exact elimination; entries outside the
-    strict lower triangle are 0.  Integer input is ranked as it is and
-    rational input as its :func:`~borbits.matrices.integral_multiple`."""
-    lam = integral_multiple(lam)
+    lower-triangular matrix, by :func:`~borbits.rankorder.corner_ranks`;
+    entries outside the strict lower triangle are 0."""
     n = square_size(lam)
     if not is_strictly_lower(lam):
         raise NotStrictlyLowerError("rank profile is defined on functionals")

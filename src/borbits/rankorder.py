@@ -58,22 +58,6 @@ class RankMatrix:
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(row) for row in self.rows]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RankMatrix":
-        return cls(data["n"], tuple(tuple(row) for row in data["rows"]))
-
-
-def pi_truncate(matrix: Matrix, i: int, j: int) -> Matrix:
-    """Zero out the first i-1 rows and the last n-j columns."""
-    n = len(matrix)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexOutOfRangeError(f"({i},{j}) outside 1..{n}")
-    zero = matrix[0][0] - matrix[0][0] if n else 0
-    return tuple(
-        tuple(matrix[r][c] if r >= i - 1 and c <= j - 1 else zero for c in range(n))
-        for r in range(n)
-    )
-
 
 def exact_rank(matrix: Sequence[Sequence]) -> int:
     """Rank by exact elimination, fraction-free over the integers or over
@@ -224,12 +208,16 @@ def leq_bruhat(v: Permutation, w: Permutation) -> bool:
 
 def corner_ranks(matrix: Matrix, strict: bool = False, q: int | None = None) -> Matrix:
     """Ranks of the corners rows i..n x columns 1..j of a square matrix
-    over ints, one exact field or GF(q), by its rank profile (Dumas,
-    Pernet and Sultan, ISSAC 2015): rows n..1 go into one echelon basis,
-    and dropping columns commutes with row operations, so corner (i, j)
-    has rank the number of new pivots South-West of it.  With ``strict``
-    the corners with i <= j read 0."""
+    over Q, Q(eps) or GF(q), by its rank profile (Dumas, Pernet and
+    Sultan, ISSAC 2015): rows n..1 go into one echelon basis, and
+    dropping columns commutes with row operations, so corner (i, j) has
+    rank the number of new pivots South-West of it.  Without q the matrix
+    is ranked as its :func:`~borbits.matrices.integral_multiple`, which
+    types it once and rejects a float; with q its entries are residues.
+    With ``strict`` the corners with i <= j read 0."""
     n = square_size(matrix)
+    if q is None:
+        matrix = integral_multiple(matrix)
     basis, rooks = [], []
     for i in range(n, 0, -1):
         col = echelon_insert(basis, list(matrix[i - 1]), q)

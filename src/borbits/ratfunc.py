@@ -119,7 +119,7 @@ def poly_eval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def poly_str(a: Poly, var: str = "e") -> str:
+def poly_str(a: Poly) -> str:
     if not a:
         return "0"
     terms = []
@@ -129,9 +129,9 @@ def poly_str(a: Poly, var: str = "e") -> str:
         if k == 0:
             terms.append(str(c))
         elif k == 1:
-            terms.append(f"{c}*{var}" if c != 1 else var)
+            terms.append(f"{c}*e" if c != 1 else "e")
         else:
-            terms.append(f"{c}*{var}^{k}" if c != 1 else f"{var}^{k}")
+            terms.append(f"{c}*e^{k}" if c != 1 else f"e^{k}")
     return " + ".join(terms)
 
 
@@ -264,12 +264,6 @@ class RFun:
         if bottom == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return poly_eval(self.num, x) / bottom
-
-    def to_json(self) -> dict:
-        return {
-            "num": [str(c) for c in self.num],
-            "den": [str(c) for c in self.den],
-        }
 
 
 # The field operations on reduced RFuns, one bounded cache each.

@@ -263,12 +263,6 @@ def test_is_chain_examples():
     assert is_chain(identity_involution(3))
 
 
-def test_zspec_json():
-    blob = z_spec(parse_involution("(5,1)(7,3)(6,4)", 8)).to_json()
-    assert blob["sigma"] == "(5,1)(7,3)(6,4)"
-    assert [6, 1] in blob["quadric_cells"]
-
-
 def test_rothe_diagram_worked_example():
     sigma = parse_involution("(8,2)(6,3)", 8)
     w = complement_permutation(sigma)
@@ -399,9 +393,14 @@ def test_essential_reduction_guards():
         essential_reduction_check(longest_involution(5), 2)
 
 
-@pytest.mark.parametrize("q", [0, 1, 4, 6])
+@pytest.mark.parametrize(
+    "q",
+    [0, 1, 4, 6, 2.0, Fraction(3), "3"],
+    ids=["0", "1", "4", "6", "float", "fraction", "str"],
+)
 def test_essential_reduction_rejects_non_prime_modulus(q):
-    # Z/q is no field, so elimination over it would answer nothing
+    # Z/q is no field, so elimination over it would answer nothing; a
+    # non-int q is refused before the budget, which would raise TypeError
     with pytest.raises(NotAFieldError):
         essential_reduction_check(parse_involution("(2,1)", 2), q)
 

@@ -15,7 +15,6 @@ from borbits import (
     leq_star,
     melnikov_rank_matrix,
     parse_involution,
-    pi_truncate,
     rook_matrix_lower,
     rook_matrix_upper,
     southwest_count,
@@ -23,6 +22,7 @@ from borbits import (
     to_permutation,
 )
 from borbits.errors import IndexOutOfRangeError, NotAFieldError, SizeMismatchError
+from borbits.matrices import promote
 from borbits.rankorder import _dominated, corner_ranks, dominance_masks
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
@@ -73,18 +73,6 @@ def test_identity_rank_matrices_vanish():
     sigma = parse_involution("id", 4)
     assert all(not any(row) for row in melnikov_rank_matrix(sigma).rows)
     assert all(not any(row) for row in star_rank_matrix(sigma).rows)
-
-
-def test_pi_truncate():
-    mat = rook_matrix_upper(parse_involution("(3,1)(5,2)", 5))
-    cut = pi_truncate(mat, 2, 5)
-    ones = {(r + 1, c + 1) for r in range(5) for c in range(5) if cut[r][c]}
-    assert ones == {(2, 5)}
-    assert pi_truncate(mat, 1, 5) == mat
-    corner = pi_truncate(mat, 5, 1)
-    assert all(not corner[r][c] for r in range(5) for c in range(5) if (r, c) != (4, 0))
-    with pytest.raises(IndexOutOfRangeError):
-        pi_truncate(mat, 0, 1)
 
 
 def test_exact_rank_examples():
@@ -185,6 +173,35 @@ def corner_rank_cases(draw):
 def test_one_pass_corner_ranks_match_per_prefix_oracle(case, strict):
     matrix, q = case
     assert corner_ranks(matrix, strict, q) == prefix_corner_ranks(matrix, strict, q)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [((1, 3), (Fraction(1, 2), 1)), ((1, 1), (EPS, 1))],
+    ids=["int-over-fraction", "int-over-rfun"],
+)
+def test_corner_ranks_of_an_int_row_above_a_field_row(matrix):
+    # the bottom row goes in first, so the int row above it meets a field
+    # row in the basis: the matrix must be typed as a whole
+    assert corner_ranks(matrix) == ((1, 2), (1, 1))
+
+
+@st.composite
+def mixed_matrices(draw):
+    """An n x n matrix, n <= 5, each row over a ring of its own: int,
+    Fraction or RFun entries."""
+    n = draw(st.integers(0, 5))
+    rows = []
+    for _ in range(n):
+        entries, _ = _RINGS[draw(st.sampled_from(["int", "fraction", "rfun"]))]
+        rows.append(tuple(draw(entries) for _ in range(n)))
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=mixed_matrices(), strict=st.booleans())
+def test_rows_over_different_rings_rank_as_the_promoted_matrix(matrix, strict):
+    assert corner_ranks(matrix, strict) == corner_ranks(promote(matrix), strict)
 
 
 @pytest.mark.parametrize(
@@ -369,11 +386,3 @@ def test_dominance_masks_empty_and_mixed_sizes():
         dominance_masks([small, large])
     with pytest.raises(SizeMismatchError):
         dominance_masks([small, small, large])
-
-
-def test_rank_matrix_json_round_trip():
-    for n in range(1, 8):
-        for sigma in enumerate_involutions(n):
-            for table_of in TABLE_KINDS.values():
-                table = table_of(sigma)
-                assert RankMatrix.from_json(table.to_json()) == table

@@ -86,12 +86,6 @@ def test_case_specific_scalars():
     assert bool(d_i)
 
 
-def test_json_serialization():
-    f = (EPS + 1) / (2 * EPS)
-    blob = f.to_json()
-    assert blob == {"num": ["1/2", "1/2"], "den": ["0", "1"]}
-
-
 def test_constructor_promotes_int_coefficients_to_fractions():
     half = RFun((1, 2), (2,))
     assert half.num == (Fraction(1, 2), Fraction(1)) and half.den == (Fraction(1),)

@@ -14,8 +14,8 @@ from borbits import (
     suite_names,
     to_permutation,
 )
-from borbits import suites
-from borbits.errors import BoundExceededError, UnknownSuiteError
+from borbits import closure, suites
+from borbits.errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
 from borbits.rankorder import _dominated
 
 
@@ -95,6 +95,28 @@ def test_sampled_suites_small():
     assert run_suite("closure", 3, seed=1, samples=5).passed
     assert run_suite("degeneration", 4).passed
     assert run_suite("essential-set", 3).passed
+
+
+def test_closure_suite_checks_orbit_points_of_comparable_pairs(monkeypatch):
+    # with a quadric on every cell the comparable pairs must fail as well,
+    # which they cannot on a base point: its A^2 is 0
+    def every_cell(sigma):
+        return frozenset((r, s) for r in range(2, sigma.n + 1) for s in range(1, r))
+
+    monkeypatch.setattr(closure, "quadric_cells", every_cell)
+    report = run_suite("closure", 4)
+    assert any("tau" in failure for failure in report.failures)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("counts", 2.5), ("counts", True), ("counts", "3"), ("closure", 3, 1.5),
+     ("closure", 3, 0, 2.0)],
+    ids=["float-n", "bool-n", "str-n", "float-seed", "float-samples"],
+)
+def test_non_int_size_seed_or_samples_is_rejected(args):
+    with pytest.raises(IndexOutOfRangeError):
+        run_suite(*args)
 
 
 def test_unknown_suite():

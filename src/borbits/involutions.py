@@ -46,13 +46,13 @@ class Involution:
     arcs: tuple[Arc, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise IndexOutOfRangeError(f"size must be >= 1, got {self.n}")
+        if type(self.n) is not int or self.n < 1:
+            raise IndexOutOfRangeError(f"size must be an int >= 1, got {self.n!r}")
         seen: set[int] = set()
         prev_j = 0
         for arc in self.arcs:
             i, j = arc
-            if not (1 <= j < i <= self.n):
+            if type(i) is not int or type(j) is not int or not 1 <= j < i <= self.n:
                 raise IndexOutOfRangeError(f"arc {arc!r} out of range for n={self.n}")
             if i in seen or j in seen:
                 raise OverlapError(f"endpoint of {arc!r} repeated")
@@ -90,8 +90,10 @@ class Permutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if tuple(sorted(self.one_line)) != tuple(range(1, len(self.one_line) + 1)):
-            raise IndexOutOfRangeError(f"not a permutation: {self.one_line!r}")
+        word = self.one_line
+        ints = all(type(k) is int for k in word)
+        if not ints or sorted(word) != list(range(1, len(word) + 1)):
+            raise IndexOutOfRangeError(f"not a permutation: {word!r}")
 
     @property
     def n(self) -> int:
@@ -205,8 +207,8 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
     Built by direct arc recursion (pair or fix the smallest unused point),
     never by filtering all n! permutations.
     """
-    if n < 1:
-        raise IndexOutOfRangeError(f"size must be >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise IndexOutOfRangeError(f"size must be an int >= 1, got {n!r}")
     found: list[Involution] = []
 
     def extend(points: tuple[int, ...], arcs: tuple[tuple[int, int], ...]) -> None:

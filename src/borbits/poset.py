@@ -50,10 +50,10 @@ class Poset:
         return frozenset(self.elements[k] for k in self.covers[self.index_of(sigma)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_poset(n: int, order: str = "star") -> Poset:
     """Build the full poset from all-pairs dominance of the order's rank
-    tables; covers come from peeling maximal elements off each down-set."""
+    tables; covers come from peeling each down-set by entry-sum layers."""
     if n > POSET_MAX_N:
         raise BoundExceededError(f"n={n} exceeds poset bound {POSET_MAX_N}")
     table = order_table(order)
@@ -72,22 +72,26 @@ def build_poset(n: int, order: str = "star") -> Poset:
 
 
 def _lower_covers(tables, less) -> tuple[tuple[int, ...], ...]:
-    """Lower covers of distinct ``tables`` under dominance, whose strict
-    down-sets are ``less``.  Sorted by the number below, the tables come
-    in a linear extension (a < b makes less[a] a proper subset of
-    less[b]); with bits in that order the top bit left in a down-set is a
-    cover, and removing its down-set brings the next one to the top."""
-    ranked = sorted(range(len(tables)), key=lambda k: less[k].bit_count())
-    masks = dominance_masks([tables[k] for k in ranked])
-    covers = [()] * len(tables)
-    for p, mask in enumerate(masks):
-        rest = mask & ~(1 << p)
-        found = []
+    """Lower covers of distinct ``tables`` of nonnegative ints under
+    dominance, with strict down-sets ``less``.  a < b makes a's entry sum
+    smaller, so one sum is an antichain: walking b's down-set down by
+    sum, what is left at a sum is a cover; its down-set is removed."""
+    sums = [sum(map(sum, table.rows)) for table in tables]
+    layers = [0] * (max(sums, default=0) + 1)
+    for k, s in enumerate(sums):
+        layers[s] |= 1 << k
+    covers = []
+    for s, rest in zip(sums, less):
+        found = 0
         while rest:
-            a = rest.bit_length() - 1
-            found.append(ranked[a])
-            rest &= ~masks[a]
-        covers[ranked[p]] = tuple(sorted(found))
+            s -= 1
+            top = rest & layers[s]
+            if top:
+                found |= top
+                for a in bit_indices(top):
+                    top |= less[a]
+                rest &= ~top
+        covers.append(tuple(bit_indices(found)))
     return tuple(covers)
 
 
@@ -147,17 +151,12 @@ def is_graded(poset: Poset) -> bool:
     Checked structurally: with rank(x) = longest cover path from the
     bottom, every cover edge must raise the rank by exactly one.
     """
-    size = len(poset.elements)
-    bottoms = [k for k in range(size) if poset.less[k] == 0]
     # a top lies below nothing: its bit is in no mask
-    below_some = reduce(or_, poset.less, 0)
-    tops = [k for k in range(size) if not below_some >> k & 1]
-    if len(bottoms) != 1 or len(tops) != 1:
+    tops = len(poset.elements) - reduce(or_, poset.less, 0).bit_count()
+    if poset.less.count(0) != 1 or tops != 1:
         return False
     rank = poset_ranks(poset)
-    return all(
-        rank[b] == rank[a] + 1 for b in range(size) for a in poset.covers[b]
-    )
+    return all(rank[b] == rank[a] + 1 for b, a in hasse_edges(poset))
 
 
 def poset_ranks(poset: Poset) -> tuple[int, ...]:
@@ -172,9 +171,7 @@ def poset_ranks(poset: Poset) -> tuple[int, ...]:
 
 def hasse_edges(poset: Poset) -> tuple[tuple[int, int], ...]:
     """Cover edges as (upper, lower) index pairs, sorted."""
-    return tuple(
-        (b, a) for b in range(len(poset.elements)) for a in poset.covers[b]
-    )
+    return tuple((b, a) for b, lower in enumerate(poset.covers) for a in lower)
 
 
 def hasse_dot(poset: Poset) -> str:

@@ -41,6 +41,7 @@ from borbits import (
     z_contains,
     z_spec,
 )
+from borbits.closure import z_point
 from borbits.moves import Move, n_minus, n_plus, n_prime, n_zero
 
 from conftest import filter_involutions
@@ -193,19 +194,27 @@ def test_criterion_10_dimension_formula():
 
 def test_criterion_11_closure_containment():
     with criterion(
-        11, "orbit samples and comparable base points lie in the variety, n <= 6"
+        11,
+        "orbit samples lie in the variety, and a sample of each tau in that "
+        "of every sigma >=* tau, n <= 6",
     ):
+        with_quadrics = 0
         for n in range(1, 7):
             elements = enumerate_involutions(n)
-            for index, sigma in enumerate(elements):
-                spec = z_spec(sigma)
-                base = orbit_point(sigma)
+            specs = [z_spec(sigma) for sigma in elements]
+            for index, tau in enumerate(elements):
+                base = orbit_point(tau)
                 for k in range(50):
                     g = random_borel(n, index * 1_000 + k)
-                    assert z_contains(spec, act(g, base))
-                for tau in elements:
+                    assert z_contains(specs[index], act(g, base))
+                # tau's first sample, read once; a base point would only
+                # restate leq_star, having no A^2 support
+                first = z_point(act(random_borel(n, index * 1_000), base), n)
+                with_quadrics += bool(first[2])
+                for sigma, spec in zip(elements, specs):
                     if leq_star(tau, sigma):
-                        assert z_contains(spec, orbit_point(tau))
+                        assert spec.contains(first)
+        assert with_quadrics
 
 
 def test_criterion_12_chain_and_essential_sets():

@@ -8,6 +8,8 @@ from borbits import (
     Involution,
     Permutation,
     bruhat_leq_subword,
+    build_poset,
+    emit_hasse,
     enumerate_involutions,
     eval_word,
     format_involution,
@@ -45,6 +47,31 @@ def test_parse_rejects_overlap():
 def test_parse_rejects_out_of_range():
     with pytest.raises(IndexOutOfRangeError):
         parse_involution("(6,1)", 5)
+
+
+NON_INT_BUILDS = {
+    "Involution(2.5)": lambda: Involution(2.5, ()),
+    "Involution(True)": lambda: Involution(True, ()),
+    "Involution arc (2.0, 1)": lambda: Involution(3, (Arc(2.0, 1),)),
+    "parse_involution(n=2.5)": lambda: parse_involution("id", 2.5),
+    "involution((2.0, 1.0))": lambda: involution(3, [(2.0, 1.0)]),
+    "enumerate_involutions(True)": lambda: enumerate_involutions(True),
+    "enumerate_involutions(2.5)": lambda: enumerate_involutions(2.5),
+    "build_poset(2.5)": lambda: build_poset(2.5),
+    "build_poset(2.0)": lambda: build_poset(2.0),
+    "emit_hasse(2.5)": lambda: emit_hasse(2.5),
+    "Permutation((1.0, 2.0))": lambda: Permutation((1.0, 2.0)),
+    "Permutation((True,))": lambda: Permutation((True,)),
+}
+
+
+@pytest.mark.parametrize("build", NON_INT_BUILDS.values(), ids=NON_INT_BUILDS)
+def test_non_int_sizes_and_indices_are_rejected(build):
+    # 2.0 == 2 and True == 1 pass every range check, so only the type
+    # tells; a poset cached at n = 2 must not answer for n = 2.0
+    build_poset(2)
+    with pytest.raises(IndexOutOfRangeError):
+        build()
 
 
 def test_parse_rejects_garbage():

@@ -3,7 +3,7 @@ from functools import reduce
 from operator import or_
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borbits import (
@@ -24,10 +24,11 @@ from borbits import (
     parse_involution,
     to_permutation,
 )
+from borbits import poset as poset_module
 from borbits.errors import BoundExceededError, NotInPosetError, UnknownSuiteError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
 from borbits.poset import _lower_covers, poset_ranks
-from borbits.rankorder import dominance_masks
+from borbits.rankorder import RankMatrix, bit_indices, dominance_masks
 
 from conftest import scan_l_sets
 from test_rankorder import rank_tables
@@ -208,10 +209,9 @@ def implied_or_covers(less):
     covers = []
     for below in less:
         implied = 0
-        for a in range(len(less)):
-            if below >> a & 1:
-                implied |= less[a]
-        covers.append(tuple(a for a in range(len(less)) if (below & ~implied) >> a & 1))
+        for a in bit_indices(below):
+            implied |= less[a]
+        covers.append(tuple(bit_indices(below & ~implied)))
     return tuple(covers)
 
 
@@ -231,12 +231,50 @@ def test_poset_matches_pairwise_predicate_scan(order):
         assert poset.covers == implied_or_covers(less)
 
 
+@pytest.mark.parametrize("order", sorted(PAIRWISE))
+def test_covers_at_n9_are_the_transitive_reduction(order):
+    # the pairwise scan above stops at n = 7; this reaches the poset bound
+    poset = build_poset(9, order)
+    assert poset.covers == implied_or_covers(poset.less)
+
+
+@pytest.mark.parametrize("order", sorted(PAIRWISE))
+def test_build_poset_computes_the_order_relation_once(order, monkeypatch):
+    calls = []
+
+    def counting(tables):
+        calls.append(len(tables))
+        return dominance_masks(tables)
+
+    monkeypatch.setattr(poset_module, "dominance_masks", counting)
+    build_poset.cache_clear()
+    build_poset(6, order)
+    assert calls == [76]
+
+
+# distinct 2x2 tables, listed top first: A and B are incomparable with
+# entry sum 1 each, C covers both, and the top covers only C
+_EQUAL_SUMS = [
+    RankMatrix(2, rows)
+    for rows in (
+        ((1, 2), (1, 1)),  # top
+        ((0, 1), (0, 0)),  # B
+        ((0, 0), (0, 0)),  # bottom
+        ((1, 1), (0, 0)),  # C
+        ((1, 0), (0, 0)),  # A
+    )
+]
+
+
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_peeled_covers_match_implied_or_reduction(data):
+@given(
+    tables=st.integers(1, 6).flatmap(
+        lambda n: st.lists(rank_tables(n), unique=True, max_size=24)
+    )
+)
+@example(tables=_EQUAL_SUMS)
+def test_peeled_covers_match_implied_or_reduction(tables):
     # distinct tables, so entrywise dominance is a partial order
-    n = data.draw(st.integers(1, 6))
-    tables = data.draw(st.lists(rank_tables(n), unique=True, max_size=24))
     masks = dominance_masks(tables)
     less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))
     assert _lower_covers(tables, less) == implied_or_covers(less)

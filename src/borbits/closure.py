@@ -25,7 +25,6 @@ from operator import le, mul
 from .errors import (
     NotAFieldError,
     NotChainError,
-    NotStrictlyLowerError,
     SizeMismatchError,
     TooLargeError,
 )
@@ -36,12 +35,7 @@ from .involutions import (
     longest_involution,
     to_permutation,
 )
-from .matrices import (
-    Matrix,
-    integral_multiple,
-    is_strictly_lower,
-    square_size,
-)
+from .matrices import Matrix, echelon_insert, integral_multiple
 from .moves import phi_lt
 from .rankorder import RankMatrix, corner_ranks, star_rank_matrix
 
@@ -84,14 +78,12 @@ def z_point(a: Matrix, n: int | None = None) -> ZPoint:
     """What membership reads of a strictly lower-triangular matrix, for
     any number of varieties.  It reads the integral multiple, which the
     ranks and the quadrics, homogeneous of degree 2, cannot tell apart
-    from the matrix.  A size other than ``n`` is named first."""
+    from the matrix.  Past a float, a size other than ``n`` is named
+    first; :func:`~borbits.rankorder.corner_ranks` checks the rest."""
     a = integral_multiple(a)
-    size = square_size(a)
-    if n is not None and size != n:
-        raise SizeMismatchError(f"matrix size {size} vs n={n}")
-    if not is_strictly_lower(a):
-        raise NotStrictlyLowerError("membership is defined for functionals")
-    ranks = tuple(chain.from_iterable(corner_ranks(a, strict=True)))
+    if n is not None and len(a) != n:
+        raise SizeMismatchError(f"matrix size {len(a)} vs n={n}")
+    ranks = tuple(chain.from_iterable(corner_ranks(a)))
     # (A^2)_{r,s} is row r times column s; for strictly lower A only the
     # terms of gamma, s < k < r, can be nonzero
     columns = tuple(zip(*a))
@@ -101,7 +93,7 @@ def z_point(a: Matrix, n: int | None = None) -> ZPoint:
         for s in range(1, r - 1)
         if sum(map(mul, row, columns[s - 1]))
     )
-    return size, ranks, support
+    return len(a), ranks, support
 
 
 @dataclass(frozen=True)
@@ -192,9 +184,15 @@ def _corner_rank_table_bits(rows: tuple[int, ...], n: int) -> bytes:
 
 
 def _corner_rank_table_gf(rows: list[list[int]], n: int, q: int) -> bytes:
-    """Ranks of all upper-left i x j corners over GF(q), entries residues
-    mod q: the lower-left corner ranks of the rows in reverse order."""
-    return bytes(x for row in reversed(corner_ranks(rows[::-1], q=q)) for x in row)
+    """Ranks of all upper-left i x j corners of an n x n matrix over
+    GF(q), entries residues mod q, one column prefix at a time."""
+    out = bytearray(n * n)
+    for j in range(1, n + 1):
+        basis: list = []
+        for i in range(1, n + 1):
+            echelon_insert(basis, rows[i - 1][:j], q)
+            out[(i - 1) * n + (j - 1)] = len(basis)
+    return bytes(out)
 
 
 @lru_cache(maxsize=4)

@@ -5,14 +5,13 @@ or :class:`~borbits.ratfunc.RFun`.  Constructors promote plain ints so
 that arithmetic never falls back to floating point.
 
 Every rank, corner-rank table and determinant in the package is computed
-by :func:`echelon_insert` in one of three modes: over an exact field
-(``Fraction``, ``RFun``), fraction-free over the integers (Bareiss, *Math.
-Comp.* 22, 1968), which ranks use for every rational matrix, or over GF(q)
-for a prime q.  It checks no types: a caller types its matrix once, by
-:func:`integral_multiple` or :func:`promote`, which reject a float.  A
-corner-rank table is one pass of it, each row inserted once from the
-bottom up.  Only the F_2 bit-row oracle and the partial permutation
-tables of the closure module, which count rooks, bypass it.
+by :func:`echelon_insert`: over an exact field (``Fraction``, ``RFun``),
+fraction-free over the integers (Bareiss, *Math. Comp.* 22, 1968), which
+ranks use for every rational matrix, or over GF(q) for the tests' field
+tables.  A caller types its matrix once, by :func:`integral_multiple` or
+:func:`promote`, which reject a float.  The strict corner ranks of a
+functional are one bottom-up pass of it, each row cut to the columns
+left of its diagonal entry.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ def is_upper_triangular(m: Matrix) -> bool:
 
 
 def is_strictly_lower(m: Matrix) -> bool:
-    return all(not m[r][c] for r in range(len(m)) for c in range(r, len(m)))
+    return not any(any(row[r:]) for r, row in enumerate(m))
 
 
 def strictly_lower_part(m: Matrix) -> Matrix:
@@ -155,13 +154,13 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     row's pivot is its first nonzero entry, and every row is zero at the
     pivots of the rows before it, so one pass in that order reduces a new
     row to zero at all pivots, and ``len(basis)`` is the rank so far.
-    With q given the entries are residues mod the prime q.  Otherwise a
-    row of plain ints becomes ``p row - x pivot_row`` divided by its
-    content, and any other row is reduced over its exact field (Fraction,
-    RFun).  The caller types the matrix: all of its rows are ints, or all
-    lie in one exact field, never a mix, and no entry is a float.
-    Returns the new pivot column, or None when the row depends on the
-    basis.
+    With q given the entries are residues mod the prime q.  Otherwise the
+    new row picks the mode: a row of plain ints becomes ``p row - x
+    pivot_row`` divided by its content, any other row is reduced over its
+    exact field (Fraction, RFun).  So the caller types the matrix as a
+    whole, all ints or all in one field, as an int row meeting a Fraction
+    basis row fails in ``gcd``; a float is not rejected here.  Returns
+    the new pivot column, or None when the row depends on the basis.
     """
     integral = q is None and all(type(x) is int for x in row)
     for col, pivot_row in basis:

@@ -165,13 +165,9 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
 
 
 def rank_profile(lam: Matrix) -> RankMatrix:
-    """Corner ranks of all South-West truncations of a strictly
-    lower-triangular matrix, by :func:`~borbits.rankorder.corner_ranks`;
-    entries outside the strict lower triangle are 0."""
-    n = square_size(lam)
-    if not is_strictly_lower(lam):
-        raise NotStrictlyLowerError("rank profile is defined on functionals")
-    return RankMatrix(n, corner_ranks(lam, strict=True))
+    """The strict corner ranks of a functional, 0 on and above the
+    diagonal, by :func:`~borbits.rankorder.corner_ranks`, which checks it."""
+    return RankMatrix(len(lam), corner_ranks(lam))
 
 
 def orbit_dimension(sigma: Involution) -> int:

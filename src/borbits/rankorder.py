@@ -5,9 +5,10 @@ in the test suite rather than assumed equal:
 
 - combinatorially, the rank of a corner truncation of a rook placement
   equals the number of rooks weakly South-West of the corner;
-- linear-algebraically, by one bottom-up exact elimination (the kernel
-  in :mod:`borbits.matrices`) whose pivots are a rook placement with the
-  same corner ranks; one pass per column prefix is the tests' oracle.
+- linear-algebraically, for a functional, by one bottom-up exact
+  elimination (the kernel in :mod:`borbits.matrices`) whose pivots are
+  a rook placement with the same strict corner ranks; one pass per
+  column prefix is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from itertools import chain
 from operator import le
 from typing import Iterable, Iterator, Sequence
 
-from .errors import IndexOutOfRangeError, SizeMismatchError, UnknownSuiteError
+from .errors import (
+    IndexOutOfRangeError,
+    NotStrictlyLowerError,
+    SizeMismatchError,
+    UnknownSuiteError,
+)
 from .involutions import Arc, Involution, Permutation, to_permutation
-from .matrices import echelon_insert, integral_multiple, square_size
-
-Matrix = tuple[tuple, ...]
+from .matrices import Matrix, echelon_insert, integral_multiple, is_strictly_lower, square_size
 
 
 @lru_cache(maxsize=None)
@@ -206,22 +210,24 @@ def leq_bruhat(v: Permutation, w: Permutation) -> bool:
     return _dominated(bruhat_rank_matrix(v), bruhat_rank_matrix(w))
 
 
-def corner_ranks(matrix: Matrix, strict: bool = False, q: int | None = None) -> Matrix:
-    """Ranks of the corners rows i..n x columns 1..j of a square matrix
-    over Q, Q(eps) or GF(q), by its rank profile (Dumas, Pernet and
-    Sultan, ISSAC 2015): rows n..1 go into one echelon basis, and
-    dropping columns commutes with row operations, so corner (i, j) has
-    rank the number of new pivots South-West of it.  Without q the matrix
-    is ranked as its :func:`~borbits.matrices.integral_multiple`, which
-    types it once and rejects a float; with q its entries are residues.
-    With ``strict`` the corners with i <= j read 0."""
+def corner_ranks(matrix: Matrix) -> Matrix:
+    """South-West corner ranks of a square, strictly lower-triangular
+    matrix over Q or Q(eps), 0 on and above the diagonal, ranked as its
+    :func:`~borbits.matrices.integral_multiple`, which rejects a float.
+    By its rank profile (Dumas, Pernet and Sultan, ISSAC 2015): rows n..2
+    go into one echelon basis, and dropping columns commutes with row
+    operations, so corner (i, j) has rank the number of pivots South-West
+    of it.  Only columns < i reach a strict corner of row i or above, so
+    row i goes in cut to them, and the basis, cut first, drops its rows
+    pivoted further right."""
     n = square_size(matrix)
-    if q is None:
-        matrix = integral_multiple(matrix)
+    matrix = integral_multiple(matrix)
+    if not is_strictly_lower(matrix):
+        raise NotStrictlyLowerError("corner ranks are defined on functionals")
     basis, rooks = [], []
-    for i in range(n, 0, -1):
-        col = echelon_insert(basis, list(matrix[i - 1]), q)
+    for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
+        basis = [(col, row[:i]) for col, row in basis if col < i]
+        col = echelon_insert(basis, list(matrix[i][:i]))
         if col is not None:
-            rooks.append((i, col + 1))
-    rows = _southwest_table(rooks, n)
-    return _below_diagonal(rows) if strict else rows
+            rooks.append((i + 1, col + 1))
+    return _below_diagonal(_southwest_table(rooks, n))

@@ -173,6 +173,20 @@ def _suite_graded(n: int, seed: int, samples: int):
     failures = []
     if not is_graded(poset):
         failures.append({"n": n, "detail": "maximal chains of unequal length"})
+    # Incitti's rank (length + arcs) / 2, a route apart from the poset's
+    # longest-path ranks, rises by one along every cover
+    elements = poset.elements
+    rank = [(length(to_permutation(s)) + len(s.arcs)) // 2 for s in elements]
+    failures += [
+        {
+            "sigma": format_involution(elements[b]),
+            "covers": format_involution(elements[a]),
+            "detail": "cover skips an Incitti rank",
+        }
+        for b, lower in enumerate(poset.covers)
+        for a in lower
+        if rank[b] != rank[a] + 1
+    ]
     return edges, failures
 
 

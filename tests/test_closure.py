@@ -59,6 +59,7 @@ from borbits.errors import (
 from borbits.matrices import integral_multiple
 from borbits.moves import phi_lt
 from borbits.rankorder import exact_rank
+from borbits.suites import _orbit_samples
 
 
 def test_maximal_support_examples():
@@ -161,6 +162,46 @@ def test_z_contains_error_order():
     # a point of the wrong size against a variety
     with pytest.raises(SizeMismatchError):
         spec.contains(z_point(((0, 0, 0), (1, 0, 0), (0, 1, 0))))
+
+
+@pytest.mark.parametrize(
+    "a, n, error",
+    [
+        (((1, 0, 0), (0, 0, 0), (0, 0, 0)), 2, SizeMismatchError),
+        (((0, 0), (1,)), 3, SizeMismatchError),
+        (((0, 0), (1, 0)), 3, SizeMismatchError),
+        (((0.5, 0), (1, 0)), 3, NotAFieldError),
+        (((0, 0), (1, 0, 0)), 2, SizeMismatchError),
+        (((0, 1), (1, 0)), 2, NotStrictlyLowerError),
+        (((0, 1), (1, 0)), None, NotStrictlyLowerError),
+    ],
+    ids=["not-lower", "ragged", "smaller", "float", "ragged-right-count", "above", "no-n"],
+)
+def test_z_point_names_a_size_mismatch_first(a, n, error):
+    # past a float, a size other than n comes before the checks of
+    # corner_ranks: the shape of each row and the strict lower triangle
+    with pytest.raises(error):
+        z_point(a, n)
+
+
+def test_orbit_points_of_incomparable_pairs_escape_the_variety():
+    # the negative half of the closure statement: for tau not <=* sigma,
+    # tau's first sampled orbit point, as the closure suite draws it at
+    # seed 0, lies outside Z_sigma
+    for n in range(1, 7):
+        elements = enumerate_involutions(n)
+        points = [
+            z_point(next(_orbit_samples(n, 0, 1, index, tau))[1], n)
+            for index, tau in enumerate(elements)
+        ]
+        pairs = 0
+        for sigma in elements:
+            spec = z_spec(sigma)
+            for tau, point in zip(elements, points):
+                if not leq_star(tau, sigma):
+                    pairs += 1
+                    assert not spec.contains(point), (tau, sigma)
+    assert pairs == 4089  # at n = 6
 
 
 def test_z_point_once_serves_every_variety():

@@ -43,6 +43,7 @@ from borbits.errors import (
     NotUpperTriangularError,
     NotInvertibleError,
     SingularElementError,
+    SizeMismatchError,
     ZeroXiError,
 )
 from borbits.matrices import (
@@ -184,6 +185,22 @@ def test_rank_profile_integer_route_matches_field_route(lam):
     assert all(type(x) is int for row in profile.rows for x in row)
     # the integral multiple has the same profile, ranked as it is
     assert rank_profile(integral_multiple(lam)) == profile
+
+
+@pytest.mark.parametrize(
+    "lam, error",
+    [
+        (((0, 0), (1,)), SizeMismatchError),
+        (((0, 0, 0), (1, 0, 0)), SizeMismatchError),
+        (((0, 0), (0.5, 0)), NotAFieldError),
+        (((0, 0), (1, 1)), NotStrictlyLowerError),
+        (((0, H), (1, 0)), NotStrictlyLowerError),
+    ],
+    ids=["ragged", "2x3", "float", "diagonal", "above"],
+)
+def test_rank_profile_rejects_what_corner_ranks_rejects(lam, error):
+    with pytest.raises(error):
+        rank_profile(lam)
 
 
 def test_integer_sampler_is_the_stream_of_random_borel():

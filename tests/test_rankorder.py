@@ -21,7 +21,13 @@ from borbits import (
     star_rank_matrix,
     to_permutation,
 )
-from borbits.errors import IndexOutOfRangeError, NotAFieldError, SizeMismatchError
+from borbits.closure import _corner_rank_table_gf
+from borbits.errors import (
+    IndexOutOfRangeError,
+    NotAFieldError,
+    NotStrictlyLowerError,
+    SizeMismatchError,
+)
 from borbits.matrices import promote
 from borbits.rankorder import _dominated, corner_ranks, dominance_masks
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
@@ -118,10 +124,10 @@ def test_every_table_cell_equals_its_southwest_count():
 def test_rank_matrices_match_exact_elimination():
     for n in range(1, 6):
         for sigma in enumerate_involutions(n):
-            upper = corner_ranks(rook_matrix_upper(sigma))
+            upper = prefix_corner_ranks(rook_matrix_upper(sigma))
             assert upper == melnikov_rank_matrix(sigma).rows
             # both read 0 on and above the diagonal
-            lower = corner_ranks(rook_matrix_lower(sigma), strict=True)
+            lower = corner_ranks(rook_matrix_lower(sigma))
             assert lower == star_rank_matrix(sigma).rows
 
 
@@ -130,7 +136,7 @@ def test_base_point_strict_corner_ranks_are_star_tables():
     # no member of a variety lies outside the order
     for n in range(1, 9):
         for tau in enumerate_involutions(n):
-            ranks = corner_ranks(rook_matrix_lower(tau), strict=True)
+            ranks = corner_ranks(rook_matrix_lower(tau))
             assert ranks == star_rank_matrix(tau).rows
 
 
@@ -147,6 +153,7 @@ _RINGS = {
     "mod3": (st.integers(0, 2), 3),
     "mod5": (st.integers(0, 4), 5),
 }
+_ZEROS = {"int": 0, "fraction": Fraction(0), "rfun": RF_ZERO}
 
 
 @st.composite
@@ -166,47 +173,96 @@ def corner_rank_cases(draw):
     return tuple(map(tuple, rows)), q
 
 
-@settings(max_examples=400, deadline=None)
-@given(case=corner_rank_cases(), strict=st.booleans())
-@example(case=(((0, 0, 0), (1, 0, 0), (2, 3, 0)), None), strict=True)
-@example(case=(((1, 2, 3), (2, 4, 6), (1, 1, 1)), None), strict=False)
-def test_one_pass_corner_ranks_match_per_prefix_oracle(case, strict):
+@settings(max_examples=300, deadline=None)
+@given(case=corner_rank_cases())
+@example(case=(((1, 2, 3), (2, 4, 6), (1, 1, 1)), None))
+def test_per_prefix_oracle_ranks_every_corner(case):
+    # the oracle of the strict kernel, on full matrices: over Q and Q(eps)
+    # against exact_rank of each corner, over GF(q) against the upper-left
+    # tables of the rows in reverse order
     matrix, q = case
-    assert corner_ranks(matrix, strict, q) == prefix_corner_ranks(matrix, strict, q)
+    n = len(matrix)
+    ranks = prefix_corner_ranks(matrix, q=q)
+    if q is None:
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                corner = [row[:j] for row in matrix[i - 1 :]]
+                assert ranks[i - 1][j - 1] == exact_rank(corner)
+    else:
+        table = _corner_rank_table_gf([list(row) for row in matrix[::-1]], n, q)
+        assert ranks == tuple(tuple(table[k * n : (k + 1) * n]) for k in reversed(range(n)))
+
+
+@st.composite
+def strictly_lower_cases(draw):
+    """An n x n strictly lower-triangular matrix, n <= 6, over ints,
+    Fractions, RFuns or a mix of int and Fraction rows, with some rows
+    zero and some the cut of a combination of two rows."""
+    ring = draw(st.sampled_from(["int", "fraction", "rfun", "mixed"]))
+    n = draw(st.integers(0, 6))
+    rows = []
+    for r in range(n):
+        kind = draw(st.sampled_from(["int", "fraction"])) if ring == "mixed" else ring
+        entries, zero = _RINGS[kind][0], _ZEROS[kind]
+        rows.append([draw(entries) if c < r else zero for c in range(n)])
+    for r in range(n):
+        if draw(st.booleans()):
+            rows[r] = [_ZEROS.get(ring, 0)] * n
+        elif n and draw(st.booleans()):
+            s, t = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[r] = [
+                u + v if c < r else rows[r][c]
+                for c, (u, v) in enumerate(zip(rows[s], rows[t]))
+            ]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=strictly_lower_cases())
+@example(matrix=((0, 0, 0), (1, 0, 0), (2, 3, 0)))
+@example(matrix=((0,),))
+@example(matrix=((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+def test_one_pass_corner_ranks_match_per_prefix_oracle(matrix):
+    oracle = prefix_corner_ranks(promote(matrix), strict=True)
+    assert corner_ranks(matrix) == oracle
 
 
 @pytest.mark.parametrize(
     "matrix",
-    [((1, 3), (Fraction(1, 2), 1)), ((1, 1), (EPS, 1))],
+    [
+        ((0, 0, 0), (1, 0, 0), (Fraction(1, 2), 1, 0)),
+        ((0, 0, 0), (1, 0, 0), (EPS, 1, 0)),
+    ],
     ids=["int-over-fraction", "int-over-rfun"],
 )
 def test_corner_ranks_of_an_int_row_above_a_field_row(matrix):
     # the bottom row goes in first, so the int row above it meets a field
     # row in the basis: the matrix must be typed as a whole
-    assert corner_ranks(matrix) == ((1, 2), (1, 1))
+    assert corner_ranks(matrix) == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
 
 
 @st.composite
 def mixed_matrices(draw):
-    """An n x n matrix, n <= 5, each row over a ring of its own: int,
-    Fraction or RFun entries."""
+    """An n x n strictly lower-triangular matrix, n <= 5, each row over a
+    ring of its own: int, Fraction or RFun entries."""
     n = draw(st.integers(0, 5))
     rows = []
-    for _ in range(n):
-        entries, _ = _RINGS[draw(st.sampled_from(["int", "fraction", "rfun"]))]
-        rows.append(tuple(draw(entries) for _ in range(n)))
+    for r in range(n):
+        kind = draw(st.sampled_from(["int", "fraction", "rfun"]))
+        entries, zero = _RINGS[kind][0], _ZEROS[kind]
+        rows.append(tuple(draw(entries) if c < r else zero for c in range(n)))
     return tuple(rows)
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrix=mixed_matrices(), strict=st.booleans())
-def test_rows_over_different_rings_rank_as_the_promoted_matrix(matrix, strict):
-    assert corner_ranks(matrix, strict) == corner_ranks(promote(matrix), strict)
+@given(matrix=mixed_matrices())
+def test_rows_over_different_rings_rank_as_the_promoted_matrix(matrix):
+    assert corner_ranks(matrix) == corner_ranks(promote(matrix))
 
 
 @pytest.mark.parametrize(
     "matrix",
-    [((1, 2, 3), (4, 5, 6)), ((1, 2), (3, 4), (5, 6)), ((1, 2), (3,))],
+    [((0, 0, 0), (4, 0, 0)), ((0, 0), (1, 0), (5, 6)), ((0, 0), (1,))],
     ids=["2x3", "3x2", "ragged"],
 )
 def test_corner_ranks_rejects_non_square(matrix):
@@ -214,14 +270,38 @@ def test_corner_ranks_rejects_non_square(matrix):
         corner_ranks(matrix)
 
 
+_ROW = (1, 3, 0, 0)
+
+
 @pytest.mark.parametrize(
     "matrix",
-    [((0.1, 0.3), (1, 3)), ((1, 3), (0.1, 0.3)), ((Fraction(1, 3), 0.5), (1, 1))],
-    ids=["float-row-last", "float-row-first", "float-beside-fraction"],
+    [
+        ((0, 0, 0, 0), (0, 0, 0, 0), _ROW, (0.1, 0.3, 5, 0)),
+        ((0, 0, 0, 0), (0, 0, 0, 0), (0.1, 0.3, 0, 0), (1, 3, 5, 0)),
+        ((0, 0, 0, 0), (0, 0, 0, 0), _ROW, (Fraction(1, 10), 0.3, 5, 0)),
+        ((0.0, 0.5), (1, 0)),
+    ],
+    ids=["float-row-last", "float-row-first", "float-beside-fraction", "float-above"],
 )
 def test_corner_ranks_rejects_floats(matrix):
-    # float arithmetic would give the first rank 2 at corner (1,2); it is 1
+    # float arithmetic would give corner (3,2) rank 2, as 0.1 * 3 != 0.3;
+    # it is 1.  A float is named before an entry above the diagonal.
     with pytest.raises(NotAFieldError):
+        corner_ranks(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        ((1, 0), (0, 0)),
+        ((0, 0), (1, 2)),
+        ((0, Fraction(1, 2)), (0, 0)),
+        ((0, 0), (EPS, EPS)),
+    ],
+    ids=["diagonal", "last-diagonal", "above", "rfun-diagonal"],
+)
+def test_corner_ranks_rejects_entries_on_or_above_the_diagonal(matrix):
+    with pytest.raises(NotStrictlyLowerError):
         corner_ranks(matrix)
 
 

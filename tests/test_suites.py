@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from borbits import (
     to_permutation,
 )
 from borbits import closure, suites
+from borbits.poset import build_poset, is_graded
 from borbits.errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
 from borbits.rankorder import _dominated
 
@@ -88,6 +90,24 @@ def test_dimension_suite_trivial():
 def test_covers_and_graded_suites():
     assert run_suite("covers", 4).passed
     assert run_suite("graded", 5).passed
+
+
+def test_graded_suite_checks_covers_against_incittis_rank(monkeypatch):
+    # a wrong cover set whose longest-path ranks still agree along every
+    # cover: the top (3,1) covers only id, so is_graded cannot see it
+    poset = build_poset(3, "star")
+    top = poset.index_of(parse_involution("(3,1)", 3))
+    bottom = poset.index_of(parse_involution("id", 3))
+    covers = list(poset.covers)
+    covers[top] = (bottom,)
+    wrong = dataclasses.replace(poset, covers=tuple(covers))
+    assert is_graded(wrong)
+    monkeypatch.setattr(suites, "build_poset", lambda n, order: wrong)
+    report = run_suite("graded", 3)
+    assert report.checked == 3
+    assert list(report.failures) == [
+        {"sigma": "(3,1)", "covers": "id", "detail": "cover skips an Incitti rank"}
+    ]
 
 
 def test_sampled_suites_small():

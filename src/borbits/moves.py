@@ -12,12 +12,19 @@ Moves act on the rook placement of an involution sigma:
 ``remove`` drops the arc count by one, ``c`` raises it by one, the rest
 preserve it.  The board order on positions is (a, b) <= (c, d) iff
 a <= c and b >= d.
+
+The named constructions check their input and raise the matching
+``MoveError``.  One cached pass per sigma runs them over every applicable
+move and keeps the outputs: :func:`near_moves`, :func:`apply_move` and
+the neighbour classes read that table, and a move not in it raises
+:class:`~borbits.errors.MoveNotApplicableError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import (
     ArcNotInSupportError,
@@ -59,36 +66,38 @@ def _replace(sigma: Involution, drop: tuple[Arc, ...], add: tuple[Arc, ...]) -> 
     return Involution(sigma.n, tuple(sorted(kept, key=lambda a: a.j)))
 
 
+def _slide(sigma: Involution, arc: Arc, kind: str) -> tuple[int, Arc] | None:
+    """The free point m and the slid arc of a right or up slide of arc, or
+    None when the slide is undefined: see :func:`move_right`."""
+    _require_arc(sigma, arc)
+    i, j = arc
+    inside = range(j + 1, i) if kind == "right" else range(i - 1, j, -1)
+    m = next((s for s in inside if sigma.is_fixed(s)), None)
+    if m is None:
+        return None
+    new_arc = Arc(i, m) if kind == "right" else Arc(m, j)
+    if any(phi_lt(other, arc) and not phi_lt(other, new_arc) for other in sigma.arcs):
+        return None
+    return m, new_arc
+
+
+def _slide_output(sigma: Involution, arc: Arc, kind: str) -> Involution | None:
+    slide = _slide(sigma, arc, kind)
+    return None if slide is None else _replace(sigma, (arc,), (slide[1],))
+
+
 def move_right(sigma: Involution, arc: Arc) -> Involution | None:
     """Slide (i, j) to (i, m), m the smallest fixed point in (j, i).
 
     Undefined (None) when no such m exists or some arc strictly below
     (i, j) fails to stay strictly below (i, m).
     """
-    _require_arc(sigma, arc)
-    i, j = arc
-    m = next((s for s in range(j + 1, i) if sigma.is_fixed(s)), None)
-    if m is None:
-        return None
-    new_arc = Arc(i, m)
-    for other in sigma.arcs:
-        if phi_lt(other, arc) and not phi_lt(other, new_arc):
-            return None
-    return _replace(sigma, (arc,), (new_arc,))
+    return _slide_output(sigma, arc, "right")
 
 
 def move_up(sigma: Involution, arc: Arc) -> Involution | None:
     """Slide (i, j) to (m, j), m the largest fixed point in (j, i)."""
-    _require_arc(sigma, arc)
-    i, j = arc
-    m = next((r for r in range(i - 1, j, -1) if sigma.is_fixed(r)), None)
-    if m is None:
-        return None
-    new_arc = Arc(m, j)
-    for other in sigma.arcs:
-        if phi_lt(other, arc) and not phi_lt(other, new_arc):
-            return None
-    return _replace(sigma, (arc,), (new_arc,))
+    return _slide_output(sigma, arc, "up")
 
 
 def move_remove(sigma: Involution, arc: Arc) -> Involution:
@@ -212,81 +221,77 @@ class Move:
     partner: tuple[int, int] | None = None
 
 
-def apply_move(sigma: Involution, move: Move) -> Involution:
-    if move.kind == "remove":
-        result: Involution | None = move_remove(sigma, move.arc)
-    elif move.kind == "right":
-        result = move_right(sigma, move.arc)
-    elif move.kind == "up":
-        result = move_up(sigma, move.arc)
-    elif move.kind == "a":
-        result = a_move(sigma, move.arc, Arc(*move.partner))
-    elif move.kind == "b":
-        result = b_move(sigma, move.arc, Arc(*move.partner))
-    elif move.kind == "c":
-        result = c_move(sigma, move.arc, move.partner)
-    else:
-        raise MoveNotApplicableError(f"unknown move kind {move.kind!r}")
-    if result is None:
-        raise MoveNotApplicableError(f"{move} undefined on {sigma}")
-    return result
+@lru_cache(maxsize=None)
+def _move_outputs(sigma: Involution) -> MappingProxyType[Move, Involution]:
+    """Every applicable move instance and its output, in a fixed
+    deterministic order: the one construction pass over sigma, read-only
+    since the cache hands it to every caller."""
+    minimal = minimal_support(sigma)
+    out: dict[Move, Involution] = {}
+    for arc in sigma.arcs:
+        if arc in minimal:
+            out[Move("remove", arc)] = _replace(sigma, (arc,), ())
+        for kind in ("right", "up"):
+            tau = _slide_output(sigma, arc, kind)
+            if tau is not None:
+                out[Move(kind, arc)] = tau
+        for partner in sorted(a_candidates(sigma, arc)):
+            out[Move("a", arc, tuple(partner))] = a_move(sigma, arc, partner)
+        for partner in sorted(b_candidates(sigma, arc)):
+            out[Move("b", arc, tuple(partner))] = b_move(sigma, arc, partner)
+        for pair in sorted(c_candidates(sigma, arc)):
+            out[Move("c", arc, pair)] = c_move(sigma, arc, pair)
+    return MappingProxyType(out)
 
 
 @lru_cache(maxsize=None)
 def near_moves(sigma: Involution) -> tuple[Move, ...]:
     """Every applicable move instance, in a fixed deterministic order."""
-    minimal = minimal_support(sigma)
-    out: list[Move] = []
-    for arc in sigma.arcs:
-        if arc in minimal:
-            out.append(Move("remove", arc))
-        if move_right(sigma, arc) is not None:
-            out.append(Move("right", arc))
-        if move_up(sigma, arc) is not None:
-            out.append(Move("up", arc))
-        for partner in sorted(a_candidates(sigma, arc)):
-            out.append(Move("a", arc, tuple(partner)))
-        for partner in sorted(b_candidates(sigma, arc)):
-            out.append(Move("b", arc, tuple(partner)))
-        for pair in sorted(c_candidates(sigma, arc)):
-            out.append(Move("c", arc, pair))
-    return tuple(out)
+    return tuple(_move_outputs(sigma))
+
+
+def apply_move(sigma: Involution, move: Move) -> Involution:
+    """The output of a move of :func:`near_moves`; any other move raises
+    :class:`MoveNotApplicableError`."""
+    outputs = _move_outputs(sigma)
+    try:
+        return outputs[move]
+    except (KeyError, TypeError):  # TypeError: an unhashable partner
+        raise MoveNotApplicableError(f"{move} not applicable to {sigma}") from None
+
+
+def _outputs_of(sigma: Involution, kinds: tuple[str, ...]) -> frozenset[Involution]:
+    return frozenset(
+        tau for move, tau in _move_outputs(sigma).items() if move.kind in kinds
+    )
 
 
 def n_minus(sigma: Involution) -> frozenset[Involution]:
-    return frozenset(
-        apply_move(sigma, m) for m in near_moves(sigma) if m.kind == "remove"
-    )
+    return _outputs_of(sigma, ("remove",))
 
 
 def n_zero(sigma: Involution) -> frozenset[Involution]:
-    return frozenset(
-        apply_move(sigma, m)
-        for m in near_moves(sigma)
-        if m.kind in ("right", "up", "a", "b")
-    )
+    return _outputs_of(sigma, ("right", "up", "a", "b"))
 
 
 def n_plus(sigma: Involution) -> frozenset[Involution]:
-    return frozenset(apply_move(sigma, m) for m in near_moves(sigma) if m.kind == "c")
+    return _outputs_of(sigma, ("c",))
 
 
 def near(sigma: Involution) -> frozenset[Involution]:
     """All outputs of all applicable moves."""
-    return n_minus(sigma) | n_zero(sigma) | n_plus(sigma)
+    return frozenset(_move_outputs(sigma).values())
 
 
 def n_prime(sigma: Involution) -> frozenset[Involution]:
     """Removals at minimal arcs whose closed interval [j, i] is free of
     fixed points."""
-    out = []
-    for move in near_moves(sigma):
-        if move.kind != "remove":
-            continue
-        i, j = move.arc
-        if all(not sigma.is_fixed(m) for m in range(j, i + 1)):
-            out.append(apply_move(sigma, move))
-    return frozenset(out)
+    return frozenset(
+        tau
+        for move, tau in _move_outputs(sigma).items()
+        if move.kind == "remove"
+        and not any(sigma.is_fixed(m) for m in range(move.arc.j, move.arc.i + 1))
+    )
 
 
 def near_prime(sigma: Involution) -> frozenset[Involution]:

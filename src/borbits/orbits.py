@@ -6,9 +6,9 @@ Because conjugation by an upper-triangular g sends upper-plus-diagonal
 matrices to upper-plus-diagonal matrices, truncating between steps is
 harmless: act(g, act(h, lam)) == act(g h, lam).
 
-Over Q the action runs on ints: :func:`act` divides the numerator
-``det(g) act(g, lam)`` of integer g and lam once per entry, and the
-sampled suites test the numerator itself, of g from the int sampler.
+:func:`act` takes one dense route over any exact field.  The sampled
+suites run on ints instead: they test the numerator ``det(g) act(g, lam)``
+of integer g and lam itself, of g from the int sampler.
 
 Degeneration curves live over the exact rational-function field in eps,
 so limits at eps -> 0 and identities of curves are exact equalities, not
@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     IndexOutOfRangeError,
@@ -42,7 +41,6 @@ from .matrices import (
     exact_entry,
     field_constants,
     identity_matrix,
-    integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
     mat_from_entries,
@@ -52,7 +50,7 @@ from .matrices import (
     strictly_lower_part,
     upper_inverse,
 )
-from .moves import Move, apply_move, near_moves
+from .moves import Move, _slide, near_moves
 from .rankorder import RankMatrix, corner_ranks, exact_rank
 from .ratfunc import (
     EPS,
@@ -84,12 +82,8 @@ def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
 
 
 def act(g: Matrix, lam: Matrix) -> Matrix:
-    """The induced action: strictly lower part of g lam g^{-1}.
-
-    Rational inputs take the integer route of :func:`_act_rational`;
-    inputs with an ``RFun`` entry take the generic :func:`_act_field`.
-    Both return the same matrix over Q.
-    """
+    """The induced action: strictly lower part of g lam g^{-1}, over Q or
+    Q(eps), by :func:`_act_field` on the checked and promoted inputs."""
     square_size(g, lam)
     g = promote(g)
     lam = promote(lam)
@@ -97,14 +91,12 @@ def act(g: Matrix, lam: Matrix) -> Matrix:
         raise NotUpperTriangularError("group element must be upper triangular")
     if not is_strictly_lower(lam):
         raise NotStrictlyLowerError("functional must be strictly lower triangular")
-    if any(isinstance(x, RFun) for m in (g, lam) for row in m for x in row):
-        return _act_field(g, lam)
-    return _act_rational(g, lam)
+    return _act_field(g, lam)
 
 
 def _act_field(g: Matrix, lam: Matrix) -> Matrix:
     """act over any exact field: two dense products and a back-substitution
-    inverse.  Over Q it is the oracle for :func:`_act_rational`."""
+    inverse.  Over Q it is the oracle for :func:`_act_numerator`."""
     return strictly_lower_part(mat_mul(mat_mul(g, lam), upper_inverse(g)))
 
 
@@ -137,14 +129,6 @@ def _act_numerator(g: Matrix, lam: Matrix) -> tuple[Matrix, int]:
                 raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
         row[i:] = [0] * (n - i)
     return tuple(map(tuple, prod)), det
-
-
-def _act_rational(g: Matrix, lam: Matrix) -> Matrix:
-    """act over Q: the numerator of the integral multiples a g and d lam
-    over d det(a g), since the scalar a cancels under conjugation."""
-    d = lcm(*(x.denominator for row in lam for x in row))
-    m, det = _act_numerator(integral_multiple(g), integral_multiple(lam))
-    return tuple(tuple(Fraction(x, d * det) for x in row) for row in m)
 
 
 def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Matrix:
@@ -247,17 +231,21 @@ def _torus_factor(i: int, value: RFun) -> tuple[int, int, RFun]:
     return (i, i, value - RF_ONE)
 
 
+def _slide_point(sigma: Involution, move: Move) -> int:
+    """The free point a right or up move slides its arc to."""
+    slide = _slide(sigma, move.arc, move.kind)
+    if slide is None:
+        raise MoveNotApplicableError(f"{move} undefined on {sigma}")
+    return slide[0]
+
+
 def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RFun], ...]:
     """The elementary factor list of the degeneration curve for one move."""
     i, j = move.arc
     if move.kind == "remove":
         return (_torus_factor(i, EPS),)
     if move.kind in ("right", "up"):
-        # recover the slide target, the unique new endpoint
-        tau = apply_move(sigma, move)
-        (m,) = set(p for arc in tau.arcs for p in arc) - set(
-            p for arc in sigma.arcs for p in arc
-        )
+        m = _slide_point(sigma, move)
         if move.kind == "right":
             return ((j, m, -EPS_INV), _torus_factor(i, EPS))
         return ((m, i, EPS_INV), _torus_factor(i, EPS))
@@ -292,10 +280,7 @@ def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
         entries[(a, b)] = RF_ONE
     entries[(i, j)] = EPS
     if move.kind in ("right", "up"):
-        tau = apply_move(sigma, move)
-        (m,) = set(p for arc in tau.arcs for p in arc) - set(
-            p for arc in sigma.arcs for p in arc
-        )
+        m = _slide_point(sigma, move)
         entries[(i, m) if move.kind == "right" else (m, j)] = RF_ONE
     elif move.kind == "c":
         al, be = move.partner

@@ -2,6 +2,7 @@ import pytest
 
 from borbits import (
     Arc,
+    Move,
     a_candidates,
     a_move,
     apply_move,
@@ -9,6 +10,8 @@ from borbits import (
     b_move,
     c_candidates,
     c_move,
+    degeneration,
+    degeneration_closed_form,
     enumerate_involutions,
     identity_involution,
     leq_star,
@@ -16,6 +19,10 @@ from borbits import (
     move_remove,
     move_right,
     move_up,
+    n_minus,
+    n_plus,
+    n_prime,
+    n_zero,
     near,
     near_moves,
     near_prime,
@@ -23,9 +30,12 @@ from borbits import (
     phi_leq,
     phi_lt,
 )
+from borbits import moves
+from borbits.orbits import degeneration_word
 from borbits.errors import (
     ArcNotInSupportError,
     InvalidResultError,
+    MoveNotApplicableError,
     NotACandidateError,
     NotBCandidateError,
     NotCCandidateError,
@@ -180,3 +190,128 @@ def test_arc_count_law():
                 delta = len(tau.arcs) - len(sigma.arcs)
                 expected = {"remove": -1, "c": 1}.get(move.kind, 0)
                 assert delta == expected
+
+
+def _oracle_outputs(sigma):
+    """{move: output}, each output built by calling its named construction
+    directly, in near_moves' order: per arc, remove, right, up, then the
+    a, b and c partners in sorted order."""
+    minimal = minimal_support(sigma)
+    out = {}
+    for arc in sigma.arcs:
+        if arc in minimal:
+            out[Move("remove", arc)] = move_remove(sigma, arc)
+        for kind, slide in (("right", move_right), ("up", move_up)):
+            if (tau := slide(sigma, arc)) is not None:
+                out[Move(kind, arc)] = tau
+        for partner in sorted(a_candidates(sigma, arc)):
+            out[Move("a", arc, tuple(partner))] = a_move(sigma, arc, partner)
+        for partner in sorted(b_candidates(sigma, arc)):
+            out[Move("b", arc, tuple(partner))] = b_move(sigma, arc, partner)
+        for pair in sorted(c_candidates(sigma, arc)):
+            out[Move("c", arc, pair)] = c_move(sigma, arc, pair)
+    return out
+
+
+def _of_kinds(outputs, *kinds):
+    return {tau for move, tau in outputs.items() if move.kind in kinds}
+
+
+def test_move_table_matches_the_named_constructions():
+    for n in range(1, 7):
+        for sigma in enumerate_involutions(n):
+            oracle = _oracle_outputs(sigma)
+            assert near_moves(sigma) == tuple(oracle)
+            for move, tau in oracle.items():
+                assert apply_move(sigma, move) == tau
+            assert n_minus(sigma) == _of_kinds(oracle, "remove")
+            assert n_zero(sigma) == _of_kinds(oracle, "right", "up", "a", "b")
+            assert n_plus(sigma) == _of_kinds(oracle, "c")
+            assert near(sigma) == set(oracle.values())
+            # a removal is in N' iff its closed interval holds no fixed point
+            prime = {
+                tau
+                for move, tau in oracle.items()
+                if move.kind == "remove"
+                and all(not sigma.is_fixed(p) for p in range(move.arc.j, move.arc.i + 1))
+            }
+            assert n_prime(sigma) == prime
+            slides_swaps_splits = _of_kinds(oracle, "right", "up", "a", "b", "c")
+            assert near_prime(sigma) == prime | slides_swaps_splits
+
+
+@pytest.mark.parametrize(
+    "sigma, n, move",
+    [
+        ("(3,1)(8,2)(7,6)", 8, Move("remove", Arc(8, 2))),
+        ("(2,1)", 2, Move("right", Arc(2, 1))),
+        ("(2,1)", 2, Move("up", Arc(2, 1))),
+        ("(5,1)(3,2)", 5, Move("right", Arc(5, 1))),
+        ("(3,1)(4,2)", 4, Move("a", Arc(4, 2), (3, 1))),
+        ("(3,1)(4,2)", 4, Move("b", Arc(3, 1), (4, 2))),
+        ("(4,1)", 4, Move("c", Arc(4, 1), (3, 2))),
+        ("(5,1)(3,2)", 5, Move("c", Arc(5, 1), (3, 4))),
+        ("(3,1)(5,2)", 5, Move("remove", Arc(4, 2))),
+        ("(3,1)(5,2)", 5, Move("right", Arc(4, 2))),
+        ("(2,1)", 2, Move("swap", Arc(2, 1))),
+        ("(3,1)(4,2)", 4, Move("a", Arc(3, 1), [4, 2])),
+    ],
+    ids=[
+        "not-minimal",
+        "right-no-free-point",
+        "up-no-free-point",
+        "right-blocked",
+        "not-an-a-candidate",
+        "not-a-b-candidate",
+        "not-a-c-candidate",
+        "c-collides",
+        "arc-not-in-sigma",
+        "slide-arc-not-in-sigma",
+        "unknown-kind",
+        "unhashable-partner",
+    ],
+)
+def test_apply_move_rejects_a_move_not_in_the_table(sigma, n, move):
+    with pytest.raises(MoveNotApplicableError):
+        apply_move(parse_involution(sigma, n), move)
+
+
+@pytest.mark.parametrize(
+    "sigma, n, move",
+    [
+        ("(2,1)", 2, Move("right", Arc(2, 1))),
+        ("(2,1)", 2, Move("up", Arc(2, 1))),
+        ("(5,1)(3,2)", 5, Move("right", Arc(5, 1))),
+    ],
+    ids=["right-no-free-point", "up-no-free-point", "right-blocked"],
+)
+def test_degeneration_routes_reject_an_undefined_slide(sigma, n, move):
+    sigma = parse_involution(sigma, n)
+    for route in (degeneration_word, degeneration_closed_form, degeneration):
+        with pytest.raises(MoveNotApplicableError):
+            route(sigma, move)
+
+
+def test_each_move_is_constructed_once(monkeypatch):
+    # every kind of move applies to this sigma
+    sigma = parse_involution("(3,1)(8,2)(7,4)", 8)
+    calls = []
+    replace = moves._replace
+
+    def counting(*args):
+        calls.append(args)
+        return replace(*args)
+
+    monkeypatch.setattr(moves, "_replace", counting)
+    moves._move_outputs.cache_clear()
+    moves.near_moves.cache_clear()
+    for neighbours in (n_minus, n_zero, n_plus, n_prime, near, near_prime):
+        neighbours(sigma)
+    for move in near_moves(sigma):
+        apply_move(sigma, move)
+        degeneration(sigma, move)
+        degeneration_closed_form(sigma, move)
+    assert {move.kind for move in near_moves(sigma)} == {
+        "remove", "right", "up", "a", "b", "c",
+    }
+    assert len(calls) == len(near_moves(sigma)) == 7

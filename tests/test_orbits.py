@@ -36,6 +36,7 @@ from borbits import (
     x_elem,
 )
 from borbits.errors import (
+    LimitUndefinedError,
     MissingArcError,
     NotAFieldError,
     MoveNotApplicableError,
@@ -52,6 +53,7 @@ from borbits.matrices import (
     mat_from_entries,
     mat_mul,
 )
+from borbits import orbits
 from borbits.moves import Move
 from borbits.orbits import _act_field, _act_numerator, _act_word, _random_borel_int
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
@@ -126,6 +128,7 @@ _HARD_LAM = (
 @example(pair=(_HARD_G, _HARD_LAM))
 def test_act_integer_route_matches_field_route(pair):
     g, lam = pair
+    # act is the field route behind its checks, which promote int entries
     result = act(g, lam)
     assert result == _act_field(g, lam)
     assert all(type(x) is Fraction for row in result for x in row)
@@ -419,6 +422,16 @@ def test_degeneration_rejects_inapplicable_move():
     sigma = parse_involution("(2,1)", 2)
     with pytest.raises(MoveNotApplicableError):
         degeneration(sigma, Move("up", Arc(2, 1)))
+
+
+def test_degeneration_names_a_pole_at_zero(monkeypatch):
+    # a word whose curve is 1/eps at (2,1): dividing column 1 by eps
+    monkeypatch.setattr(
+        orbits, "degeneration_word", lambda sigma, move: ((1, 1, EPS - RF_ONE),)
+    )
+    sigma = parse_involution("(2,1)", 2)
+    with pytest.raises(LimitUndefinedError, match="pole at 0"):
+        degeneration(sigma, Move("remove", Arc(2, 1)))
 
 
 def test_second_largest_unipotent_rank_is_attained_by_swap_family():

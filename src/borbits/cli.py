@@ -38,15 +38,19 @@ def _build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="print a rank matrix of an involution")
     rank.add_argument("--n", type=int, required=True)
     rank.add_argument("--sigma", required=True, help="cycle notation, e.g. (3,1)(5,2)")
-    rank.add_argument(
+    # no argparse default: a default value given explicitly would escape
+    # the conflict check; _cmd_rank falls back to melnikov
+    which = rank.add_mutually_exclusive_group()
+    which.add_argument(
         "--order",
         choices=ORDER_TABLES,
-        default="melnikov",
-        help="which rank matrix to print",
+        help="which rank matrix to print (default: melnikov)",
     )
-    rank.add_argument(
+    which.add_argument(
         "--star",
-        action="store_true",
+        action="store_const",
+        const="star",
+        dest="order",
         help="shortcut for --order star",
     )
     rank.add_argument("--format", choices=("text", "json"), default="text")
@@ -111,7 +115,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_rank(args) -> int:
     sigma = parse_involution(args.sigma, args.n)
-    matrix = order_table("star" if args.star else args.order)(sigma)
+    matrix = order_table(args.order or "melnikov")(sigma)
     if args.format == "json":
         print(json.dumps(matrix.to_json(), sort_keys=True))
     else:

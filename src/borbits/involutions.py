@@ -204,24 +204,26 @@ def length(w: Permutation) -> int:
 def enumerate_involutions(n: int) -> tuple[Involution, ...]:
     """All involutions of S_n, ordered lexicographically by one-line form.
 
-    Built by direct arc recursion (pair or fix the smallest unused point),
-    never by filtering all n! permutations.
+    Built by direct arc recursion, never by filtering all n! permutations:
+    the smallest unused point p is fixed first, then paired with each
+    larger q in turn.  Every point below p is placed already, so the
+    value at p runs p, then q ascending, which is one-line lex order; and
+    the arcs (q, p) come out normalized, sorted by ascending p.
     """
     if type(n) is not int or n < 1:
         raise IndexOutOfRangeError(f"size must be an int >= 1, got {n!r}")
     found: list[Involution] = []
 
-    def extend(points: tuple[int, ...], arcs: tuple[tuple[int, int], ...]) -> None:
+    def extend(points: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
         if not points:
-            found.append(involution(n, arcs))
+            found.append(Involution(n, arcs))
             return
         p, rest = points[0], points[1:]
         extend(rest, arcs)  # p fixed
         for k, q in enumerate(rest):  # p paired with a larger point
-            extend(rest[:k] + rest[k + 1 :], arcs + ((q, p),))
+            extend(rest[:k] + rest[k + 1 :], arcs + (Arc(q, p),))
 
     extend(tuple(range(1, n + 1)), ())
-    found.sort(key=lambda s: s.one_line())
     return tuple(found)
 
 

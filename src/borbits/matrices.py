@@ -101,15 +101,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_from_entries(n: int, entries: dict, like=Fraction(0)) -> Matrix:
-    """Matrix from a {(row, col): value} dict, 1-based keys."""
-    _, zero = field_constants(((like,),))
-    return tuple(
-        tuple(entries.get((r, c), zero) for c in range(1, n + 1))
-        for r in range(1, n + 1)
-    )
-
-
 def is_upper_triangular(m: Matrix) -> bool:
     return all(not m[r][c] for r in range(len(m)) for c in range(r))
 

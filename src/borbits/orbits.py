@@ -27,11 +27,11 @@ from .errors import (
     IndexOutOfRangeError,
     LimitUndefinedError,
     MissingArcError,
-    MoveNotApplicableError,
     NotInvertibleError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
     SingularElementError,
+    SizeMismatchError,
     ZeroXiError,
 )
 from .involutions import Arc, Involution, rook_matrix_lower
@@ -43,14 +43,13 @@ from .matrices import (
     identity_matrix,
     is_strictly_lower,
     is_upper_triangular,
-    mat_from_entries,
     mat_mul,
     promote,
     square_size,
     strictly_lower_part,
     upper_inverse,
 )
-from .moves import Move, _slide, near_moves
+from .moves import Move, _slide, apply_move
 from .rankorder import RankMatrix, corner_ranks, exact_rank
 from .ratfunc import (
     EPS,
@@ -135,8 +134,7 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
     """The base functional of sigma: weight xi(arc) at each arc position,
     weight 1 everywhere when xi is omitted."""
     if xi is None:
-        rook = rook_matrix_lower(sigma)
-        return tuple(tuple(Q_ONE if x else Q_ZERO for x in row) for row in rook)
+        xi = dict.fromkeys(sigma.arcs, Q_ONE)
     rows = [[Q_ZERO] * sigma.n for _ in range(sigma.n)]
     for arc in sigma.arcs:
         if arc not in xi:
@@ -231,21 +229,16 @@ def _torus_factor(i: int, value: RFun) -> tuple[int, int, RFun]:
     return (i, i, value - RF_ONE)
 
 
-def _slide_point(sigma: Involution, move: Move) -> int:
-    """The free point a right or up move slides its arc to."""
-    slide = _slide(sigma, move.arc, move.kind)
-    if slide is None:
-        raise MoveNotApplicableError(f"{move} undefined on {sigma}")
-    return slide[0]
-
-
 def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RFun], ...]:
-    """The elementary factor list of the degeneration curve for one move."""
+    """The elementary factor list of the degeneration curve for a move of
+    :func:`~borbits.moves.near_moves`; :func:`~borbits.moves.apply_move`
+    rejects any other move."""
+    apply_move(sigma, move)
     i, j = move.arc
     if move.kind == "remove":
         return (_torus_factor(i, EPS),)
     if move.kind in ("right", "up"):
-        m = _slide_point(sigma, move)
+        m = _slide(sigma, move.arc, move.kind)[0]  # the table holds the slide
         if move.kind == "right":
             return ((j, m, -EPS_INV), _torus_factor(i, EPS))
         return ((m, i, EPS_INV), _torus_factor(i, EPS))
@@ -259,28 +252,25 @@ def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RF
             _torus_factor(i, EPS),
             _torus_factor(al, -EPS),
         )
-    if move.kind == "b":
-        al, be = move.partner
-        return (
-            (be, j, -EPS_INV),
-            (i, al, EPS_INV),
-            _torus_factor(al, EPS),
-            _torus_factor(i, EPS - EPS_INV),
-        )
-    raise MoveNotApplicableError(f"unknown move kind {move.kind!r}")
+    al, be = move.partner  # kind b: the table holds no other kind
+    return (
+        (be, j, -EPS_INV),
+        (i, al, EPS_INV),
+        _torus_factor(al, EPS),
+        _torus_factor(i, EPS - EPS_INV),
+    )
 
 
 def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
     """The displayed entries of the curve, built directly: the second,
     independent route against which the group-action computation is
-    checked."""
+    checked.  It shares only the applicability check of the move table."""
+    apply_move(sigma, move)
     i, j = move.arc
-    entries: dict[tuple[int, int], RFun] = {}
-    for a, b in sigma.arcs:
-        entries[(a, b)] = RF_ONE
+    entries = dict.fromkeys(sigma.arcs, RF_ONE)
     entries[(i, j)] = EPS
     if move.kind in ("right", "up"):
-        m = _slide_point(sigma, move)
+        m = _slide(sigma, move.arc, move.kind)[0]
         entries[(i, m) if move.kind == "right" else (m, j)] = RF_ONE
     elif move.kind == "c":
         al, be = move.partner
@@ -296,7 +286,10 @@ def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
         entries[(i, be)] = RF_ONE
         entries[(al, j)] = RF_ONE
         entries[(al, be)] = EPS
-    return mat_from_entries(sigma.n, entries, like=RF_ONE)
+    rows = [[RF_ZERO] * sigma.n for _ in range(sigma.n)]
+    for (r, c), value in entries.items():
+        rows[r - 1][c - 1] = value
+    return tuple(map(tuple, rows))
 
 
 def _act_word(word: tuple[tuple[int, int, RFun], ...], rook: Matrix) -> Matrix:
@@ -323,18 +316,17 @@ def _act_word(word: tuple[tuple[int, int, RFun], ...], rook: Matrix) -> Matrix:
         for row in rows:
             if row[j]:
                 row[i] = row[i] - alpha * row[j]
-    return strictly_lower_part(rows)
+    n = len(rows)
+    return tuple(tuple(row[:r]) + (RF_ZERO,) * (n - r) for r, row in enumerate(rows))
 
 
 def degeneration(sigma: Involution, move: Move) -> Degeneration:
     """Compute the degeneration curve of a move by the group action over
     the rational-function field, factor by factor, and its limit at 0."""
-    if move not in near_moves(sigma):
-        raise MoveNotApplicableError(f"{move} not applicable to {sigma}")
     word = degeneration_word(sigma, move)
     curve = _act_word(word, rook_matrix_lower(sigma))
     try:
-        limit = tuple(tuple(entry.eval_at(0) for entry in row) for row in curve)
+        limit = tuple(tuple(x.eval_at(0) if x else Q_ZERO for x in row) for row in curve)
     except ZeroDivisionError as exc:
         raise LimitUndefinedError(str(exc)) from exc
     return Degeneration(move=move, word=word, curve=curve, limit=limit)
@@ -342,6 +334,10 @@ def degeneration(sigma: Involution, move: Move) -> Degeneration:
 
 def diagonal_weights(sigma: Involution, d: Matrix) -> dict[Arc, Fraction]:
     """The arc weights produced by acting with a diagonal matrix:
-    weight(arc) = d_i / d_j."""
-    diagonal = [exact_rational(d[k][k]) for k in range(len(d))]
+    weight(arc) = d_i / d_j.  d must be n x n with a zero-free diagonal."""
+    if square_size(d) != sigma.n:
+        raise SizeMismatchError(f"{len(d)} x {len(d)} diagonal for n={sigma.n}")
+    diagonal = [exact_rational(d[k][k]) for k in range(sigma.n)]
+    if not all(diagonal):
+        raise NotInvertibleError(f"zero diagonal entry at {diagonal.index(0) + 1}")
     return {arc: diagonal[arc.i - 1] / diagonal[arc.j - 1] for arc in sigma.arcs}

@@ -100,6 +100,21 @@ def test_rank_star_prints_display_matrix(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--star", "--order", "bruhat"),
+        ("--order", "melnikov", "--star"),
+        ("--order", "star", "--star"),
+    ],
+)
+def test_rank_star_and_order_together_is_usage_error(capsys, flags):
+    code, out, err = run_cli(capsys, "rank", "--n", "5", "--sigma", "(4,1)(5,2)", *flags)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with argument" in err
+
+
 def test_rank_default_is_melnikov(capsys):
     code, out, _ = run_cli(capsys, "rank", "--n", "5", "--sigma", "(3,1)(5,2)")
     assert code == 0

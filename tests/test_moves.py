@@ -240,7 +240,9 @@ def test_move_table_matches_the_named_constructions():
             assert near_prime(sigma) == prime | slides_swaps_splits
 
 
-@pytest.mark.parametrize(
+# moves outside near_moves(sigma): every route that reads the move table
+# rejects each of them
+_NOT_IN_TABLE = pytest.mark.parametrize(
     "sigma, n, move",
     [
         ("(3,1)(8,2)(7,6)", 8, Move("remove", Arc(8, 2))),
@@ -271,20 +273,15 @@ def test_move_table_matches_the_named_constructions():
         "unhashable-partner",
     ],
 )
+
+
+@_NOT_IN_TABLE
 def test_apply_move_rejects_a_move_not_in_the_table(sigma, n, move):
     with pytest.raises(MoveNotApplicableError):
         apply_move(parse_involution(sigma, n), move)
 
 
-@pytest.mark.parametrize(
-    "sigma, n, move",
-    [
-        ("(2,1)", 2, Move("right", Arc(2, 1))),
-        ("(2,1)", 2, Move("up", Arc(2, 1))),
-        ("(5,1)(3,2)", 5, Move("right", Arc(5, 1))),
-    ],
-    ids=["right-no-free-point", "up-no-free-point", "right-blocked"],
-)
+@_NOT_IN_TABLE
 def test_degeneration_routes_reject_an_undefined_slide(sigma, n, move):
     sigma = parse_involution(sigma, n)
     for route in (degeneration_word, degeneration_closed_form, degeneration):

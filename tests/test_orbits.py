@@ -50,7 +50,6 @@ from borbits.errors import (
 from borbits.matrices import (
     identity_matrix,
     integral_multiple,
-    mat_from_entries,
     mat_mul,
 )
 from borbits import orbits
@@ -223,8 +222,9 @@ def test_act_unchanged_2x2_example():
 
 def test_diagonal_action_gives_weighted_point():
     sigma = parse_involution("(3,1)(5,2)", 5)
-    d = mat_from_entries(
-        5, {(k, k): Fraction(v) for k, v in zip(range(1, 6), (2, 3, 5, 1, 7))}
+    d = tuple(
+        tuple(Fraction(v if r == c else 0) for c in range(5))
+        for r, v in enumerate((2, 3, 5, 1, 7))
     )
     weights = diagonal_weights(sigma, d)
     assert weights == {Arc(3, 1): Fraction(5, 2), Arc(5, 2): Fraction(7, 3)}
@@ -256,12 +256,29 @@ def test_float_weights_are_rejected():
     sigma = parse_involution("(3,1)", 3)
     with pytest.raises(NotAFieldError):
         orbit_point(sigma, {Arc(3, 1): 0.1})
-    d = mat_from_entries(3, {(1, 1): Fraction(2), (2, 2): Fraction(1), (3, 3): 1.5})
+    d = ((Fraction(2), 0, 0), (0, Fraction(1), 0), (0, 0, 1.5))
     with pytest.raises(NotAFieldError):
         diagonal_weights(sigma, d)
     # int and Fraction diagonals still give exact weights
     d = ((2, 0, 0), (0, 1, 0), (0, 0, Fraction(3)))
     assert diagonal_weights(sigma, d) == {Arc(3, 1): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize(
+    "d, error",
+    [
+        (((2, 0), (0, 1)), SizeMismatchError),
+        (((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 3, 0), (0, 0, 0, 5)), SizeMismatchError),
+        (((2, 0, 0), (0, 1, 0)), SizeMismatchError),
+        (((2, 0, 0), (0, 1, 0), (0, 0, 0)), NotInvertibleError),
+        (((0, 0, 0), (0, 1, 0), (0, 0, 3)), NotInvertibleError),
+    ],
+    ids=["smaller", "larger", "ragged", "zero-d_i", "zero-d_j"],
+)
+def test_diagonal_weights_reject_a_wrong_size_or_a_zero_diagonal(d, error):
+    # sigma = (3,1): weight d_3 / d_1
+    with pytest.raises(error):
+        diagonal_weights(parse_involution("(3,1)", 3), d)
 
 
 def test_action_law():
@@ -390,6 +407,8 @@ def test_factorwise_curve_is_the_action_of_the_product():
                 expect = _product_action(n, result.word, rook)
                 assert _typed(result.curve) == _typed(expect)
                 assert all(type(x) is RFun for row in result.curve for x in row)
+                closed_form = degeneration_closed_form(sigma, move)
+                assert all(type(x) is RFun for row in closed_form for x in row)
                 assert all(type(x) is Fraction for row in result.limit for x in row)
 
 

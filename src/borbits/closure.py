@@ -25,6 +25,7 @@ from operator import le, mul
 from .errors import (
     NotAFieldError,
     NotChainError,
+    NotStrictlyLowerError,
     SizeMismatchError,
     TooLargeError,
 )
@@ -35,9 +36,9 @@ from .involutions import (
     longest_involution,
     to_permutation,
 )
-from .matrices import Matrix, echelon_insert, integral_multiple
+from .matrices import Matrix, echelon_insert, integral_multiple, is_strictly_lower, square_size
 from .moves import phi_lt
-from .rankorder import RankMatrix, corner_ranks, star_rank_matrix
+from .rankorder import RankMatrix, _strict_ranks, star_rank_matrix
 
 # q ** (n*n) budget, q=2 n<=4 and q=3 n<=3: not the check's cost, which does
 # not grow with q, but the domain where the brute-force oracle still runs
@@ -79,11 +80,19 @@ def z_point(a: Matrix, n: int | None = None) -> ZPoint:
     any number of varieties.  It reads the integral multiple, which the
     ranks and the quadrics, homogeneous of degree 2, cannot tell apart
     from the matrix.  Past a float, a size other than ``n`` is named
-    first; :func:`~borbits.rankorder.corner_ranks` checks the rest."""
+    first, then what :func:`~borbits.rankorder.corner_ranks` checks."""
     a = integral_multiple(a)
     if n is not None and len(a) != n:
         raise SizeMismatchError(f"matrix size {len(a)} vs n={n}")
-    ranks = tuple(chain.from_iterable(corner_ranks(a)))
+    square_size(a)
+    if not is_strictly_lower(a):
+        raise NotStrictlyLowerError("corner ranks are defined on functionals")
+    return _z_point(a)
+
+
+def _z_point(a: Matrix) -> ZPoint:
+    """:func:`z_point` unchecked: a strictly lower square matrix of one type."""
+    ranks = tuple(chain.from_iterable(_strict_ranks(a, len(a))))
     # (A^2)_{r,s} is row r times column s; for strictly lower A only the
     # terms of gamma, s < k < r, can be nonzero
     columns = tuple(zip(*a))

@@ -66,7 +66,7 @@ class NotInPosetError(BorbitsError):
 
 
 class MissingArcError(BorbitsError):
-    """A weight map does not cover every arc of the support."""
+    """A weight map's keys are not exactly the arcs of the support."""
 
 
 class ZeroXiError(BorbitsError):
@@ -88,6 +88,10 @@ class NotInvertibleError(BorbitsError):
 
 class NotUpperTriangularError(BorbitsError):
     """Group element must be upper triangular."""
+
+
+class NotDiagonalError(BorbitsError):
+    """A torus element has a nonzero entry off the diagonal."""
 
 
 class NotStrictlyLowerError(BorbitsError):

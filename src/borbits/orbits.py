@@ -8,7 +8,8 @@ harmless: act(g, act(h, lam)) == act(g h, lam).
 
 :func:`act` takes one dense route over any exact field.  The sampled
 suites run on ints instead: they test the numerator ``det(g) act(g, lam)``
-of integer g and lam itself, of g from the int sampler.
+of integer g and lam itself, of g from the int sampler.  That numerator,
+ints and strictly lower by construction, is ranked by unchecked kernels.
 
 Degeneration curves live over the exact rational-function field in eps,
 so limits at eps -> 0 and identities of curves are exact equalities, not
@@ -22,11 +23,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     IndexOutOfRangeError,
     LimitUndefinedError,
     MissingArcError,
+    NotDiagonalError,
     NotInvertibleError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
@@ -120,9 +123,10 @@ def _act_numerator(g: Matrix, lam: Matrix) -> tuple[Matrix, int]:
                 x *= det
                 for i in range(r + 1):
                     prod[i][c] += g[i][r] * x
+    columns = [column[:j] for j, column in enumerate(zip(*g))]  # g[0..j-1][j]
     for i, row in enumerate(prod):
         for j in range(i):
-            acc = row[j] - sum(row[k] * g[k][j] for k in range(j))
+            acc = row[j] - sum(map(mul, row, columns[j]))
             row[j], remainder = divmod(acc, g[j][j])
             if remainder:
                 raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
@@ -143,6 +147,8 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
         if value == 0:
             raise ZeroXiError(f"weight of {arc!r} must be nonzero")
         rows[arc.i - 1][arc.j - 1] = value
+    if stray := [key for key in xi if key not in sigma.arcs]:
+        raise MissingArcError(f"weight for {stray[0]!r}, which is not an arc")
     return tuple(tuple(row) for row in rows)
 
 
@@ -193,12 +199,13 @@ def _random_borel_int(n: int, seed: int, bound: int = 3) -> Matrix:
     """The entries of :func:`random_borel` as ints, from the same stream."""
     if bound < 1:
         raise IndexOutOfRangeError(f"bound must be >= 1, got {bound}")
-    rng = random.Random(seed * 1_000_003 + n * 1_009 + bound)
+    # randint(a, b) is a + _randbelow(b - a + 1): the same stream, unchecked
+    below = random.Random(seed * 1_000_003 + n * 1_009 + bound)._randbelow
     rows = [[0] * n for _ in range(n)]
     for r in range(n):
-        rows[r][r] = rng.randint(1, bound)
+        rows[r][r] = 1 + below(bound)
         for c in range(r + 1, n):
-            rows[r][c] = rng.randint(-bound, bound)
+            rows[r][c] = below(2 * bound + 1) - bound
     return tuple(tuple(row) for row in rows)
 
 
@@ -334,9 +341,11 @@ def degeneration(sigma: Involution, move: Move) -> Degeneration:
 
 def diagonal_weights(sigma: Involution, d: Matrix) -> dict[Arc, Fraction]:
     """The arc weights produced by acting with a diagonal matrix:
-    weight(arc) = d_i / d_j.  d must be n x n with a zero-free diagonal."""
+    weight(arc) = d_i / d_j.  d must be an invertible n x n diagonal matrix."""
     if square_size(d) != sigma.n:
         raise SizeMismatchError(f"{len(d)} x {len(d)} diagonal for n={sigma.n}")
+    if off := [(r, c) for r, row in enumerate(d, 1) for c, x in enumerate(row, 1) if x and r != c]:
+        raise NotDiagonalError(f"nonzero entry at {off[0]}, off the diagonal")
     diagonal = [exact_rational(d[k][k]) for k in range(sigma.n)]
     if not all(diagonal):
         raise NotInvertibleError(f"zero diagonal entry at {diagonal.index(0) + 1}")

@@ -224,6 +224,11 @@ def corner_ranks(matrix: Matrix) -> Matrix:
     matrix = integral_multiple(matrix)
     if not is_strictly_lower(matrix):
         raise NotStrictlyLowerError("corner ranks are defined on functionals")
+    return _strict_ranks(matrix, n)
+
+
+def _strict_ranks(matrix: Matrix, n: int) -> Matrix:
+    """:func:`corner_ranks` unchecked: n x n, strictly lower, of one type."""
     basis, rooks = [], []
     for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
         basis = [(col, row[:i]) for col, row in basis if col < i]

@@ -4,6 +4,7 @@ check."""
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,18 @@ def filter_involutions(n: int) -> list[Involution]:
         if perm.compose(perm).one_line == tuple(range(1, n + 1)):
             out.append(involution_from_one_line(word))
     return out
+
+
+def randint_borel(n: int, seed: int, bound: int = 3) -> tuple:
+    """Oracle for the int sampler: its entries drawn by ``randint``, the
+    diagonal in 1..bound and the entries above it in -bound..bound."""
+    rng = random.Random(seed * 1_000_003 + n * 1_009 + bound)
+    rows = [[0] * n for _ in range(n)]
+    for r in range(n):
+        rows[r][r] = rng.randint(1, bound)
+        for c in range(r + 1, n):
+            rows[r][c] = rng.randint(-bound, bound)
+    return tuple(tuple(row) for row in rows)
 
 
 def all_permutations(n: int) -> list[Permutation]:

@@ -6,6 +6,8 @@ from conftest import (
     ORBIT_EXAMPLES,
     field_rank_profile,
     orbit_functional,
+    prefix_corner_ranks,
+    randint_borel,
     strictly_lower,
     upper,
 )
@@ -35,11 +37,13 @@ from borbits import (
     to_permutation,
     x_elem,
 )
+from borbits.closure import _z_point, z_point
 from borbits.errors import (
     LimitUndefinedError,
     MissingArcError,
     NotAFieldError,
     MoveNotApplicableError,
+    NotDiagonalError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
     NotInvertibleError,
@@ -55,6 +59,8 @@ from borbits.matrices import (
 from borbits import orbits
 from borbits.moves import Move
 from borbits.orbits import _act_field, _act_numerator, _act_word, _random_borel_int
+from borbits.rankorder import _strict_ranks, corner_ranks
+from borbits.suites import _orbit_samples
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
 
 
@@ -189,7 +195,8 @@ def test_rank_profile_integer_route_matches_field_route(lam):
     assert rank_profile(integral_multiple(lam)) == profile
 
 
-@pytest.mark.parametrize(
+# inputs that corner_ranks rejects, with the error it raises
+_NOT_FUNCTIONALS = pytest.mark.parametrize(
     "lam, error",
     [
         (((0, 0), (1,)), SizeMismatchError),
@@ -200,9 +207,25 @@ def test_rank_profile_integer_route_matches_field_route(lam):
     ],
     ids=["ragged", "2x3", "float", "diagonal", "above"],
 )
+
+
+@_NOT_FUNCTIONALS
 def test_rank_profile_rejects_what_corner_ranks_rejects(lam, error):
     with pytest.raises(error):
+        corner_ranks(lam)
+    with pytest.raises(error):
         rank_profile(lam)
+
+
+@_NOT_FUNCTIONALS
+def test_z_point_rejects_what_corner_ranks_rejects(lam, error):
+    with pytest.raises(error):
+        z_point(lam)
+    with pytest.raises(error):
+        z_point(lam, 2)
+    # past a float, a size other than n is named first
+    with pytest.raises(NotAFieldError if error is NotAFieldError else SizeMismatchError):
+        z_point(lam, 3)
 
 
 def test_integer_sampler_is_the_stream_of_random_borel():
@@ -212,6 +235,29 @@ def test_integer_sampler_is_the_stream_of_random_borel():
         fractions = random_borel(n, seed, bound)
         assert fractions == ints
         assert all(type(x) is Fraction for row in fractions for x in row)
+
+
+def test_integer_sampler_draws_the_randint_stream():
+    for n in range(1, 8):
+        for seed in (0, 1, 7, 123, 10**6 + 3):
+            for bound in (1, 3, 5):
+                assert _random_borel_int(n, seed, bound) == randint_borel(n, seed, bound)
+
+
+def test_unchecked_kernels_match_the_checked_routes_on_orbit_samples():
+    # the suites rank _act_numerator's points with the kernels alone
+    for n in range(1, 7):
+        for index, sigma in enumerate(enumerate_involutions(n)):
+            base = rook_matrix_lower(sigma)
+            for sample_seed, point in _orbit_samples(n, 0, 10, index, sigma):
+                numerator, det = _act_numerator(_random_borel_int(n, sample_seed), base)
+                assert numerator == point
+                # the column gather against the dense field route
+                acted = _act_field(random_borel(n, sample_seed), base)
+                assert tuple(tuple(x * det for x in row) for row in acted) == point
+                ranks = _strict_ranks(point, n)
+                assert ranks == corner_ranks(point) == prefix_corner_ranks(point, strict=True)
+                assert _z_point(point) == z_point(point, n) == z_point(acted, n)
 
 
 def test_act_unchanged_2x2_example():
@@ -242,6 +288,12 @@ def test_orbit_point_examples():
         orbit_point(sigma, {Arc(3, 1): Fraction(1)})
     with pytest.raises(ZeroXiError):
         orbit_point(sigma, {Arc(3, 1): Fraction(0), Arc(5, 2): Fraction(1)})
+
+
+def test_orbit_point_rejects_a_weight_off_the_arcs():
+    sigma = parse_involution("(3,1)", 3)
+    with pytest.raises(MissingArcError, match=r"Arc\(i=2, j=1\)"):
+        orbit_point(sigma, {Arc(3, 1): 1, Arc(2, 1): 7})
 
 
 def test_unweighted_orbit_point_shares_its_zero_and_one():
@@ -279,6 +331,17 @@ def test_diagonal_weights_reject_a_wrong_size_or_a_zero_diagonal(d, error):
     # sigma = (3,1): weight d_3 / d_1
     with pytest.raises(error):
         diagonal_weights(parse_involution("(3,1)", 3), d)
+
+
+def test_diagonal_weights_reject_an_entry_off_the_diagonal():
+    # act(d, .) of this d is no weighted base point of (3,1)
+    sigma = parse_involution("(3,1)", 3)
+    d = ((2, 5, 0), (0, 1, 0), (0, 0, 3))
+    with pytest.raises(NotDiagonalError, match=r"\(1, 2\)"):
+        diagonal_weights(sigma, d)
+    lower = ((2, 0, 0), (0, 1, 0), (Fraction(1, 2), 0, 3))
+    with pytest.raises(NotDiagonalError):
+        diagonal_weights(sigma, lower)
 
 
 def test_action_law():

@@ -10,8 +10,8 @@ For chain supports the variety is known to agree with the orbit closure;
 the essential-set machinery below checks, set-theoretically over any
 prime field, that rank bounds at the essential cells of the complementary
 permutation already imply them everywhere.  It runs over the corner rank
-tables of the partial permutations, which over every field are those of
-all matrices; the enumeration of all q^(n^2) matrices is the oracle.
+tables of the partial permutations, over every field those of all
+matrices; the oracle ranks all q^(n^2) matrices by its own elimination.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .involutions import (
     longest_involution,
     to_permutation,
 )
-from .matrices import Matrix, echelon_insert, integral_multiple, is_strictly_lower, square_size
+from .matrices import Matrix, integral_multiple, is_strictly_lower, square_size
 from .moves import phi_lt
 from .rankorder import RankMatrix, _strict_ranks, star_rank_matrix
 
@@ -118,6 +118,8 @@ class ZSpec:
         n, ranks, support = point
         if n != self.sigma.n:
             raise SizeMismatchError(f"matrix size {n} vs n={self.sigma.n}")
+        if len(ranks) != n * n:
+            raise SizeMismatchError(f"{len(ranks)} corner ranks vs n={n}")
         bounds = chain.from_iterable(self.rank_bounds.rows)
         return all(map(le, ranks, bounds)) and support.isdisjoint(self.quadric_cells)
 
@@ -194,12 +196,19 @@ def _corner_rank_table_bits(rows: tuple[int, ...], n: int) -> bytes:
 
 def _corner_rank_table_gf(rows: list[list[int]], n: int, q: int) -> bytes:
     """Ranks of all upper-left i x j corners of an n x n matrix over
-    GF(q), entries residues mod q, one column prefix at a time."""
+    GF(q), entries residues mod q, one column prefix at a time: each row
+    reduced by the basis rows, its first nonzero entry then scaled to 1."""
     out = bytearray(n * n)
     for j in range(1, n + 1):
-        basis: list = []
+        basis: list = []  # each row: zeros up to its pivot, a 1
         for i in range(1, n + 1):
-            echelon_insert(basis, rows[i - 1][:j], q)
+            row = rows[i - 1][:j]
+            for pivot_row in basis:
+                x = row[pivot_row.index(1)]
+                row = [(y - x * p) % q for y, p in zip(row, pivot_row)]
+            if any(row):
+                inverse = pow(next(filter(None, row)), q - 2, q)
+                basis.append([y * inverse % q for y in row])
             out[(i - 1) * n + (j - 1)] = len(basis)
     return bytes(out)
 

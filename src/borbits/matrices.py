@@ -4,14 +4,14 @@ Matrices are tuples of row tuples over one field at a time: ``Fraction``
 or :class:`~borbits.ratfunc.RFun`.  Constructors promote plain ints so
 that arithmetic never falls back to floating point.
 
-Every rank, corner-rank table and determinant in the package is computed
-by :func:`echelon_insert`: over an exact field (``Fraction``, ``RFun``),
-fraction-free over the integers (Bareiss, *Math. Comp.* 22, 1968), which
-ranks use for every rational matrix, or over GF(q) for the tests' field
-tables.  A caller types its matrix once, by :func:`integral_multiple` or
-:func:`promote`, which reject a float.  The strict corner ranks of a
-functional are one bottom-up pass of it, each row cut to the columns
-left of its diagonal entry.
+Every rank, corner-rank table and determinant over Q or Q(eps) is
+computed by :func:`echelon_insert`: over an exact field (``Fraction``,
+``RFun``) or fraction-free over the integers (Bareiss, *Math. Comp.* 22,
+1968), which ranks use for every rational matrix.  The oracles' F_2 and
+GF(q) tables are not built by it.  A caller types its matrix once, by
+:func:`integral_multiple` or :func:`promote`, which reject a float.  The
+strict corner ranks of a functional are one bottom-up pass of it, each
+row cut to the columns left of its diagonal entry.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def upper_inverse(g: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
+def echelon_insert(basis: list, row: list) -> int | None:
     """Reduce ``row`` in place against an echelon basis and append it if
     independent.
 
@@ -145,15 +145,14 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
     row's pivot is its first nonzero entry, and every row is zero at the
     pivots of the rows before it, so one pass in that order reduces a new
     row to zero at all pivots, and ``len(basis)`` is the rank so far.
-    With q given the entries are residues mod the prime q.  Otherwise the
-    new row picks the mode: a row of plain ints becomes ``p row - x
+    The new row picks the mode: a row of plain ints becomes ``p row - x
     pivot_row`` divided by its content, any other row is reduced over its
     exact field (Fraction, RFun).  So the caller types the matrix as a
     whole, all ints or all in one field, as an int row meeting a Fraction
     basis row fails in ``gcd``; a float is not rejected here.  Returns
     the new pivot column, or None when the row depends on the basis.
     """
-    integral = q is None and all(type(x) is int for x in row)
+    integral = all(type(x) is int for x in row)
     for col, pivot_row in basis:
         x = row[col]
         if not x:
@@ -165,13 +164,8 @@ def echelon_insert(basis: list, row: list, q: int | None = None) -> int | None:
             if content > 1:
                 row[:] = [y // content for y in row]
             continue
-        tail = zip(row[col:], pivot_row[col:])
-        if q is None:
-            factor = x / pivot_row[col]
-            row[col:] = [y - factor * p for y, p in tail]
-        else:
-            factor = x * pow(pivot_row[col], q - 2, q)
-            row[col:] = [(y - factor * p) % q for y, p in tail]
+        factor = x / pivot_row[col]
+        row[col:] = [y - factor * p for y, p in zip(row[col:], pivot_row[col:])]
     for col, x in enumerate(row):
         if x:
             basis.append((col, row))

@@ -61,6 +61,11 @@ def _require_arc(sigma: Involution, arc: Arc) -> None:
         raise ArcNotInSupportError(f"{arc!r} not an arc of {sigma}")
 
 
+def _is_pair(x, types: type | tuple[type, ...] = tuple) -> bool:
+    """True iff x is two ints in a sequence of one of the given types."""
+    return isinstance(x, types) and len(x) == 2 and all(isinstance(p, int) for p in x)
+
+
 def _replace(sigma: Involution, drop: tuple[Arc, ...], add: tuple[Arc, ...]) -> Involution:
     kept = tuple(a for a in sigma.arcs if a not in drop) + add
     return Involution(sigma.n, tuple(sorted(kept, key=lambda a: a.j)))
@@ -133,7 +138,8 @@ def a_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
 
 def a_move(sigma: Involution, arc: Arc, partner: Arc) -> Involution:
     """Replace (i, j), (al, be) by (be, j), (al, i)."""
-    if partner not in a_candidates(sigma, arc):
+    candidates = a_candidates(sigma, arc)  # an unknown arc is named first
+    if not _is_pair(partner) or partner not in candidates:
         raise NotACandidateError(f"{partner!r} fails the crossing-swap conditions")
     (i, j), (al, be) = arc, partner
     return _replace(sigma, (arc, partner), (Arc(be, j), Arc(al, i)))
@@ -155,7 +161,8 @@ def b_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
 
 def b_move(sigma: Involution, arc: Arc, partner: Arc) -> Involution:
     """Replace (i, j), (al, be) by (i, be), (al, j)."""
-    if partner not in b_candidates(sigma, arc):
+    candidates = b_candidates(sigma, arc)  # an unknown arc is named first
+    if not _is_pair(partner) or partner not in candidates:
         raise NotBCandidateError(f"{partner!r} fails the nesting-swap conditions")
     (i, j), (al, be) = arc, partner
     return _replace(sigma, (arc, partner), (Arc(i, be), Arc(al, j)))
@@ -199,7 +206,7 @@ def c_candidates(sigma: Involution, arc: Arc) -> frozenset[tuple[int, int]]:
 def c_move(sigma: Involution, arc: Arc, pair: tuple[int, int]) -> Involution:
     """Replace (i, j) by (i, be), (al, j); raises the arc count by one."""
     _require_arc(sigma, arc)
-    if not _c_clauses_hold(sigma, arc, pair):
+    if not _is_pair(pair, (tuple, list)) or not _c_clauses_hold(sigma, arc, pair):
         raise NotCCandidateError(f"{pair!r} fails the splitting conditions")
     al, be = pair
     if not (sigma.is_fixed(al) and sigma.is_fixed(be)):

@@ -85,7 +85,8 @@ def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
 
 def act(g: Matrix, lam: Matrix) -> Matrix:
     """The induced action: strictly lower part of g lam g^{-1}, over Q or
-    Q(eps), by :func:`_act_field` on the checked and promoted inputs."""
+    Q(eps), by two dense products and a back-substitution inverse; over Q
+    it is the tests' oracle for :func:`_act_numerator`."""
     square_size(g, lam)
     g = promote(g)
     lam = promote(lam)
@@ -93,12 +94,6 @@ def act(g: Matrix, lam: Matrix) -> Matrix:
         raise NotUpperTriangularError("group element must be upper triangular")
     if not is_strictly_lower(lam):
         raise NotStrictlyLowerError("functional must be strictly lower triangular")
-    return _act_field(g, lam)
-
-
-def _act_field(g: Matrix, lam: Matrix) -> Matrix:
-    """act over any exact field: two dense products and a back-substitution
-    inverse.  Over Q it is the oracle for :func:`_act_numerator`."""
     return strictly_lower_part(mat_mul(mat_mul(g, lam), upper_inverse(g)))
 
 
@@ -211,7 +206,10 @@ def _random_borel_int(n: int, seed: int, bound: int = 3) -> Matrix:
 
 def random_borel(n: int, seed: int, bound: int = 3) -> Matrix:
     """Seeded random upper-triangular matrix: diagonal in 1..bound,
-    above-diagonal in -bound..bound.  Deterministic per (n, seed, bound)."""
+    above-diagonal in -bound..bound.  Deterministic per (n, seed, bound),
+    ints all three, with n >= 0 and bound >= 1."""
+    if not all(type(x) is int for x in (n, seed, bound)) or n < 0 or bound < 1:
+        raise IndexOutOfRangeError(f"bad n, seed or bound: {n!r}, {seed!r}, {bound!r}")
     return tuple(tuple(map(Fraction, row)) for row in _random_borel_int(n, seed, bound))
 
 

@@ -45,9 +45,13 @@ class RankMatrix:
 
     def __post_init__(self) -> None:
         n = self.n
+        if type(n) is not int:
+            raise IndexOutOfRangeError(f"table size {n!r} is not an int")
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise SizeMismatchError(f"expected {n}x{n} table")
         cells, bounds = list(chain.from_iterable(self.rows)), _rook_bounds(n)
+        if type(sum(cells)) is not int:  # a float or Fraction anywhere makes the sum one
+            raise IndexOutOfRangeError("corner ranks must be ints")
         if all(map(le, cells, bounds)) and min(cells, default=0) >= 0:
             return
         for k, (entry, bound) in enumerate(zip(cells, bounds)):

@@ -112,7 +112,7 @@ ORBIT_EXAMPLES = [
 ]
 
 
-def prefix_corner_ranks(matrix, strict: bool = False, q: int | None = None):
+def prefix_corner_ranks(matrix, strict: bool = False):
     """Oracle: the corner ranks by one elimination per column prefix, the
     rows i..n of the first j columns inserted bottom-up."""
     n = len(matrix)
@@ -120,9 +120,32 @@ def prefix_corner_ranks(matrix, strict: bool = False, q: int | None = None):
     for j in range(1, n + 1):
         basis: list = []
         for i in range(n, j if strict else 0, -1):
-            echelon_insert(basis, list(matrix[i - 1][:j]), q)
+            echelon_insert(basis, list(matrix[i - 1][:j]))
             rows[i - 1][j - 1] = len(basis)
     return tuple(tuple(r) for r in rows)
+
+
+def leibniz_det(m, q=None):
+    """Oracle: the permutation expansion of the determinant."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
+        term = -1 if inversions % 2 else 1
+        for r, c in enumerate(perm):
+            term *= m[r][c]
+        total += term
+    return total if q is None else total % q
+
+
+def largest_nonzero_minor(m, q=None):
+    """Oracle: rank as the size of the largest nonvanishing minor, mod q
+    when q is given; no elimination."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in itertools.combinations(range(len(m)), k):
+            for cols in itertools.combinations(range(len(m[0])), k):
+                if leibniz_det([[m[r][c] for c in cols] for r in rows], q):
+                    return k
+    return 0
 
 
 def field_rank_profile(lam) -> RankMatrix:

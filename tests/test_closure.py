@@ -164,6 +164,19 @@ def test_z_contains_error_order():
         spec.contains(z_point(((0, 0, 0), (1, 0, 0), (0, 1, 0))))
 
 
+def test_contains_rejects_a_point_without_n_squared_ranks():
+    # zipped with the bounds, a short rank tuple used to pass vacuously
+    sigma = parse_involution("(3,1)", 3)
+    spec = z_spec(sigma)
+    n, ranks, support = z_point(orbit_point(sigma))
+    assert spec.contains((n, ranks, support))
+    for bad in ((), ranks[:-1], ranks + (0,)):
+        with pytest.raises(SizeMismatchError):
+            spec.contains((n, bad, support))
+    with pytest.raises(SizeMismatchError):
+        spec.contains((3, (), frozenset()))
+
+
 @pytest.mark.parametrize(
     "a, n, error",
     [

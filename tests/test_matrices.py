@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -29,6 +28,8 @@ from borbits.involutions import parse_involution
 from borbits.orbits import act, random_borel, rank_profile
 from borbits.rankorder import exact_rank
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun, poly
+
+from conftest import largest_nonzero_minor, leibniz_det
 
 
 def test_upper_inverse_random():
@@ -207,28 +208,6 @@ def test_non_field_inputs_are_rejected():
         act(((1, 0), (0, 2.0)), ((0, 0), (1, 0)))
 
 
-def leibniz_det(m, q=None):
-    """Oracle: the permutation expansion of the determinant."""
-    total = 0
-    for perm in itertools.permutations(range(len(m))):
-        inversions = sum(a > b for k, a in enumerate(perm) for b in perm[k + 1 :])
-        term = -1 if inversions % 2 else 1
-        for r, c in enumerate(perm):
-            term *= m[r][c]
-        total += term
-    return total if q is None else total % q
-
-
-def largest_nonzero_minor(m, q=None):
-    """Oracle: rank as the size of the largest nonvanishing minor."""
-    for k in range(min(len(m), len(m[0])), 0, -1):
-        for rows in itertools.combinations(range(len(m)), k):
-            for cols in itertools.combinations(range(len(m[0])), k):
-                if leibniz_det([[m[r][c] for c in cols] for r in rows], q):
-                    return k
-    return 0
-
-
 int_matrices = st.integers(1, 4).flatmap(
     lambda ncols: st.lists(
         st.lists(st.integers(-4, 4), min_size=ncols, max_size=ncols),
@@ -239,7 +218,7 @@ int_matrices = st.integers(1, 4).flatmap(
 
 
 def gf_rank(matrix, q):
-    """Rank over GF(q) through the kernel's corner table: pad to a square
+    """Rank over GF(q) through the oracle's corner table: pad to a square
     and read the corner spanning the whole matrix."""
     k, m = len(matrix), len(matrix[0])
     s = max(k, m)
@@ -263,7 +242,7 @@ def test_kernel_matches_minor_and_leibniz_oracles(matrix, q):
     assert det == leibniz_det(block, q)
 
 
-def test_bit_row_tables_equal_generic_kernel_over_f2():
+def test_bit_row_tables_equal_gf2_tables():
     n = 3
     for code in range(2 ** (n * n)):
         rows = [[code >> (n * r + c) & 1 for c in range(n)] for r in range(n)]
@@ -272,7 +251,7 @@ def test_bit_row_tables_equal_generic_kernel_over_f2():
 
 
 def test_integer_rows_stay_integers():
-    # int rows with q None used to be divided with /, storing 0.0 and -0.5
+    # int rows used to be divided with /, storing 0.0 and -0.5
     basis: list = []
     echelon_insert(basis, [2, 1])
     echelon_insert(basis, [3, 1])

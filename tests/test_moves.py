@@ -144,6 +144,38 @@ def test_c_move_small_cases():
         c_move(sigma, Arc(4, 1), (3, 2))
 
 
+@pytest.mark.parametrize(
+    "construct, text, n, arc, partner, error",
+    [
+        (a_move, "(3,1)(4,2)", 4, Arc(3, 1), (4, 2), NotACandidateError),
+        (b_move, "(8,1)(3,2)(5,4)(7,6)", 8, Arc(5, 4), (8, 1), NotBCandidateError),
+        (c_move, "(8,2)", 8, Arc(8, 2), (3, 4), NotCCandidateError),
+    ],
+)
+def test_malformed_partners_raise_the_construction_error(
+    construct, text, n, arc, partner, error
+):
+    sigma = parse_involution(text, n)
+    expected = construct(sigma, arc, partner)
+    malformed = [
+        partner[:1],
+        partner + (7,),
+        (partner[0], [partner[1]]),
+        (float(partner[0]), partner[1]),
+        5,
+        None,
+    ]
+    # a c partner is a position pair, which may be a list; a and b
+    # partners are arcs
+    if construct is c_move:
+        assert c_move(sigma, arc, list(partner)) == expected
+    else:
+        malformed.append(list(partner))
+    for bad in malformed:
+        with pytest.raises(error):
+            construct(sigma, arc, bad)
+
+
 def test_c_move_rejects_colliding_endpoints():
     # the printed clauses hold for (3,4) yet 3 is already an endpoint
     sigma = parse_involution("(5,1)(3,2)", 5)

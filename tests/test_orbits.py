@@ -39,6 +39,7 @@ from borbits import (
 )
 from borbits.closure import _z_point, z_point
 from borbits.errors import (
+    IndexOutOfRangeError,
     LimitUndefinedError,
     MissingArcError,
     NotAFieldError,
@@ -58,7 +59,7 @@ from borbits.matrices import (
 )
 from borbits import orbits
 from borbits.moves import Move
-from borbits.orbits import _act_field, _act_numerator, _act_word, _random_borel_int
+from borbits.orbits import _act_numerator, _act_word, _random_borel_int
 from borbits.rankorder import _strict_ranks, corner_ranks
 from borbits.suites import _orbit_samples
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
@@ -110,7 +111,6 @@ def test_act_rejects_bad_rational_input(g, lam, error):
 
 def test_act_on_the_empty_matrix():
     assert act((), ()) == ()
-    assert _act_field((), ()) == ()
 
 
 # negative non-unit diagonal and denominators above 1 throughout
@@ -133,9 +133,9 @@ _HARD_LAM = (
 @example(pair=(_HARD_G, _HARD_LAM))
 def test_act_integer_route_matches_field_route(pair):
     g, lam = pair
-    # act is the field route behind its checks, which promote int entries
+    # conjugation does not see the scale of g, and act promotes int entries
     result = act(g, lam)
-    assert result == _act_field(g, lam)
+    assert result == act(integral_multiple(g), lam)
     assert all(type(x) is Fraction for row in result for x in row)
 
 
@@ -176,7 +176,7 @@ def test_act_numerator_over_d_det_is_the_field_route(pair):
     m, det = _act_numerator(integral_multiple(g), integral_multiple(lam))
     assert type(det) is int and all(type(x) is int for row in m for x in row)
     divided = tuple(tuple(Fraction(x, d * det) for x in row) for row in m)
-    assert divided == _act_field(g, lam)
+    assert divided == act(g, lam)
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,7 +253,7 @@ def test_unchecked_kernels_match_the_checked_routes_on_orbit_samples():
                 numerator, det = _act_numerator(_random_borel_int(n, sample_seed), base)
                 assert numerator == point
                 # the column gather against the dense field route
-                acted = _act_field(random_borel(n, sample_seed), base)
+                acted = act(random_borel(n, sample_seed), base)
                 assert tuple(tuple(x * det for x in row) for row in acted) == point
                 ranks = _strict_ranks(point, n)
                 assert ranks == corner_ranks(point) == prefix_corner_ranks(point, strict=True)
@@ -405,10 +405,19 @@ def test_random_borel_contract():
         assert g[r][r] == 1
         for c in range(r + 1, 5):
             assert g[r][c] in (Fraction(-1), Fraction(0), Fraction(1))
-    from borbits.errors import IndexOutOfRangeError
-
+    assert random_borel(0, 0) == ()
     with pytest.raises(IndexOutOfRangeError):
         random_borel(3, 0, bound=0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(3, 0, 2.5), (3, 0, True), (3, 0, 0), (3, 0, -2), (-1, 0), (3.0, 0), (True, 0),
+     ("3", 0), (3, 0.5), (3, True), (3, None)],
+)
+def test_random_borel_rejects_bad_arguments(args):
+    with pytest.raises(IndexOutOfRangeError):
+        random_borel(*args)
 
 
 def test_degeneration_remove_case():

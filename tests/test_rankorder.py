@@ -32,7 +32,7 @@ from borbits.matrices import promote
 from borbits.rankorder import _dominated, corner_ranks, dominance_masks
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
-from conftest import all_permutations, prefix_corner_ranks, rationals
+from conftest import all_permutations, largest_nonzero_minor, prefix_corner_ranks, rationals
 
 # the four displayed 5x5 matrices
 R_SIGMA = (
@@ -177,20 +177,24 @@ def corner_rank_cases(draw):
 @given(case=corner_rank_cases())
 @example(case=(((1, 2, 3), (2, 4, 6), (1, 1, 1)), None))
 def test_per_prefix_oracle_ranks_every_corner(case):
-    # the oracle of the strict kernel, on full matrices: over Q and Q(eps)
-    # against exact_rank of each corner, over GF(q) against the upper-left
-    # tables of the rows in reverse order
+    # over Q and Q(eps) the oracle of the strict kernel, on full matrices,
+    # against exact_rank of each corner; over GF(q) the upper-left tables of
+    # the field-sweep oracle against the largest nonvanishing minor mod q,
+    # a route with no elimination
     matrix, q = case
     n = len(matrix)
-    ranks = prefix_corner_ranks(matrix, q=q)
     if q is None:
+        ranks = prefix_corner_ranks(matrix)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 corner = [row[:j] for row in matrix[i - 1 :]]
                 assert ranks[i - 1][j - 1] == exact_rank(corner)
     else:
-        table = _corner_rank_table_gf([list(row) for row in matrix[::-1]], n, q)
-        assert ranks == tuple(tuple(table[k * n : (k + 1) * n]) for k in reversed(range(n)))
+        table = _corner_rank_table_gf([list(row) for row in matrix], n, q)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                corner = [row[:j] for row in matrix[:i]]
+                assert table[(i - 1) * n + (j - 1)] == largest_nonzero_minor(corner, q)
 
 
 @st.composite
@@ -405,6 +409,20 @@ def test_rank_matrix_step_lipschitz():
 def test_rank_matrix_rejects_impossible_entries():
     with pytest.raises(IndexOutOfRangeError):
         RankMatrix(2, ((2, 0), (0, 0)))
+
+
+def test_rank_matrix_rejects_non_int_sizes_and_entries():
+    for n, rows in (
+        (1, ((0.5,),)),
+        (1, ((0.0,),)),
+        (2, ((Fraction(1, 2), 0), (0, 0))),
+        (2, ((Fraction(1), 0), (0, 0))),
+        (1.0, ((0,),)),
+        (True, ((0,),)),
+    ):
+        with pytest.raises(IndexOutOfRangeError):
+            RankMatrix(n, rows)
+    assert RankMatrix(0, ()).rows == ()
 
 
 def test_rank_matrix_names_the_first_bad_cell_of_a_middle_row():

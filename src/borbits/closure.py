@@ -11,16 +11,18 @@ the essential-set machinery below checks, set-theoretically over any
 prime field, that rank bounds at the essential cells of the complementary
 permutation already imply them everywhere.  It runs over the corner rank
 tables of the partial permutations, over every field those of all
-matrices; the oracle ranks all q^(n^2) matrices by its own elimination.
+matrices, bit-sliced by cell: one int bitset of the tables within the
+bound per cell, and n^2 ANDs decide.  The tests' oracles scan the tables
+one by one, and rank all q^(n^2) matrices by their own elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product
 from math import isqrt
-from operator import le, mul
+from operator import and_, le, mul
 
 from .errors import (
     NotAFieldError,
@@ -38,11 +40,17 @@ from .involutions import (
 )
 from .matrices import Matrix, integral_multiple, is_strictly_lower, square_size
 from .moves import phi_lt
-from .rankorder import RankMatrix, _strict_ranks, star_rank_matrix
+from .rankorder import RankMatrix, _at_most_sets, _strict_ranks, star_rank_matrix
 
-# q ** (n*n) budget, q=2 n<=4 and q=3 n<=3: not the check's cost, which does
-# not grow with q, but the domain where the brute-force oracle still runs
-MAX_FIELD_ENUMERATION = 70_000
+# the essential-set check's cost is the number of partial permutation
+# tables, which does not grow with q: 130,922 at n = 7, 1,441,729 at n = 8
+ESSENTIAL_MAX_N = 7
+
+# the first thirteen primes as Miller-Rabin bases decide primality exactly
+# below the smallest strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017); the first twelve stop at 3.2e23
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def maximal_support(sigma: Involution) -> frozenset[Arc]:
@@ -248,15 +256,42 @@ def _partial_permutation_tables(n: int) -> tuple[bytes, ...]:
     return tuple(table for _, table in states)
 
 
-def _bounds_imply_all(tables, bounds: bytes, cells) -> bool:
-    """True iff every table within ``bounds`` at the 1-based ``cells`` is
-    within them at every cell."""
+@lru_cache(maxsize=None)
+def _cell_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each cell, row by row, the :func:`~borbits.rankorder._at_most_sets`
+    of the partial permutation tables: bit k of item v is set iff table k
+    of :func:`_partial_permutation_tables` has rank at most v there."""
+    tables = b"".join(_partial_permutation_tables(n))
+    return tuple(_at_most_sets(tables[k :: n * n]) for k in range(n * n))
+
+
+def _bounds_imply_all(bounds: bytes, cells) -> bool:
+    """True iff every partial permutation table within ``bounds`` at the
+    1-based ``cells`` is within them at every cell: the tables within
+    the essential bounds, less those within all bounds, are none."""
     n = isqrt(len(bounds))
-    flat = [(i - 1) * n + (j - 1) for i, j in cells]
-    for table in tables:
-        if any(table[k] > bounds[k] for k in flat):
+    within = [sets[b] for sets, b in zip(_cell_sets(n), bounds)]
+    everyone = (1 << len(_partial_permutation_tables(n))) - 1
+    pinned = reduce(and_, (within[(i - 1) * n + (j - 1)] for i, j in cells), everyone)
+    return not pinned & ~reduce(and_, within, everyone)
+
+
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin for ``2 <= q < _WITNESS_LIMIT``."""
+    for p in _WITNESSES:
+        if q % p == 0:
+            return q == p
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2^s, d odd
+    d = (q - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
             continue
-        if any(t > b for t, b in zip(table, bounds)):
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
             return False
     return True
 
@@ -273,24 +308,28 @@ def essential_reduction_check(sigma: Involution, q: int) -> bool:
     a multiple of a row to a later row or of a column to a later column,
     and by scaling; those moves reduce any matrix to a partial permutation
     matrix, a 0/1 matrix over every field.  So the tables over GF(q) are
-    those of the partial permutations, and the check runs over them.
+    those of the partial permutations, and the check runs over them, for
+    n up to ``ESSENTIAL_MAX_N`` and q below ``_WITNESS_LIMIT``.
     """
     if not is_chain(sigma):
         raise NotChainError(f"{sigma} is not a chain")
     if not isinstance(q, int):
         raise NotAFieldError(f"field size {q!r} is not an int")
     n = sigma.n
-    if q ** (n * n) > MAX_FIELD_ENUMERATION:
-        raise TooLargeError(f"q^(n^2) = {q ** (n * n)} exceeds budget")
+    if n > ESSENTIAL_MAX_N:
+        raise TooLargeError(f"n = {n} exceeds the essential-set bound {ESSENTIAL_MAX_N}")
+    if q >= _WITNESS_LIMIT:
+        raise TooLargeError(f"field size {q} is past the exact primality test")
     # Z/q is a field, the one the check speaks of, only for prime q
-    if q < 2 or any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+    if q < 2 or not _is_prime(q):
         raise NotAFieldError(f"field size {q} is not prime")
     w = complement_permutation(sigma)
     # row convention (rook of row k at column w(k)): the one whose corner
-    # ranks the diagram formula describes
+    # ranks the diagram formula describes; w's own table is among the
+    # partial permutations', so each bound is within its cell's sets
     bounds = bytes(
         sum(w.apply(k) <= j for k in range(1, i + 1))
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     )
-    return _bounds_imply_all(_partial_permutation_tables(n), bounds, essential_set(w))
+    return _bounds_imply_all(bounds, essential_set(w))

@@ -107,7 +107,9 @@ class UnknownSuiteError(BorbitsError):
 
 
 class TooLargeError(BorbitsError):
-    """Finite-field enumeration would exceed the configured budget."""
+    """An exhaustive check's size, or a field size, is past the range
+    where it answers exactly: the essential-set check's bound on n, or
+    the range of its deterministic primality test."""
 
 
 class NotChainError(BorbitsError):

@@ -72,6 +72,8 @@ def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
     On the diagonal (j == i) the entry becomes 1 + alpha, which must not
     vanish.
     """
+    if any(type(x) is not int for x in (n, j, i)):
+        raise IndexOutOfRangeError(f"size and indices must be ints, got {(n, j, i)!r}")
     if not (1 <= j <= n and 1 <= i <= n):
         raise IndexOutOfRangeError(f"({j},{i}) outside 1..{n}")
     alpha = exact_entry(alpha)
@@ -182,7 +184,7 @@ def orbit_dimension(sigma: Involution) -> int:
 def delta_minors(y: Matrix) -> tuple[Fraction, ...]:
     """Bottom-left corner determinants: the k-th minor spans rows
     n-k+1..n and columns 1..k, for k up to n // 2."""
-    n = len(y)
+    n = square_size(y)
     out = []
     for k in range(1, n // 2 + 1):
         block = tuple(tuple(y[r][c] for c in range(k)) for r in range(n - k, n))

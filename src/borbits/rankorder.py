@@ -151,13 +151,26 @@ def _dominated(low: RankMatrix, high: RankMatrix) -> bool:
     return True
 
 
+def _at_most_sets(column: bytes) -> tuple[int, ...]:
+    """The "at most v" bitsets of a column of small ints: item v is the
+    int whose bit k is set iff ``column[k] <= v``, for v from 0 to the
+    largest entry.  Each set is one C-level pass, linear in the column:
+    the reversed column is translated to the digits '1' and '0' and read
+    in base 2, which no int-string digit limit applies to."""
+    digits = column[::-1]
+    return tuple(
+        int(digits.translate(b"1" * (v + 1) + b"0" * (255 - v)), 2)
+        for v in range(max(column, default=-1) + 1)
+    )
+
+
 def dominance_masks(tables: Sequence[RankMatrix]) -> tuple[int, ...]:
     """All pairs of tables compared at once: bit a of entry b is set iff
     ``tables[a]`` is entrywise at most ``tables[b]``.
 
-    Bit-sliced by cell: for each cell, ``at_most[v]`` is the int bitset of
-    the tables whose entry there is at most v (one bucket pass, then a
-    prefix OR), and each table's mask is ANDed with the set for its own
+    Bit-sliced by cell: for each cell, :func:`_at_most_sets` of the
+    tables' entries there gives the int bitset of the tables whose entry
+    is at most v, and each table's mask is ANDed with the set for its own
     entry.  About N*n*n big-int ANDs instead of N*N pairwise scans; a
     cell on which every table agrees is skipped.  The pairwise
     :func:`_dominated` is the oracle for this kernel.
@@ -169,18 +182,12 @@ def dominance_masks(tables: Sequence[RankMatrix]) -> tuple[int, ...]:
         raise SizeMismatchError(f"tables of different sizes: {sorted(sizes)}")
     (n,) = sizes
     size = len(tables)
-    everyone = (1 << size) - 1
-    bits = [1 << k for k in range(size)]
-    masks = [everyone] * size
+    masks = [(1 << size) - 1] * size
     for i in range(n):
-        for column in zip(*(table.rows[i] for table in tables)):
-            at_most = [0] * (n + 1)
-            for bit, v in zip(bits, column):
-                at_most[v] |= bit
-            if at_most[column[0]] == everyone:
+        for column in map(bytes, zip(*(table.rows[i] for table in tables))):
+            if column.count(column[0]) == size:
                 continue
-            for v in range(1, n + 1):
-                at_most[v] |= at_most[v - 1]
+            at_most = _at_most_sets(column)
             masks = [mask & at_most[v] for mask, v in zip(masks, column)]
     return tuple(masks)
 

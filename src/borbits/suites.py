@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .closure import (
+    ESSENTIAL_MAX_N,
     _z_point,
     complement_permutation,
     essential_reduction_check,
@@ -312,7 +313,7 @@ _SUITES = {
     "rank-invariance": (_suite_rank_invariance, 6),
     "degeneration": (_suite_degeneration, 8),
     "closure": (_suite_closure, 6),
-    "essential-set": (_suite_essential_set, 4),
+    "essential-set": (_suite_essential_set, ESSENTIAL_MAX_N),
 }
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import strategies as st
@@ -180,6 +181,25 @@ def field_z_contains(spec, a) -> bool:
         return sum(terms, Fraction(0))
 
     return all(square(r, s) == 0 for r, s in spec.quadric_cells)
+
+
+def scan_bounds_imply_all(tables, bounds: bytes, cells) -> bool:
+    """Oracle: one scan per corner rank table; True iff every table
+    within ``bounds`` at the 1-based ``cells`` is within them at every
+    cell."""
+    n = isqrt(len(bounds))
+    flat = [(i - 1) * n + (j - 1) for i, j in cells]
+    for table in tables:
+        if any(table[k] > bounds[k] for k in flat):
+            continue
+        if any(t > b for t, b in zip(table, bounds)):
+            return False
+    return True
+
+
+def trial_division_is_prime(q: int) -> bool:
+    """Oracle: no divisor from 2 up to the square root."""
+    return q >= 2 and all(q % d for d in range(2, isqrt(q) + 1))
 
 
 def scan_l_sets(sigma, poset) -> LSets:

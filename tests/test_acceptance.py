@@ -243,7 +243,7 @@ def test_criterion_12_chain_and_essential_sets():
         }
         assert len(rothe_diagram(w)) == length(w)
         assert essential_set(w) == {(1, 7), (4, 4), (6, 2)}
-        for n in range(1, 5):
+        for n in range(1, 7):
             for s in enumerate_involutions(n):
                 if is_chain(s):
                     assert essential_reduction_check(s, 2)

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from operator import le
 
@@ -9,6 +10,8 @@ from conftest import (
     nonzero_rationals,
     orbit_functional,
     rotate90,
+    scan_bounds_imply_all,
+    trial_division_is_prime,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,9 +47,11 @@ from borbits import (
     z_spec,
 )
 from borbits.closure import (
+    ESSENTIAL_MAX_N,
     z_point,
     _all_corner_rank_tables,
     _bounds_imply_all,
+    _is_prime,
     _partial_permutation_tables,
 )
 from borbits.errors import (
@@ -432,8 +437,11 @@ def test_filter_agrees_on_both_table_sources_for_every_cell_subset():
             essential = sorted(essential_set(w))
             for size in range(len(essential) + 1):
                 for cells in itertools.combinations(essential, size):
-                    verdict = _bounds_imply_all(_partial_permutation_tables(n), bounds, cells)
-                    assert verdict == _bounds_imply_all(_all_corner_rank_tables(n, q), bounds, cells)
+                    verdict = scan_bounds_imply_all(_partial_permutation_tables(n), bounds, cells)
+                    assert verdict == scan_bounds_imply_all(
+                        _all_corner_rank_tables(n, q), bounds, cells
+                    )
+                    assert verdict == _bounds_imply_all(bounds, cells)
                     assert verdict or size < len(essential)
                     failed += not verdict
     # weakened cell sets must be able to fail, or the filter proves nothing
@@ -444,7 +452,7 @@ def test_essential_reduction_guards():
     with pytest.raises(NotChainError):
         essential_reduction_check(parse_involution("(3,1)(5,2)", 5), 2)
     with pytest.raises(TooLargeError):
-        essential_reduction_check(longest_involution(5), 2)
+        essential_reduction_check(longest_involution(ESSENTIAL_MAX_N + 1), 2)
 
 
 @pytest.mark.parametrize(
@@ -454,16 +462,39 @@ def test_essential_reduction_guards():
 )
 def test_essential_reduction_rejects_non_prime_modulus(q):
     # Z/q is no field, so elimination over it would answer nothing; a
-    # non-int q is refused before the budget, which would raise TypeError
+    # non-int q is refused before any arithmetic on it
     with pytest.raises(NotAFieldError):
         essential_reduction_check(parse_involution("(2,1)", 2), q)
 
 
-def test_essential_reduction_budget_precedes_primality_test():
-    # a large prime is refused by the enumeration budget before any
-    # trial division up to its square root
-    with pytest.raises(TooLargeError):
-        essential_reduction_check(parse_involution("(2,1)", 2), 2**61 - 1)
+def test_essential_reduction_primality_test_is_fast_and_strong():
+    # no budget bounds q: a Mersenne prime near 2^61 takes 1.5e9 trial
+    # divisions, and 3215031751 fools Miller-Rabin to the bases 2, 3, 5, 7
+    start = time.perf_counter()
+    assert essential_reduction_check(parse_involution("(2,1)", 2), 2**61 - 1)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(NotAFieldError):
+        essential_reduction_check(parse_involution("(2,1)", 2), 3215031751)
+
+
+@pytest.mark.parametrize(
+    "q, error",
+    [
+        # the smallest strong pseudoprime to the bases 2..37, caught by 41
+        (318_665_857_834_031_151_167_461, NotAFieldError),
+        # the same to the bases 2..41: past the exact range
+        (3_317_044_064_679_887_385_961_981, TooLargeError),
+        (2**89 - 1, TooLargeError),
+    ],
+    ids=["psp-37", "psp-41", "mersenne-89"],
+)
+def test_essential_reduction_primality_test_range(q, error):
+    with pytest.raises(error):
+        essential_reduction_check(parse_involution("(2,1)", 2), q)
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    assert [q for q in range(2, 10**4) if _is_prime(q) != trial_division_is_prime(q)] == []
 
 
 def test_length_complement_identity():

@@ -79,6 +79,18 @@ def test_x_elem_rejects_non_field_parameters(alpha):
         x_elem(2, 1, 2, alpha)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(2.0, 1, 1, 1), (2, 1.0, 2, 1), (2, 1, 2.0, 1), (True, 1, 1, 1)],
+    ids=["float-size", "float-row", "float-column", "bool-size"],
+)
+def test_x_elem_rejects_non_int_size_and_indices(args):
+    # a float would fail inside range or list indexing; a bool would
+    # pass as the size 1
+    with pytest.raises(IndexOutOfRangeError):
+        x_elem(*args)
+
+
 def test_act_identity_and_validation():
     lam = orbit_point(parse_involution("(3,1)", 3))
     assert act(identity_matrix(3), lam) == lam
@@ -387,6 +399,12 @@ def test_delta_minors_examples():
     assert delta_minors(orbit_point(w0)) == (Fraction(1), Fraction(-1))
     zero = tuple((Fraction(0),) * 4 for _ in range(4))
     assert delta_minors(zero) == (Fraction(0), Fraction(0))
+
+
+def test_delta_minors_rejects_a_ragged_matrix():
+    # the first minor alone would read (3,) and return (3,)
+    with pytest.raises(SizeMismatchError):
+        delta_minors(((1, 2), (3,)))
 
 
 def test_regular_orbit_minors_stay_nonzero():

@@ -29,7 +29,7 @@ from borbits.errors import (
     SizeMismatchError,
 )
 from borbits.matrices import promote
-from borbits.rankorder import _dominated, corner_ranks, dominance_masks
+from borbits.rankorder import _at_most_sets, _dominated, corner_ranks, dominance_masks
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
 from conftest import all_permutations, largest_nonzero_minor, prefix_corner_ranks, rationals
@@ -474,6 +474,25 @@ def test_dominance_masks_match_pairwise_oracle(tables):
         for a, low in enumerate(tables):
             assert bool(masks[b] >> a & 1) == _dominated(low, high)
         assert masks[b] >> len(tables) == 0
+
+
+def bucket_at_most_sets(column) -> list[int]:
+    """Oracle: one bucket bit per entry, then a prefix OR over v."""
+    at_most = [0] * (max(column, default=-1) + 1)
+    for k, v in enumerate(column):
+        at_most[v] |= 1 << k
+    for v in range(1, len(at_most)):
+        at_most[v] |= at_most[v - 1]
+    return at_most
+
+
+@settings(max_examples=300, deadline=None)
+@given(column=st.lists(st.integers(0, 12) | st.integers(0, 255), max_size=300))
+@example(column=[])
+@example(column=[255, 0, 7])
+def test_at_most_sets_match_the_bucket_pass(column):
+    # lengths off a multiple of 8 and entries up to 255 included
+    assert list(_at_most_sets(bytes(column))) == bucket_at_most_sets(column)
 
 
 def test_dominance_masks_empty_and_mixed_sizes():

@@ -154,6 +154,8 @@ def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
         run_suite("graded", 10)
     with pytest.raises(BoundExceededError):
+        run_suite("essential-set", 8)
+    with pytest.raises(BoundExceededError):
         emit_hasse(10)
 
 
@@ -172,6 +174,12 @@ def test_graded_suite_at_its_bound():
     # every cover edge of the n = 9 star poset raises the rank by one
     report = run_suite("graded", 9)
     assert report.passed and report.checked == 15892
+
+
+def test_essential_set_suite_at_its_bound():
+    # 232 involutions of S_7, 64 of them chains, over 130,922 tables
+    report = run_suite("essential-set", 7)
+    assert report.passed and report.checked == 296
 
 
 def test_emit_hasse_checks_the_format_before_building_the_poset(monkeypatch):

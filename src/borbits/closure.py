@@ -12,8 +12,11 @@ prime field, that rank bounds at the essential cells of the complementary
 permutation already imply them everywhere.  It runs over the corner rank
 tables of the partial permutations, over every field those of all
 matrices, bit-sliced by cell: one int bitset of the tables within the
-bound per cell, and n^2 ANDs decide.  The tests' oracles scan the tables
-one by one, and rank all q^(n^2) matrices by their own elimination.
+bound per cell, and n^2 ANDs decide.  The bitsets are built once per n
+from a fresh generation of the tables, which is then dropped; the table
+count, the width of the all-tables mask, is stored beside them.  The
+tests' oracles scan the cached tables one by one, and rank all q^(n^2)
+matrices by their own elimination.
 """
 
 from __future__ import annotations
@@ -31,13 +34,7 @@ from .errors import (
     SizeMismatchError,
     TooLargeError,
 )
-from .involutions import (
-    Arc,
-    Involution,
-    Permutation,
-    longest_involution,
-    to_permutation,
-)
+from .involutions import Arc, Involution, Permutation
 from .matrices import Matrix, integral_multiple, is_strictly_lower, square_size
 from .moves import phi_lt
 from .rankorder import RankMatrix, _at_most_sets, _strict_ranks, star_rank_matrix
@@ -175,9 +172,8 @@ def essential_set(w: Permutation) -> frozenset[tuple[int, int]]:
 
 def complement_permutation(sigma: Involution) -> Permutation:
     """w0 . sigma, the permutation whose matrix is the quarter turn of
-    the full placement of sigma."""
-    w0 = to_permutation(longest_involution(sigma.n))
-    return w0.compose(to_permutation(sigma))
+    the full placement of sigma: k goes to n + 1 - sigma(k)."""
+    return Permutation(tuple(sigma.n + 1 - x for x in sigma.one_line()))
 
 
 def _corner_rank_table_bits(rows: tuple[int, ...], n: int) -> bytes:
@@ -241,7 +237,8 @@ def _all_corner_rank_tables(n: int, q: int) -> tuple[bytes, ...]:
 def _partial_permutation_tables(n: int) -> tuple[bytes, ...]:
     """Corner rank tables of every n x n partial permutation matrix, built
     row by row: row i holds no rook, or one in a column not used yet, and
-    adds one to the ranks of the corners reaching that column."""
+    adds one to the ranks of the corners reaching that column.  Cached
+    for the oracles; :func:`_cell_sets` calls it past the cache."""
     states = [(0, b"")]  # (mask of used columns, table of the rows so far)
     for _ in range(n):
         grown = []
@@ -257,12 +254,15 @@ def _partial_permutation_tables(n: int) -> tuple[bytes, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cell_sets(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each cell, row by row, the :func:`~borbits.rankorder._at_most_sets`
-    of the partial permutation tables: bit k of item v is set iff table k
-    of :func:`_partial_permutation_tables` has rank at most v there."""
-    tables = b"".join(_partial_permutation_tables(n))
-    return tuple(_at_most_sets(tables[k :: n * n]) for k in range(n * n))
+def _cell_sets(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The number of partial permutation tables, and for each cell, row by
+    row, their :func:`~borbits.rankorder._at_most_sets`: bit k of item v is
+    set iff table k of :func:`_partial_permutation_tables` has rank at most
+    v there.  The tables are built afresh, past the cache, and dropped
+    once the sets are: the check reads only the sets and the count."""
+    tables = _partial_permutation_tables.__wrapped__(n)
+    flat = b"".join(tables)
+    return len(tables), tuple(_at_most_sets(flat[k :: n * n]) for k in range(n * n))
 
 
 def _bounds_imply_all(bounds: bytes, cells) -> bool:
@@ -270,8 +270,9 @@ def _bounds_imply_all(bounds: bytes, cells) -> bool:
     1-based ``cells`` is within them at every cell: the tables within
     the essential bounds, less those within all bounds, are none."""
     n = isqrt(len(bounds))
-    within = [sets[b] for sets, b in zip(_cell_sets(n), bounds)]
-    everyone = (1 << len(_partial_permutation_tables(n))) - 1
+    count, cell_sets = _cell_sets(n)
+    within = [sets[b] for sets, b in zip(cell_sets, bounds)]
+    everyone = (1 << count) - 1
     pinned = reduce(and_, (within[(i - 1) * n + (j - 1)] for i, j in cells), everyone)
     return not pinned & ~reduce(and_, within, everyone)
 

@@ -1,7 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import borbits
+from borbits import cli
 from borbits import (
     bruhat_rank_matrix,
     enumerate_involutions,
@@ -218,3 +225,84 @@ def test_cli_output_fully_deterministic(capsys):
     first = run_cli(capsys, *args)
     second = run_cli(capsys, *args)
     assert first == second
+
+
+def full_parser(argv):
+    """Oracle: the root parser with every command's subparser and no
+    metavar, whatever ``argv`` is."""
+    parser = argparse.ArgumentParser(
+        prog="borbits",
+        description="Exact combinatorics of orbit degenerations on involutions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in cli._COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+# a missing required option of each command
+MISSING_OPTION = [
+    ["enum"],
+    ["rank", "--n", "3"],
+    ["compare", "--n", "3", "--sigma", "(2,1)"],
+    ["near", "--sigma", "(2,1)"],
+    ["hasse"],
+    ["verify", "counts"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in cli._COMMANDS]
+    + MISSING_OPTION
+    + [
+        ["verify", "bogus", "--n", "3"],
+        ["hasse", "--n", "3", "--order", "x"],
+        ["rank", "--n", "5", "--sigma", "(4,1)(5,2)", "--star", "--order", "star"],
+        # an unrecognized argument: the root parser's usage line
+        ["verify", "counts", "--n", "3", "extra"],
+        ["-h"],
+        [],
+        ["frobnicate"],
+        ["--n", "3", "verify", "counts"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_one_subparser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    ours = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_build_parser", full_parser)
+    assert ours == run_cli(capsys, *argv)
+
+
+def run_module(*argv):
+    """``python -m borbits.cli`` in a fresh interpreter: main reads sys.argv."""
+    src = str(Path(borbits.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "borbits.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
+def test_module_run_reads_sys_argv(capsys):
+    argv = ("verify", "counts", "--n", "3", "--format", "json")
+    result = run_module(*argv)
+    assert result.returncode == 0
+    assert result.stdout == run_cli(capsys, *argv)[1]
+
+
+def test_module_run_help_lists_every_command():
+    result = run_module("--help")
+    assert result.returncode == 0
+    assert "{enum,rank,compare,near,hasse,verify}" in result.stdout
+    listed = {line.split()[0] for line in result.stdout.splitlines() if line.startswith("    ")}
+    assert listed >= {"enum", "rank", "compare", "near", "hasse", "verify"}
+
+
+def test_module_run_unknown_command_is_usage_error():
+    result = run_module("frobnicate")
+    assert result.returncode == 2
+    assert "invalid choice" in result.stderr

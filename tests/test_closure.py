@@ -51,6 +51,7 @@ from borbits.closure import (
     z_point,
     _all_corner_rank_tables,
     _bounds_imply_all,
+    _cell_sets,
     _is_prime,
     _partial_permutation_tables,
 )
@@ -322,6 +323,14 @@ def test_is_chain_examples():
     assert is_chain(identity_involution(3))
 
 
+def test_complement_permutation_is_w0_after_sigma():
+    # the composition route: w0 as a permutation, after sigma
+    for n in range(1, 8):
+        w0 = to_permutation(longest_involution(n))
+        for sigma in enumerate_involutions(n):
+            assert complement_permutation(sigma) == w0.compose(to_permutation(sigma))
+
+
 def test_rothe_diagram_worked_example():
     sigma = parse_involution("(8,2)(6,3)", 8)
     w = complement_permutation(sigma)
@@ -446,6 +455,15 @@ def test_filter_agrees_on_both_table_sources_for_every_cell_subset():
                     failed += not verdict
     # weakened cell sets must be able to fail, or the filter proves nothing
     assert failed
+
+
+def test_essential_reduction_check_leaves_no_tables_cached():
+    # the check keeps the cell sets and the table count, not the tables
+    _partial_permutation_tables.cache_clear()
+    _cell_sets.cache_clear()
+    assert essential_reduction_check(longest_involution(5), 2)
+    assert _partial_permutation_tables.cache_info().currsize == 0
+    assert _cell_sets(5)[0] == len(_partial_permutation_tables(5)) == 1546
 
 
 def test_essential_reduction_guards():

@@ -22,21 +22,16 @@ from .involutions import (
     length,
     longest_involution,
     parse_involution,
-    permutation_matrix,
     reduced_word,
     rook_matrix_lower,
-    rook_matrix_upper,
     to_permutation,
 )
 from .rankorder import (
     RankMatrix,
     bruhat_rank_matrix,
     exact_rank,
-    leq_bruhat,
-    leq_melnikov,
     leq_star,
     melnikov_rank_matrix,
-    southwest_count,
     star_rank_matrix,
 )
 from .moves import (

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, product
+from itertools import product
 from math import isqrt
 from operator import and_, le, mul
 
@@ -76,16 +76,17 @@ def gamma(a: Matrix, r: int, s: int):
     return sum(a[r - 1][k - 1] * a[k - 1][s - 1] for k in range(s + 1, r))
 
 
-# (n, strict corner ranks row by row, cells where A^2 != 0)
-ZPoint = tuple[int, tuple[int, ...], frozenset[tuple[int, int]]]
+# (n, strict corner ranks as row-major bytes, cells where A^2 != 0)
+ZPoint = tuple[int, bytes, frozenset[tuple[int, int]]]
 
 
 def z_point(a: Matrix, n: int | None = None) -> ZPoint:
     """What membership reads of a strictly lower-triangular matrix, for
-    any number of varieties.  It reads the integral multiple, which the
-    ranks and the quadrics, homogeneous of degree 2, cannot tell apart
-    from the matrix.  Past a float, a size other than ``n`` is named
-    first, then what :func:`~borbits.rankorder.corner_ranks` checks."""
+    any number of varieties: n, the corner ranks as row-major ``bytes``
+    and the cells where A^2 is nonzero.  It reads the integral multiple,
+    which the ranks and the quadrics, homogeneous of degree 2, cannot
+    tell apart from the matrix.  Past a float, a size other than ``n`` is
+    named first, then what :func:`~borbits.rankorder.corner_ranks` checks."""
     a = integral_multiple(a)
     if n is not None and len(a) != n:
         raise SizeMismatchError(f"matrix size {len(a)} vs n={n}")
@@ -97,7 +98,7 @@ def z_point(a: Matrix, n: int | None = None) -> ZPoint:
 
 def _z_point(a: Matrix) -> ZPoint:
     """:func:`z_point` unchecked: a strictly lower square matrix of one type."""
-    ranks = tuple(chain.from_iterable(_strict_ranks(a, len(a))))
+    ranks = _strict_ranks(a, len(a))
     # (A^2)_{r,s} is row r times column s; for strictly lower A only the
     # terms of gamma, s < k < r, can be nonzero
     columns = tuple(zip(*a))
@@ -125,7 +126,7 @@ class ZSpec:
             raise SizeMismatchError(f"matrix size {n} vs n={self.sigma.n}")
         if len(ranks) != n * n:
             raise SizeMismatchError(f"{len(ranks)} corner ranks vs n={n}")
-        bounds = chain.from_iterable(self.rank_bounds.rows)
+        bounds = self.rank_bounds.cells
         return all(map(le, ranks, bounds)) and support.isdisjoint(self.quadric_cells)
 
 

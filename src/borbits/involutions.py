@@ -283,24 +283,6 @@ def bruhat_leq_subword(v: Permutation, w: Permutation) -> bool:
     return v.one_line in _subword_closure(w.one_line)
 
 
-def permutation_matrix(w: Permutation) -> tuple[tuple[int, ...], ...]:
-    """0/1 matrix with the rook of column k in row w(k); symmetric for
-    involutions."""
-    n = w.n
-    rows = [[0] * n for _ in range(n)]
-    for k in range(1, n + 1):
-        rows[w.apply(k) - 1][k - 1] = 1
-    return tuple(tuple(row) for row in rows)
-
-
-def rook_matrix_upper(sigma: Involution) -> tuple[tuple[int, ...], ...]:
-    """Strictly upper-triangular rook placement: a 1 at (j, i) per arc (i, j)."""
-    rows = [[0] * sigma.n for _ in range(sigma.n)]
-    for i, j in sigma.arcs:
-        rows[j - 1][i - 1] = 1
-    return tuple(tuple(row) for row in rows)
-
-
 def rook_matrix_lower(sigma: Involution) -> tuple[tuple[int, ...], ...]:
     """Strictly lower-triangular rook placement: a 1 at (i, j) per arc (i, j)."""
     rows = [[0] * sigma.n for _ in range(sigma.n)]

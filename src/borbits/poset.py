@@ -76,7 +76,7 @@ def _lower_covers(tables, less) -> tuple[tuple[int, ...], ...]:
     dominance, with strict down-sets ``less``.  a < b makes a's entry sum
     smaller, so one sum is an antichain: walking b's down-set down by
     sum, what is left at a sum is a cover; its down-set is removed."""
-    sums = [sum(map(sum, table.rows)) for table in tables]
+    sums = [sum(table.cells) for table in tables]
     layers = [0] * (max(sums, default=0) + 1)
     for k, s in enumerate(sums):
         layers[s] |= 1 << k

@@ -9,6 +9,11 @@ in the test suite rather than assumed equal:
   elimination (the kernel in :mod:`borbits.matrices`) whose pivots are
   a rook placement with the same strict corner ranks; one pass per
   column prefix is the tests' oracle.
+
+A table is one row-major ``bytes`` of n*n cells, built as an int of
+byte lanes: a rook at (a, b) adds 1 in rows 1..a times columns b..n,
+the cells whose South-West corner holds it.  A cell counts at most n
+rooks, so no lane carries while n <= 255, the bound of every table.
 """
 
 from __future__ import annotations
@@ -20,48 +25,100 @@ from operator import le
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    BoundExceededError,
     IndexOutOfRangeError,
     NotStrictlyLowerError,
     SizeMismatchError,
     UnknownSuiteError,
 )
-from .involutions import Arc, Involution, Permutation, to_permutation
+from .involutions import Involution, Permutation, to_permutation
 from .matrices import Matrix, echelon_insert, integral_multiple, is_strictly_lower, square_size
+
+# one byte per cell, and a cell counts at most n rooks
+TABLE_MAX_N = 255
+
+
+def _table_size(n: int) -> int:
+    if type(n) is not int:
+        raise IndexOutOfRangeError(f"table size {n!r} is not an int")
+    if n > TABLE_MAX_N:
+        raise BoundExceededError(f"n={n} exceeds table bound {TABLE_MAX_N}: one byte per cell")
+    return n
 
 
 @lru_cache(maxsize=None)
-def _rook_bounds(n: int) -> tuple[int, ...]:
+def _rook_bounds(n: int) -> bytes:
     """The largest corner rank at each cell, row by row, flattened: the
     corner at (i, j) spans n-i+1 rows and j columns, one rook each."""
-    return tuple(min(n - i + 1, j) for i in range(1, n + 1) for j in range(1, n + 1))
+    return bytes(min(n - i + 1, j) for i in range(1, n + 1) for j in range(1, n + 1))
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=None)
+def _lanes(n: int) -> tuple[int, tuple[int, ...], int, int]:
+    """The byte lanes of an n x n table as ints, row 1 highest: a 1 in the
+    last column of every row; per column c, 0-based, one row of 1s in
+    columns c..n-1; 255 in every cell; and 255 below the diagonal."""
+    units = sum(1 << 8 * n * i for i in range(n))
+    columns = tuple((256 ** (n - c) - 1) // 255 for c in range(n))
+    below = int.from_bytes(b"".join(b"\xff" * i + bytes(n - i) for i in range(n)), "big")
+    return units, columns, (1 << 8 * n * n) - 1, below
+
+
+def _southwest_cells(rooks: Iterable[tuple[int, int]], n: int, strict: bool = False) -> bytes:
+    """Row-major South-West counts of rooks (row, column), 1-based, at
+    most one per row; with ``strict``, 0 on and above the diagonal.  Each
+    rook's row of 1s goes into its row, and one product with ``units``
+    adds it to every row above; what rises past row 1 is masked off."""
+    units, columns, full, below = _lanes(_table_size(n))
+    width = 8 * n
+    placed = sum(columns[b - 1] << width * (n - a) for a, b in rooks)
+    return (placed * units & (below if strict else full)).to_bytes(n * n, "big")
+
+
+@dataclass(frozen=True, init=False)
 class RankMatrix:
-    """An n x n table of corner ranks of a rook placement."""
+    """An n x n table of corner ranks of a rook placement, one byte per
+    cell, row by row: the rank at (i, j) is ``cells[(i-1)*n + j-1]``.
+    Built from rows of ints, or by :meth:`of_cells` from the cells, and
+    on either path checked against the rook bound of every cell."""
 
     n: int
-    rows: tuple[tuple[int, ...], ...]
+    cells: bytes
 
-    def __post_init__(self) -> None:
-        n = self.n
-        if type(n) is not int:
-            raise IndexOutOfRangeError(f"table size {n!r} is not an int")
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
+    def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
+        if _table_size(n) != len(rows) or any(len(r) != n for r in rows):
             raise SizeMismatchError(f"expected {n}x{n} table")
-        cells, bounds = list(chain.from_iterable(self.rows)), _rook_bounds(n)
-        if type(sum(cells)) is not int:  # a float or Fraction anywhere makes the sum one
+        cells = list(chain.from_iterable(rows))
+        if not set(map(type, cells)) <= {int}:  # a bool, float or Fraction
             raise IndexOutOfRangeError("corner ranks must be ints")
-        if all(map(le, cells, bounds)) and min(cells, default=0) >= 0:
-            return
-        for k, (entry, bound) in enumerate(zip(cells, bounds)):
-            if not 0 <= entry <= bound:
-                raise IndexOutOfRangeError(
-                    f"entry {entry} at ({k // n + 1},{k % n + 1}) exceeds rook bound"
-                )
+        self._fill(n, cells)
+
+    @classmethod
+    def of_cells(cls, n: int, cells: bytes) -> RankMatrix:
+        table = cls.__new__(cls)
+        table._fill(_table_size(n), cells)
+        return table
+
+    def _fill(self, n: int, cells: Sequence[int]) -> None:
+        # ints are checked before they become bytes, so a negative one is named
+        if len(cells) != n * n:
+            raise SizeMismatchError(f"expected {n}x{n} table")
+        bounds = _rook_bounds(n)
+        if not all(map(le, cells, bounds)) or min(cells, default=0) < 0:
+            for k, (entry, bound) in enumerate(zip(cells, bounds)):
+                if not 0 <= entry <= bound:
+                    raise IndexOutOfRangeError(
+                        f"entry {entry} at ({k // n + 1},{k % n + 1}) exceeds rook bound"
+                    )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cells", bytes(cells))
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(self.cells[i * self.n : (i + 1) * self.n]) for i in range(self.n))
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i - 1][j - 1]
+        return self.cells[(i - 1) * self.n : i * self.n][j - 1]
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(row) for row in self.rows]}
@@ -79,49 +136,25 @@ def exact_rank(matrix: Sequence[Sequence]) -> int:
     return len(basis)
 
 
-def southwest_count(arcs: Iterable[Arc], i: int, j: int) -> int:
-    """Number of rooks weakly South-West of box (i, j): a >= i and b <= j."""
-    return sum(1 for a, b in arcs if a >= i and b <= j)
-
-
-def _southwest_table(rooks: Iterable[tuple[int, int]], n: int) -> tuple[tuple[int, ...], ...]:
-    """South-West counts of rooks (row, column), at most one per row, built
-    from the bottom row up: row i is row i+1 plus one from its rook on."""
-    column = dict(rooks)
-    row, rows = [0] * n, []
-    for i in range(n, 0, -1):
-        if i in column:
-            c = column[i] - 1
-            row[c:] = [x + 1 for x in row[c:]]
-        rows.append(tuple(row))
-    return tuple(reversed(rows))
-
-
-def _below_diagonal(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The table with its entries on and above the diagonal set to 0."""
-    zeros = (0,) * len(rows)
-    return tuple(row[:i] + zeros[i:] for i, row in enumerate(rows))
-
-
 @lru_cache(maxsize=None)
 def melnikov_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly upper-triangular placement of sigma,
     with a rook at (j, i) for each arc (i, j)."""
-    return RankMatrix(sigma.n, _southwest_table(((j, i) for i, j in sigma.arcs), sigma.n))
+    return RankMatrix.of_cells(sigma.n, _southwest_cells(((j, i) for i, j in sigma.arcs), sigma.n))
 
 
 @lru_cache(maxsize=None)
 def star_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly lower-triangular placement of sigma;
     entries on and above the diagonal are defined to be 0."""
-    return RankMatrix(sigma.n, _below_diagonal(_southwest_table(sigma.arcs, sigma.n)))
+    return RankMatrix.of_cells(sigma.n, _southwest_cells(sigma.arcs, sigma.n, strict=True))
 
 
 @lru_cache(maxsize=None)
 def bruhat_rank_matrix(w: Permutation) -> RankMatrix:
     """Corner ranks of the full permutation matrix (rook of column k in
     row w(k)), over the whole n x n grid."""
-    return RankMatrix(w.n, _southwest_table(zip(w.one_line, range(1, w.n + 1)), w.n))
+    return RankMatrix.of_cells(w.n, _southwest_cells(zip(w.one_line, range(1, w.n + 1)), w.n))
 
 
 # order name -> the rank table of an involution whose entrywise
@@ -144,11 +177,7 @@ def order_table(order: str):
 
 
 def _dominated(low: RankMatrix, high: RankMatrix) -> bool:
-    for row_low, row_high in zip(low.rows, high.rows):
-        for x, y in zip(row_low, row_high):
-            if x > y:
-                return False
-    return True
+    return all(map(le, low.cells, high.cells))
 
 
 def _at_most_sets(column: bytes) -> tuple[int, ...]:
@@ -169,9 +198,9 @@ def dominance_masks(tables: Sequence[RankMatrix]) -> tuple[int, ...]:
     ``tables[a]`` is entrywise at most ``tables[b]``.
 
     Bit-sliced by cell: for each cell, :func:`_at_most_sets` of the
-    tables' entries there gives the int bitset of the tables whose entry
-    is at most v, and each table's mask is ANDed with the set for its own
-    entry.  About N*n*n big-int ANDs instead of N*N pairwise scans; a
+    tables' entries there, a strided slice of their joined cells, gives
+    the int bitset of the tables whose entry is at most v, and each
+    table's mask is ANDed with the set for its own entry.  About N*n*n big-int ANDs instead of N*N pairwise scans; a
     cell on which every table agrees is skipped.  The pairwise
     :func:`_dominated` is the oracle for this kernel.
     """
@@ -181,14 +210,15 @@ def dominance_masks(tables: Sequence[RankMatrix]) -> tuple[int, ...]:
     if len(sizes) > 1:
         raise SizeMismatchError(f"tables of different sizes: {sorted(sizes)}")
     (n,) = sizes
-    size = len(tables)
+    size, stride = len(tables), n * n
+    flat = b"".join(table.cells for table in tables)
     masks = [(1 << size) - 1] * size
-    for i in range(n):
-        for column in map(bytes, zip(*(table.rows[i] for table in tables))):
-            if column.count(column[0]) == size:
-                continue
-            at_most = _at_most_sets(column)
-            masks = [mask & at_most[v] for mask, v in zip(masks, column)]
+    for k in range(stride):
+        column = flat[k::stride]
+        if column.count(column[0]) == size:
+            continue
+        at_most = _at_most_sets(column)
+        masks = [mask & at_most[v] for mask, v in zip(masks, column)]
     return tuple(masks)
 
 
@@ -207,20 +237,6 @@ def leq_star(tau: Involution, sigma: Involution) -> bool:
     return _dominated(star_rank_matrix(tau), star_rank_matrix(sigma))
 
 
-def leq_melnikov(tau: Involution, sigma: Involution) -> bool:
-    """tau <= sigma in the adjoint order: comparison of upper placements."""
-    if tau.n != sigma.n:
-        raise SizeMismatchError(f"sizes differ: {tau.n} vs {sigma.n}")
-    return _dominated(melnikov_rank_matrix(tau), melnikov_rank_matrix(sigma))
-
-
-def leq_bruhat(v: Permutation, w: Permutation) -> bool:
-    """v <=_B w via entrywise comparison of full rank matrices."""
-    if v.n != w.n:
-        raise SizeMismatchError(f"sizes differ: {v.n} vs {w.n}")
-    return _dominated(bruhat_rank_matrix(v), bruhat_rank_matrix(w))
-
-
 def corner_ranks(matrix: Matrix) -> Matrix:
     """South-West corner ranks of a square, strictly lower-triangular
     matrix over Q or Q(eps), 0 on and above the diagonal, ranked as its
@@ -235,15 +251,16 @@ def corner_ranks(matrix: Matrix) -> Matrix:
     matrix = integral_multiple(matrix)
     if not is_strictly_lower(matrix):
         raise NotStrictlyLowerError("corner ranks are defined on functionals")
-    return _strict_ranks(matrix, n)
+    return RankMatrix.of_cells(n, _strict_ranks(matrix, n)).rows
 
 
-def _strict_ranks(matrix: Matrix, n: int) -> Matrix:
-    """:func:`corner_ranks` unchecked: n x n, strictly lower, of one type."""
+def _strict_ranks(matrix: Matrix, n: int) -> bytes:
+    """:func:`corner_ranks` unchecked, as row-major cells: n x n, strictly
+    lower, of one type."""
     basis, rooks = [], []
     for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
         basis = [(col, row[:i]) for col, row in basis if col < i]
         col = echelon_insert(basis, list(matrix[i][:i]))
         if col is not None:
             rooks.append((i + 1, col + 1))
-    return _below_diagonal(_southwest_table(rooks, n))
+    return _southwest_cells(rooks, n, strict=True)

@@ -218,7 +218,7 @@ def _orbit_samples(n: int, seed: int, samples: int, index: int, sigma):
 def _suite_rank_invariance(n: int, seed: int, samples: int):
     checked, failures = 0, []
     for index, sigma in enumerate(enumerate_involutions(n)):
-        expect = star_rank_matrix(sigma).rows
+        expect = star_rank_matrix(sigma).cells
         for sample_seed, point in _orbit_samples(n, seed, samples, index, sigma):
             checked += 1
             if _strict_ranks(point, n) != expect:

@@ -16,15 +16,17 @@ from borbits import (
     Permutation,
     RankMatrix,
     act,
+    bruhat_rank_matrix,
     enumerate_involutions,
     involution_from_one_line,
+    melnikov_rank_matrix,
     orbit_point,
     parse_involution,
     random_borel,
 )
 from borbits.matrices import echelon_insert
 from borbits.poset import LSets
-from borbits.rankorder import bit_indices
+from borbits.rankorder import _dominated, bit_indices
 
 
 def filter_involutions(n: int) -> list[Involution]:
@@ -124,6 +126,40 @@ def prefix_corner_ranks(matrix, strict: bool = False):
             echelon_insert(basis, list(matrix[i - 1][:j]))
             rows[i - 1][j - 1] = len(basis)
     return tuple(tuple(r) for r in rows)
+
+
+def rook_matrix_upper(sigma: Involution) -> tuple[tuple[int, ...], ...]:
+    """Strictly upper-triangular rook placement: a 1 at (j, i) per arc (i, j)."""
+    rows = [[0] * sigma.n for _ in range(sigma.n)]
+    for i, j in sigma.arcs:
+        rows[j - 1][i - 1] = 1
+    return tuple(tuple(row) for row in rows)
+
+
+def permutation_matrix(w: Permutation) -> tuple[tuple[int, ...], ...]:
+    """0/1 matrix with the rook of column k in row w(k); symmetric for
+    involutions."""
+    n = w.n
+    rows = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        rows[w.apply(k) - 1][k - 1] = 1
+    return tuple(tuple(row) for row in rows)
+
+
+def leq_melnikov(tau: Involution, sigma: Involution) -> bool:
+    """tau <= sigma in the adjoint order: comparison of upper placements."""
+    return _dominated(melnikov_rank_matrix(tau), melnikov_rank_matrix(sigma))
+
+
+def leq_bruhat(v: Permutation, w: Permutation) -> bool:
+    """v <=_B w via entrywise comparison of full rank matrices."""
+    return _dominated(bruhat_rank_matrix(v), bruhat_rank_matrix(w))
+
+
+def southwest_count(rooks, i: int, j: int) -> int:
+    """Oracle: the rooks (row, column) weakly South-West of box (i, j),
+    a >= i and b <= j, counted one cell at a time."""
+    return sum(1 for a, b in rooks if a >= i and b <= j)
 
 
 def leibniz_det(m, q=None):

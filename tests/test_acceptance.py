@@ -25,7 +25,6 @@ from borbits import (
     is_graded,
     l_sets,
     length,
-    leq_bruhat,
     leq_star,
     melnikov_rank_matrix,
     near_moves,
@@ -44,7 +43,7 @@ from borbits import (
 from borbits.closure import z_point
 from borbits.moves import Move, n_minus, n_plus, n_prime, n_zero
 
-from conftest import filter_involutions
+from conftest import filter_involutions, leq_bruhat
 
 
 @contextmanager

@@ -13,14 +13,14 @@ from borbits import (
     bruhat_rank_matrix,
     enumerate_involutions,
     format_involution,
-    leq_bruhat,
-    leq_melnikov,
     leq_star,
     melnikov_rank_matrix,
     star_rank_matrix,
     to_permutation,
 )
 from borbits.cli import main
+
+from conftest import leq_bruhat, leq_melnikov
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +207,17 @@ def test_verify_nonpositive_samples_is_usage_error(capsys, samples):
     assert code == 2
     assert out == ""
     assert "samples" in err
+
+
+@pytest.mark.parametrize("order", ["star", "melnikov", "bruhat"])
+def test_rank_past_the_table_bound_is_usage_error(capsys, order):
+    # a table holds one byte per cell, so n <= 255
+    code, out, err = run_cli(capsys, "rank", "--n", "256", "--sigma", "id", "--order", order)
+    assert (code, out) == (2, "")
+    assert "exceeds table bound 255" in err
+    code, out, _ = run_cli(capsys, "rank", "--n", "255", "--sigma", "id", "--order", order)
+    assert code == 0
+    assert out.count("\n") == 255
 
 
 def test_unknown_subcommand_and_suite(capsys):

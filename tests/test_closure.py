@@ -9,6 +9,7 @@ from conftest import (
     field_z_contains,
     nonzero_rationals,
     orbit_functional,
+    permutation_matrix,
     rotate90,
     scan_bounds_imply_all,
     trial_division_is_prime,
@@ -37,7 +38,6 @@ from borbits import (
     near_moves,
     orbit_point,
     parse_involution,
-    permutation_matrix,
     quadric_cells,
     random_borel,
     rank_profile,
@@ -176,7 +176,7 @@ def test_contains_rejects_a_point_without_n_squared_ranks():
     spec = z_spec(sigma)
     n, ranks, support = z_point(orbit_point(sigma))
     assert spec.contains((n, ranks, support))
-    for bad in ((), ranks[:-1], ranks + (0,)):
+    for bad in (b"", ranks[:-1], ranks + b"\0"):
         with pytest.raises(SizeMismatchError):
             spec.contains((n, bad, support))
     with pytest.raises(SizeMismatchError):

@@ -18,10 +18,8 @@ from borbits import (
     length,
     longest_involution,
     parse_involution,
-    permutation_matrix,
     reduced_word,
     rook_matrix_lower,
-    rook_matrix_upper,
     to_permutation,
 )
 from borbits.errors import (
@@ -30,7 +28,13 @@ from borbits.errors import (
     OverlapError,
 )
 
-from conftest import all_permutations, apply_cycles_oracle, filter_involutions
+from conftest import (
+    all_permutations,
+    apply_cycles_oracle,
+    filter_involutions,
+    permutation_matrix,
+    rook_matrix_upper,
+)
 
 
 def test_parse_basic():

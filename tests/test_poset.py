@@ -14,8 +14,6 @@ from borbits import (
     identity_involution,
     is_graded,
     l_sets,
-    leq_bruhat,
-    leq_melnikov,
     leq_star,
     length,
     longest_involution,
@@ -30,7 +28,7 @@ from borbits.moves import n_minus, n_plus, n_prime, n_zero
 from borbits.poset import _lower_covers, poset_ranks
 from borbits.rankorder import RankMatrix, bit_indices, dominance_masks
 
-from conftest import scan_l_sets
+from conftest import leq_bruhat, leq_melnikov, scan_l_sets
 from test_rankorder import rank_tables
 
 

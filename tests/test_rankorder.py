@@ -1,38 +1,56 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from borbits import (
+    Permutation,
     RankMatrix,
     bruhat_rank_matrix,
     bruhat_leq_subword,
     enumerate_involutions,
     exact_rank,
-    leq_bruhat,
-    leq_melnikov,
+    involution,
     leq_star,
+    longest_involution,
     melnikov_rank_matrix,
     parse_involution,
     rook_matrix_lower,
-    rook_matrix_upper,
-    southwest_count,
     star_rank_matrix,
     to_permutation,
 )
 from borbits.closure import _corner_rank_table_gf
 from borbits.errors import (
+    BoundExceededError,
     IndexOutOfRangeError,
     NotAFieldError,
     NotStrictlyLowerError,
     SizeMismatchError,
 )
 from borbits.matrices import promote
-from borbits.rankorder import _at_most_sets, _dominated, corner_ranks, dominance_masks
+from borbits.rankorder import (
+    TABLE_MAX_N,
+    _at_most_sets,
+    _dominated,
+    _lanes,
+    _strict_ranks,
+    corner_ranks,
+    dominance_masks,
+)
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
-from conftest import all_permutations, largest_nonzero_minor, prefix_corner_ranks, rationals
+from conftest import (
+    all_permutations,
+    largest_nonzero_minor,
+    leq_bruhat,
+    leq_melnikov,
+    prefix_corner_ranks,
+    rationals,
+    rook_matrix_upper,
+    southwest_count,
+)
 
 # the four displayed 5x5 matrices
 R_SIGMA = (
@@ -103,22 +121,76 @@ def test_southwest_count_examples():
     assert southwest_count((), 3, 3) == 0
 
 
+def southwest_cells(rooks, n: int, strict: bool = False) -> bytes:
+    """Oracle: one :func:`southwest_count` per cell, row by row; with
+    ``strict``, 0 on and above the diagonal."""
+    return bytes(
+        southwest_count(rooks, i, j) if i > j or not strict else 0
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def assert_tables_are_southwest_counts(sigma, w):
+    """The three orders' tables of ``sigma``, and the Bruhat table of the
+    permutation ``w``, against one count per cell."""
+    n = sigma.n
+    assert star_rank_matrix(sigma).cells == southwest_cells(sigma.arcs, n, strict=True)
+    upper = [(j, i) for i, j in sigma.arcs]
+    assert melnikov_rank_matrix(sigma).cells == southwest_cells(upper, n)
+    for perm in (to_permutation(sigma), w):
+        full = [(perm.apply(k), k) for k in range(1, n + 1)]
+        assert bruhat_rank_matrix(perm).cells == southwest_cells(full, n)
+
+
 def test_every_table_cell_equals_its_southwest_count():
-    # the row-by-row tables against one count per cell
+    # the lane-built tables against one count per cell
     for n in range(1, 7):
         for sigma in enumerate_involutions(n):
-            star = star_rank_matrix(sigma)
-            melnikov = melnikov_rank_matrix(sigma)
-            w = to_permutation(sigma)
-            bruhat = bruhat_rank_matrix(w)
-            upper = [(j, i) for i, j in sigma.arcs]
-            full = [(w.apply(k), k) for k in range(1, n + 1)]
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    lower = southwest_count(sigma.arcs, i, j) if i > j else 0
-                    assert star.entry(i, j) == lower
-                    assert melnikov.entry(i, j) == southwest_count(upper, i, j)
-                    assert bruhat.entry(i, j) == southwest_count(full, i, j)
+            assert_tables_are_southwest_counts(sigma, to_permutation(sigma))
+
+
+@st.composite
+def involution_and_permutation(draw):
+    """A random involution of S_n, n <= 12, its arcs paired off a shuffle,
+    and a random permutation of S_n."""
+    n = draw(st.integers(1, 12))
+    points = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    sigma = involution(n, zip(points[: 2 * k : 2], points[1 : 2 * k : 2]))
+    return sigma, Permutation(tuple(draw(st.permutations(range(1, n + 1)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=involution_and_permutation())
+@example(case=(longest_involution(12), Permutation(tuple(range(12, 0, -1)))))
+def test_table_cells_equal_southwest_counts_up_to_n_12(case):
+    assert_tables_are_southwest_counts(*case)
+
+
+@st.composite
+def low_rank_strictly_lower_ints(draw):
+    """An n x n strictly lower int matrix, n <= 10, each row a combination
+    of three random rows cut left of the diagonal, so corners lose rank."""
+    n = draw(st.integers(0, 10))
+    basis = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(3)]
+    rows = []
+    for r in range(n):
+        weights = [draw(st.integers(-1, 1)) for _ in basis]
+        full = [sum(w * row[c] for w, row in zip(weights, basis)) for c in range(n)]
+        rows.append(tuple(x if c < r else 0 for c, x in enumerate(full)))
+    return tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=low_rank_strictly_lower_ints())
+@example(matrix=())
+@example(matrix=((0, 0, 0), (1, 0, 0), (2, 3, 0)))
+def test_strict_ranks_match_the_per_prefix_oracle(matrix):
+    # the unchecked kernel's cells, row-major, against one elimination per
+    # column prefix
+    oracle = prefix_corner_ranks(matrix, strict=True)
+    assert _strict_ranks(matrix, len(matrix)) == bytes(chain.from_iterable(oracle))
 
 
 def test_rank_matrices_match_exact_elimination():
@@ -419,10 +491,82 @@ def test_rank_matrix_rejects_non_int_sizes_and_entries():
         (2, ((Fraction(1), 0), (0, 0))),
         (1.0, ((0,),)),
         (True, ((0,),)),
+        # a sum of bools is an int, so these once passed as tables
+        (1, ((True,),)),
+        (2, ((0, False), (0, 0))),
     ):
         with pytest.raises(IndexOutOfRangeError):
             RankMatrix(n, rows)
     assert RankMatrix(0, ()).rows == ()
+
+
+def test_rank_matrix_from_cells_is_checked_as_from_rows():
+    assert RankMatrix.of_cells(2, b"\0\1\0\1") == RankMatrix(2, ((0, 1), (0, 1)))
+    with pytest.raises(SizeMismatchError):
+        RankMatrix.of_cells(2, b"\0\0\0")
+    with pytest.raises(IndexOutOfRangeError) as error:
+        RankMatrix.of_cells(2, b"\0\2\0\2")
+    assert str(error.value) == "entry 2 at (2,2) exceeds rook bound"
+    with pytest.raises(IndexOutOfRangeError):
+        RankMatrix.of_cells(1.0, b"\0")
+
+
+class _Untouchable:
+    """Rows or rooks that fail the test if anything reads them."""
+
+    def __len__(self):
+        raise AssertionError("read past the bound")
+
+    def __iter__(self):
+        raise AssertionError("read past the bound")
+
+
+def test_tables_past_one_byte_per_cell_raise_before_building_one():
+    _lanes.cache_clear()
+    n = TABLE_MAX_N + 1
+    sigma = parse_involution("id", n)
+    builders = (
+        lambda: RankMatrix(n, _Untouchable()),
+        lambda: RankMatrix.of_cells(n, _Untouchable()),
+        lambda: star_rank_matrix(sigma),
+        lambda: melnikov_rank_matrix(sigma),
+        lambda: bruhat_rank_matrix(to_permutation(sigma)),
+        lambda: corner_ranks(((0,) * n,) * n),
+    )
+    for build in builders:
+        with pytest.raises(BoundExceededError):
+            build()
+    assert _lanes.cache_info().currsize == 0
+
+
+def test_longest_bruhat_table_at_the_bound_fills_every_rook_bound():
+    # w0 puts n - i + 1 rooks in rows i..n and j in columns 1..j, so
+    # each corner holds as many rooks as it can: 255 at (1, n)
+    n = TABLE_MAX_N
+    table = bruhat_rank_matrix(to_permutation(longest_involution(n)))
+    assert table.entry(1, n) == max(table.cells) == 255
+    assert table.entry(1, 1) == table.entry(n, 1) == table.entry(n, n) == 1
+    assert table.entry(2, n) == table.entry(1, n - 1) == 254
+    assert table.cells == bytes(
+        min(n - i + 1, j) for i in range(1, n + 1) for j in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_rank_matrix_rows_and_json_round_trip(n):
+    # every cell at its rook bound, up to 9 at n = 9
+    rows = tuple(tuple(min(n - i, j + 1) for j in range(n)) for i in range(n))
+    table = RankMatrix(n, rows)
+    assert table == RankMatrix(n, [list(row) for row in rows])
+    assert hash(table) == hash(RankMatrix(n, rows))
+    assert table.rows == rows
+    assert RankMatrix(n, table.rows) == RankMatrix.of_cells(n, table.cells) == table
+    payload = table.to_json()
+    assert payload == {"n": n, "rows": [list(row) for row in rows]}
+    assert RankMatrix(payload["n"], payload["rows"]) == table
+    if n:
+        assert table == bruhat_rank_matrix(to_permutation(longest_involution(n)))
+        assert table != RankMatrix(n, rows[:-1] + ((0,) * n,))
 
 
 def test_rank_matrix_names_the_first_bad_cell_of_a_middle_row():
@@ -493,6 +637,26 @@ def bucket_at_most_sets(column) -> list[int]:
 def test_at_most_sets_match_the_bucket_pass(column):
     # lengths off a multiple of 8 and entries up to 255 included
     assert list(_at_most_sets(bytes(column))) == bucket_at_most_sets(column)
+
+
+def test_dominance_masks_read_the_last_cell_and_the_stride_boundary():
+    # zero, zero but a 1 in the last cell, zero but a 1 in the first cell:
+    # joined, a table's first cell follows the last cell of the one before
+    zero = RankMatrix(3, ((0,) * 3,) * 3)
+    last = RankMatrix.of_cells(3, bytes(8) + b"\1")
+    first = RankMatrix.of_cells(3, b"\1" + bytes(8))
+    tables = [zero, last, first, last]
+    masks = dominance_masks(tables)
+    assert masks == (0b0001, 0b1011, 0b0101, 0b1011)
+    for b, high in enumerate(tables):
+        for a, low in enumerate(tables):
+            assert bool(masks[b] >> a & 1) == _dominated(low, high)
+
+
+def test_dominance_masks_at_n_1():
+    zero, one = RankMatrix(1, ((0,),)), RankMatrix(1, ((1,),))
+    assert dominance_masks([zero, one, zero]) == (0b101, 0b111, 0b101)
+    assert dominance_masks([one]) == (0b1,)
 
 
 def test_dominance_masks_empty_and_mixed_sizes():

@@ -11,9 +11,7 @@ from .involutions import (
     Arc,
     Involution,
     Permutation,
-    bruhat_leq_subword,
     enumerate_involutions,
-    eval_word,
     format_involution,
     identity_involution,
     involution,
@@ -22,7 +20,6 @@ from .involutions import (
     length,
     longest_involution,
     parse_involution,
-    reduced_word,
     rook_matrix_lower,
     to_permutation,
 )
@@ -44,9 +41,6 @@ from .moves import (
     c_candidates,
     c_move,
     minimal_support,
-    move_remove,
-    move_right,
-    move_up,
     n_minus,
     n_plus,
     n_prime,
@@ -65,7 +59,6 @@ from .orbits import (
     degeneration,
     degeneration_closed_form,
     delta_minors,
-    diagonal_weights,
     orbit_dimension,
     orbit_point,
     random_borel,
@@ -77,7 +70,6 @@ from .closure import (
     complement_permutation,
     essential_reduction_check,
     essential_set,
-    gamma,
     is_chain,
     maximal_support,
     quadric_cells,

@@ -13,10 +13,10 @@ permutation already imply them everywhere.  It runs over the corner rank
 tables of the partial permutations, over every field those of all
 matrices, bit-sliced by cell: one int bitset of the tables within the
 bound per cell, and n^2 ANDs decide.  The bitsets are built once per n
-from a fresh generation of the tables, which is then dropped; the table
-count, the width of the all-tables mask, is stored beside them.  The
-tests' oracles scan the cached tables one by one, and rank all q^(n^2)
-matrices by their own elimination.
+from the tables, which are then dropped; the table count, the width of
+the all-tables mask, is stored beside them.  The tests' oracles scan the
+tables one by one, and rank all q^(n^2) matrices by their own
+elimination.
 """
 
 from __future__ import annotations
@@ -70,12 +70,6 @@ def quadric_cells(sigma: Involution) -> frozenset[tuple[int, int]]:
     )
 
 
-def gamma(a: Matrix, r: int, s: int):
-    """The (r, s) entry of A^2 for strictly lower-triangular A:
-    sum over s < k < r of A[r,k] A[k,s], in the ring of the entries."""
-    return sum(a[r - 1][k - 1] * a[k - 1][s - 1] for k in range(s + 1, r))
-
-
 # (n, strict corner ranks as row-major bytes, cells where A^2 != 0)
 ZPoint = tuple[int, bytes, frozenset[tuple[int, int]]]
 
@@ -86,7 +80,7 @@ def z_point(a: Matrix, n: int | None = None) -> ZPoint:
     and the cells where A^2 is nonzero.  It reads the integral multiple,
     which the ranks and the quadrics, homogeneous of degree 2, cannot
     tell apart from the matrix.  Past a float, a size other than ``n`` is
-    named first, then what :func:`~borbits.rankorder.corner_ranks` checks."""
+    named first, then what :func:`~borbits.orbits.rank_profile` checks."""
     a = integral_multiple(a)
     if n is not None and len(a) != n:
         raise SizeMismatchError(f"matrix size {len(a)} vs n={n}")
@@ -100,7 +94,7 @@ def _z_point(a: Matrix) -> ZPoint:
     """:func:`z_point` unchecked: a strictly lower square matrix of one type."""
     ranks = _strict_ranks(a, len(a))
     # (A^2)_{r,s} is row r times column s; for strictly lower A only the
-    # terms of gamma, s < k < r, can be nonzero
+    # terms A[r,k] A[k,s] with s < k < r can be nonzero
     columns = tuple(zip(*a))
     support = frozenset(
         (r, s)
@@ -234,12 +228,10 @@ def _all_corner_rank_tables(n: int, q: int) -> tuple[bytes, ...]:
     return tuple(tables)
 
 
-@lru_cache(maxsize=None)
 def _partial_permutation_tables(n: int) -> tuple[bytes, ...]:
     """Corner rank tables of every n x n partial permutation matrix, built
     row by row: row i holds no rook, or one in a column not used yet, and
-    adds one to the ranks of the corners reaching that column.  Cached
-    for the oracles; :func:`_cell_sets` calls it past the cache."""
+    adds one to the ranks of the corners reaching that column."""
     states = [(0, b"")]  # (mask of used columns, table of the rows so far)
     for _ in range(n):
         grown = []
@@ -259,9 +251,9 @@ def _cell_sets(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The number of partial permutation tables, and for each cell, row by
     row, their :func:`~borbits.rankorder._at_most_sets`: bit k of item v is
     set iff table k of :func:`_partial_permutation_tables` has rank at most
-    v there.  The tables are built afresh, past the cache, and dropped
-    once the sets are: the check reads only the sets and the count."""
-    tables = _partial_permutation_tables.__wrapped__(n)
+    v there.  The tables are dropped once the sets are built: the check
+    reads only the sets and the count."""
+    tables = _partial_permutation_tables(n)
     flat = b"".join(tables)
     return len(tables), tuple(_at_most_sets(flat[k :: n * n]) for k in range(n * n))
 

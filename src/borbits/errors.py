@@ -33,10 +33,6 @@ class ArcNotInSupportError(MoveError):
     """The designated arc is not a 2-cycle of the involution."""
 
 
-class NotMinimalError(MoveError):
-    """Removal requested at an arc that is not minimal in the board order."""
-
-
 class NotACandidateError(MoveError):
     """The partner arc fails the conditions of the crossing swap."""
 
@@ -88,10 +84,6 @@ class NotInvertibleError(BorbitsError):
 
 class NotUpperTriangularError(BorbitsError):
     """Group element must be upper triangular."""
-
-
-class NotDiagonalError(BorbitsError):
-    """A torus element has a nonzero entry off the diagonal."""
 
 
 class NotStrictlyLowerError(BorbitsError):

@@ -1,4 +1,4 @@
-"""Involutions of the symmetric group, their rook placements, and words.
+"""Involutions of the symmetric group, permutations and rook placements.
 
 Conventions used throughout the package:
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -63,6 +62,8 @@ class Involution:
 
     def apply(self, m: int) -> int:
         """Image of m, i.e. the partner of m or m itself if fixed."""
+        if type(m) is not int or not 1 <= m <= self.n:
+            raise IndexOutOfRangeError(f"point {m!r} outside 1..{self.n}")
         for i, j in self.arcs:
             if m == i:
                 return j
@@ -225,62 +226,6 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
 
     extend(tuple(range(1, n + 1)), ())
     return tuple(found)
-
-
-def reduced_word(w: Permutation) -> tuple[int, ...]:
-    """A reduced word for w in the adjacent transpositions s_1..s_{n-1}.
-
-    Deterministic: repeatedly clears the leftmost descent.  The word has
-    length ``length(w)`` and :func:`eval_word` reproduces w.
-    """
-    current = list(w.one_line)
-    removed: list[int] = []
-    while True:
-        for k in range(len(current) - 1):
-            if current[k] > current[k + 1]:
-                current[k], current[k + 1] = current[k + 1], current[k]
-                removed.append(k + 1)
-                break
-        else:
-            return tuple(reversed(removed))
-
-
-def eval_word(n: int, word: Iterable[int]) -> Permutation:
-    """Product of adjacent transpositions, multiplied left to right."""
-    current = list(range(1, n + 1))
-    for s in word:
-        if not 1 <= s <= n - 1:
-            raise IndexOutOfRangeError(f"letter {s} outside 1..{n - 1}")
-        current[s - 1], current[s] = current[s], current[s - 1]
-    return Permutation(tuple(current))
-
-
-@lru_cache(maxsize=None)
-def _subword_closure(one_line: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    # All products of subwords of one reduced word; by the subword
-    # property this set does not depend on the chosen word.
-    n = len(one_line)
-    word = reduced_word(Permutation(one_line))
-    reachable: set[tuple[int, ...]] = {tuple(range(1, n + 1))}
-    for s in word:
-        extra = set()
-        for prod in reachable:
-            grown = list(prod)
-            grown[s - 1], grown[s] = grown[s], grown[s - 1]
-            extra.add(tuple(grown))
-        reachable |= extra
-    return frozenset(reachable)
-
-
-def bruhat_leq_subword(v: Permutation, w: Permutation) -> bool:
-    """Subword test for v <= w in Bruhat-Chevalley order.
-
-    True iff some subword of a reduced word of w multiplies out to v.
-    Exponential in principle; fine at desk scale (length(w) <= ~12).
-    """
-    if v.n != w.n:
-        raise SizeMismatchError(f"sizes differ: {v.n} vs {w.n}")
-    return v.one_line in _subword_closure(w.one_line)
 
 
 def rook_matrix_lower(sigma: Involution) -> tuple[tuple[int, ...], ...]:

@@ -1,4 +1,4 @@
-"""The six covering-move constructions on involutions.
+"""The six covering moves on involutions.
 
 Moves act on the rook placement of an involution sigma:
 
@@ -13,10 +13,11 @@ Moves act on the rook placement of an involution sigma:
 preserve it.  The board order on positions is (a, b) <= (c, d) iff
 a <= c and b >= d.
 
-The named constructions check their input and raise the matching
-``MoveError``.  One cached pass per sigma runs them over every applicable
-move and keeps the outputs: :func:`near_moves`, :func:`apply_move` and
-the neighbour classes read that table, and a move not in it raises
+The two-arc constructions ``a_move``, ``b_move`` and ``c_move`` check
+their input and raise the matching ``MoveError``.  One cached pass per
+sigma runs every applicable move of the six kinds and keeps the outputs:
+:func:`near_moves`, :func:`apply_move` and the neighbour classes read
+that table, and a move not in it raises
 :class:`~borbits.errors.MoveNotApplicableError`.
 """
 
@@ -33,7 +34,6 @@ from .errors import (
     NotACandidateError,
     NotBCandidateError,
     NotCCandidateError,
-    NotMinimalError,
 )
 from .involutions import Arc, Involution
 
@@ -72,8 +72,10 @@ def _replace(sigma: Involution, drop: tuple[Arc, ...], add: tuple[Arc, ...]) -> 
 
 
 def _slide(sigma: Involution, arc: Arc, kind: str) -> tuple[int, Arc] | None:
-    """The free point m and the slid arc of a right or up slide of arc, or
-    None when the slide is undefined: see :func:`move_right`."""
+    """The free point m and the slid arc of a slide of arc (i, j): right
+    to (i, m), m the smallest fixed point in (j, i), or up to (m, j), m
+    the largest.  Undefined (None) when no such m exists or some arc
+    strictly below (i, j) fails to stay strictly below the slid arc."""
     _require_arc(sigma, arc)
     i, j = arc
     inside = range(j + 1, i) if kind == "right" else range(i - 1, j, -1)
@@ -84,33 +86,6 @@ def _slide(sigma: Involution, arc: Arc, kind: str) -> tuple[int, Arc] | None:
     if any(phi_lt(other, arc) and not phi_lt(other, new_arc) for other in sigma.arcs):
         return None
     return m, new_arc
-
-
-def _slide_output(sigma: Involution, arc: Arc, kind: str) -> Involution | None:
-    slide = _slide(sigma, arc, kind)
-    return None if slide is None else _replace(sigma, (arc,), (slide[1],))
-
-
-def move_right(sigma: Involution, arc: Arc) -> Involution | None:
-    """Slide (i, j) to (i, m), m the smallest fixed point in (j, i).
-
-    Undefined (None) when no such m exists or some arc strictly below
-    (i, j) fails to stay strictly below (i, m).
-    """
-    return _slide_output(sigma, arc, "right")
-
-
-def move_up(sigma: Involution, arc: Arc) -> Involution | None:
-    """Slide (i, j) to (m, j), m the largest fixed point in (j, i)."""
-    return _slide_output(sigma, arc, "up")
-
-
-def move_remove(sigma: Involution, arc: Arc) -> Involution:
-    """Delete a minimal arc."""
-    _require_arc(sigma, arc)
-    if arc not in minimal_support(sigma):
-        raise NotMinimalError(f"{arc!r} not minimal in {sigma}")
-    return _replace(sigma, (arc,), ())
 
 
 def a_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
@@ -239,9 +214,9 @@ def _move_outputs(sigma: Involution) -> MappingProxyType[Move, Involution]:
         if arc in minimal:
             out[Move("remove", arc)] = _replace(sigma, (arc,), ())
         for kind in ("right", "up"):
-            tau = _slide_output(sigma, arc, kind)
-            if tau is not None:
-                out[Move(kind, arc)] = tau
+            slide = _slide(sigma, arc, kind)
+            if slide is not None:
+                out[Move(kind, arc)] = _replace(sigma, (arc,), (slide[1],))
         for partner in sorted(a_candidates(sigma, arc)):
             out[Move("a", arc, tuple(partner))] = a_move(sigma, arc, partner)
         for partner in sorted(b_candidates(sigma, arc)):

@@ -29,12 +29,10 @@ from .errors import (
     IndexOutOfRangeError,
     LimitUndefinedError,
     MissingArcError,
-    NotDiagonalError,
     NotInvertibleError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
     SingularElementError,
-    SizeMismatchError,
     ZeroXiError,
 )
 from .involutions import Arc, Involution, rook_matrix_lower
@@ -44,6 +42,7 @@ from .matrices import (
     exact_entry,
     field_constants,
     identity_matrix,
+    integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
     mat_mul,
@@ -53,7 +52,7 @@ from .matrices import (
     upper_inverse,
 )
 from .moves import Move, _slide, apply_move
-from .rankorder import RankMatrix, corner_ranks, exact_rank
+from .rankorder import RankMatrix, _strict_ranks, exact_rank
 from .ratfunc import (
     EPS,
     EPS_INV,
@@ -150,9 +149,15 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
 
 
 def rank_profile(lam: Matrix) -> RankMatrix:
-    """The strict corner ranks of a functional, 0 on and above the
-    diagonal, by :func:`~borbits.rankorder.corner_ranks`, which checks it."""
-    return RankMatrix(len(lam), corner_ranks(lam))
+    """South-West corner ranks of a square, strictly lower-triangular
+    matrix over Q or Q(eps), 0 on and above the diagonal, ranked as its
+    :func:`~borbits.matrices.integral_multiple`, which rejects a float,
+    by :func:`~borbits.rankorder._strict_ranks`."""
+    n = square_size(lam)
+    lam = integral_multiple(lam)
+    if not is_strictly_lower(lam):
+        raise NotStrictlyLowerError("corner ranks are defined on functionals")
+    return RankMatrix.of_cells(n, _strict_ranks(lam, n))
 
 
 def orbit_dimension(sigma: Involution) -> int:
@@ -337,16 +342,3 @@ def degeneration(sigma: Involution, move: Move) -> Degeneration:
     except ZeroDivisionError as exc:
         raise LimitUndefinedError(str(exc)) from exc
     return Degeneration(move=move, word=word, curve=curve, limit=limit)
-
-
-def diagonal_weights(sigma: Involution, d: Matrix) -> dict[Arc, Fraction]:
-    """The arc weights produced by acting with a diagonal matrix:
-    weight(arc) = d_i / d_j.  d must be an invertible n x n diagonal matrix."""
-    if square_size(d) != sigma.n:
-        raise SizeMismatchError(f"{len(d)} x {len(d)} diagonal for n={sigma.n}")
-    if off := [(r, c) for r, row in enumerate(d, 1) for c, x in enumerate(row, 1) if x and r != c]:
-        raise NotDiagonalError(f"nonzero entry at {off[0]}, off the diagonal")
-    diagonal = [exact_rational(d[k][k]) for k in range(sigma.n)]
-    if not all(diagonal):
-        raise NotInvertibleError(f"zero diagonal entry at {diagonal.index(0) + 1}")
-    return {arc: diagonal[arc.i - 1] / diagonal[arc.j - 1] for arc in sigma.arcs}

@@ -27,12 +27,11 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BoundExceededError,
     IndexOutOfRangeError,
-    NotStrictlyLowerError,
     SizeMismatchError,
     UnknownSuiteError,
 )
 from .involutions import Involution, Permutation, to_permutation
-from .matrices import Matrix, echelon_insert, integral_multiple, is_strictly_lower, square_size
+from .matrices import Matrix, echelon_insert, integral_multiple
 
 # one byte per cell, and a cell counts at most n rooks
 TABLE_MAX_N = 255
@@ -118,7 +117,10 @@ class RankMatrix:
         return tuple(tuple(self.cells[i * self.n : (i + 1) * self.n]) for i in range(self.n))
 
     def entry(self, i: int, j: int) -> int:
-        return self.cells[(i - 1) * self.n : i * self.n][j - 1]
+        n = self.n
+        if not (type(i) is int and type(j) is int and 1 <= i <= n and 1 <= j <= n):
+            raise IndexOutOfRangeError(f"cell ({i!r},{j!r}) outside 1..{n}")
+        return self.cells[(i - 1) * n + j - 1]
 
     def to_json(self) -> dict:
         return {"n": self.n, "rows": [list(row) for row in self.rows]}
@@ -237,26 +239,16 @@ def leq_star(tau: Involution, sigma: Involution) -> bool:
     return _dominated(star_rank_matrix(tau), star_rank_matrix(sigma))
 
 
-def corner_ranks(matrix: Matrix) -> Matrix:
-    """South-West corner ranks of a square, strictly lower-triangular
-    matrix over Q or Q(eps), 0 on and above the diagonal, ranked as its
-    :func:`~borbits.matrices.integral_multiple`, which rejects a float.
+def _strict_ranks(matrix: Matrix, n: int) -> bytes:
+    """South-West corner ranks of an n x n strictly lower-triangular matrix
+    of one type, unchecked, as row-major cells, 0 on and above the
+    diagonal; :func:`~borbits.orbits.rank_profile` is the checked route.
     By its rank profile (Dumas, Pernet and Sultan, ISSAC 2015): rows n..2
     go into one echelon basis, and dropping columns commutes with row
     operations, so corner (i, j) has rank the number of pivots South-West
     of it.  Only columns < i reach a strict corner of row i or above, so
     row i goes in cut to them, and the basis, cut first, drops its rows
     pivoted further right."""
-    n = square_size(matrix)
-    matrix = integral_multiple(matrix)
-    if not is_strictly_lower(matrix):
-        raise NotStrictlyLowerError("corner ranks are defined on functionals")
-    return RankMatrix.of_cells(n, _strict_ranks(matrix, n)).rows
-
-
-def _strict_ranks(matrix: Matrix, n: int) -> bytes:
-    """:func:`corner_ranks` unchecked, as row-major cells: n x n, strictly
-    lower, of one type."""
     basis, rooks = [], []
     for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
         basis = [(col, row[:i]) for col, row in basis if col < i]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import pytest
@@ -18,6 +19,7 @@ from borbits import (
     act,
     bruhat_rank_matrix,
     enumerate_involutions,
+    involution,
     involution_from_one_line,
     melnikov_rank_matrix,
     orbit_point,
@@ -156,6 +158,94 @@ def leq_bruhat(v: Permutation, w: Permutation) -> bool:
     return _dominated(bruhat_rank_matrix(v), bruhat_rank_matrix(w))
 
 
+def reduced_word(w: Permutation) -> tuple[int, ...]:
+    """A reduced word for w in the adjacent transpositions s_1..s_{n-1}.
+
+    Deterministic: repeatedly clears the leftmost descent.  The word has
+    length ``length(w)`` and :func:`eval_word` reproduces w.
+    """
+    current = list(w.one_line)
+    removed: list[int] = []
+    while True:
+        for k in range(len(current) - 1):
+            if current[k] > current[k + 1]:
+                current[k], current[k + 1] = current[k + 1], current[k]
+                removed.append(k + 1)
+                break
+        else:
+            return tuple(reversed(removed))
+
+
+def eval_word(n: int, word) -> Permutation:
+    """Product of adjacent transpositions, multiplied left to right."""
+    current = list(range(1, n + 1))
+    for s in word:
+        current[s - 1], current[s] = current[s], current[s - 1]
+    return Permutation(tuple(current))
+
+
+@lru_cache(maxsize=None)
+def _subword_closure(one_line: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    # All products of subwords of one reduced word; by the subword
+    # property this set does not depend on the chosen word.
+    n = len(one_line)
+    word = reduced_word(Permutation(one_line))
+    reachable: set[tuple[int, ...]] = {tuple(range(1, n + 1))}
+    for s in word:
+        extra = set()
+        for prod in reachable:
+            grown = list(prod)
+            grown[s - 1], grown[s] = grown[s], grown[s - 1]
+            extra.add(tuple(grown))
+        reachable |= extra
+    return frozenset(reachable)
+
+
+def bruhat_leq_subword(v: Permutation, w: Permutation) -> bool:
+    """Oracle for v <= w in Bruhat-Chevalley order, by the subword
+    property: some subword of a reduced word of w multiplies out to v.
+    Exponential in principle; fine at desk scale (length(w) <= ~12)."""
+    return v.one_line in _subword_closure(w.one_line)
+
+
+def _board_lt(a, b) -> bool:
+    """(a1, a2) strictly below (b1, b2) in the board order: a1 <= b1 and
+    a2 >= b2, a != b."""
+    return tuple(a) != tuple(b) and a[0] <= b[0] and a[1] >= b[1]
+
+
+def remove_oracle(sigma: Involution, arc):
+    """Oracle: sigma without ``arc`` if no arc lies strictly below it in
+    the board order (it is minimal), else None."""
+    if any(_board_lt(other, arc) for other in sigma.arcs):
+        return None
+    return involution(sigma.n, [a for a in sigma.arcs if a != arc])
+
+
+def slide_oracle(sigma: Involution, arc, kind: str):
+    """Oracle: arc (i, j) slid right to (i, m), m the first fixed point
+    inside it, or up to (m, j), m the last; None when there is no such m
+    or an arc strictly below (i, j) is not strictly below the slid arc."""
+    i, j = arc
+    image = sigma.one_line()
+    fixed = [m for m in range(j + 1, i) if image[m - 1] == m]
+    if not fixed:
+        return None
+    slid = (i, fixed[0]) if kind == "right" else (fixed[-1], j)
+    if any(_board_lt(other, arc) and not _board_lt(other, slid) for other in sigma.arcs):
+        return None
+    return involution(sigma.n, [a for a in sigma.arcs if a != arc] + [slid])
+
+
+def diagonal_weights(sigma: Involution, d) -> dict:
+    """Oracle: the arc weights of the base point of sigma acted on by an
+    invertible diagonal d, weight(i, j) = d_i / d_j."""
+    return {
+        arc: Fraction(d[arc.i - 1][arc.i - 1]) / Fraction(d[arc.j - 1][arc.j - 1])
+        for arc in sigma.arcs
+    }
+
+
 def southwest_count(rooks, i: int, j: int) -> int:
     """Oracle: the rooks (row, column) weakly South-West of box (i, j),
     a >= i and b <= j, counted one cell at a time."""
@@ -199,9 +289,16 @@ def field_rank_profile(lam) -> RankMatrix:
     return RankMatrix(n, tuple(map(tuple, rows)))
 
 
+def square_entry(a, r: int, s: int) -> Fraction:
+    """Oracle: the (r, s) entry of A^2 for strictly lower-triangular A,
+    the sum over s < k < r of A[r,k] A[k,s], summed over Fractions."""
+    terms = (Fraction(a[r - 1][k - 1]) * Fraction(a[k - 1][s - 1]) for k in range(s + 1, r))
+    return sum(terms, Fraction(0))
+
+
 def field_z_contains(spec, a) -> bool:
     """Oracle: closure membership with the corner ranks of
-    :func:`field_rank_profile` and the quadrics summed over Fractions."""
+    :func:`field_rank_profile` and the quadrics of :func:`square_entry`."""
     profile = field_rank_profile(a)
     n = spec.sigma.n
     if any(
@@ -210,13 +307,7 @@ def field_z_contains(spec, a) -> bool:
         for j in range(1, i)
     ):
         return False
-    q = [[Fraction(x) for x in row] for row in a]
-
-    def square(r, s):
-        terms = (q[r - 1][k - 1] * q[k - 1][s - 1] for k in range(s + 1, r))
-        return sum(terms, Fraction(0))
-
-    return all(square(r, s) == 0 for r, s in spec.quadric_cells)
+    return all(square_entry(a, r, s) == 0 for r, s in spec.quadric_cells)
 
 
 def scan_bounds_imply_all(tables, bounds: bytes, cells) -> bool:

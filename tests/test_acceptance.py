@@ -13,7 +13,6 @@ from borbits import (
     Permutation,
     act,
     apply_move,
-    bruhat_leq_subword,
     build_poset,
     complement_permutation,
     degeneration,
@@ -43,7 +42,7 @@ from borbits import (
 from borbits.closure import z_point
 from borbits.moves import Move, n_minus, n_plus, n_prime, n_zero
 
-from conftest import filter_involutions, leq_bruhat
+from conftest import bruhat_leq_subword, filter_involutions, leq_bruhat
 
 
 @contextmanager

@@ -12,6 +12,7 @@ from conftest import (
     permutation_matrix,
     rotate90,
     scan_bounds_imply_all,
+    square_entry,
     trial_division_is_prime,
 )
 from hypothesis import example, given, settings
@@ -28,7 +29,6 @@ from borbits import (
     enumerate_involutions,
     essential_reduction_check,
     essential_set,
-    gamma,
     identity_involution,
     is_chain,
     length,
@@ -94,19 +94,20 @@ def test_quadric_cells_upward_closed():
 
 
 def test_gamma_examples():
+    # gamma_{r,s} = (A^2)_{r,s}, the quadrics of the variety
     zero = tuple((Fraction(0),) * 3 for _ in range(3))
-    assert gamma(zero, 3, 1) == 0
+    assert square_entry(zero, 3, 1) == 0
     chain = (
         (Fraction(0), Fraction(0), Fraction(0)),
         (Fraction(1), Fraction(0), Fraction(0)),
         (Fraction(0), Fraction(1), Fraction(0)),
     )
-    assert gamma(chain, 3, 1) == 1
+    assert square_entry(chain, 3, 1) == 1
     for sigma in enumerate_involutions(5):
         base = orbit_point(sigma)
         for r in range(2, 6):
             for s in range(1, r):
-                assert gamma(base, r, s) == 0
+                assert square_entry(base, r, s) == 0
 
 
 def test_z_contains_base_and_orbit_points():
@@ -198,7 +199,7 @@ def test_contains_rejects_a_point_without_n_squared_ranks():
 )
 def test_z_point_names_a_size_mismatch_first(a, n, error):
     # past a float, a size other than n comes before the checks of
-    # corner_ranks: the shape of each row and the strict lower triangle
+    # rank_profile: the shape of each row and the strict lower triangle
     with pytest.raises(error):
         z_point(a, n)
 
@@ -262,7 +263,7 @@ def test_z_contains_fails_on_a_quadric_alone():
         for i in range(2, 5)
         for j in range(1, i)
     )
-    assert spec.quadric_cells == {(4, 1)} and gamma(a, 4, 1) == Fraction(-3, 2)
+    assert spec.quadric_cells == {(4, 1)} and square_entry(a, 4, 1) == Fraction(-3, 2)
     assert z_contains(spec, a) is False
     assert z_contains(spec, integral_multiple(a)) is False
 
@@ -298,7 +299,7 @@ def test_z_contains_integer_route_matches_field_route(case):
 
 def test_degeneration_curves_lie_in_the_variety_over_qeps():
     # for eps != 0 a curve point is in the orbit of sigma; over Q(eps) the
-    # membership test takes the field route (it used to stop in gamma)
+    # membership test takes the field route
     for n in range(2, 6):
         for sigma in enumerate_involutions(n):
             spec = z_spec(sigma)
@@ -432,6 +433,7 @@ def test_partial_permutation_counts():
 def test_filter_agrees_on_both_table_sources_for_every_cell_subset():
     failed = 0
     for n, q in ORACLE_DOMAIN:
+        rooks, everything = _partial_permutation_tables(n), _all_corner_rank_tables(n, q)
         for sigma in enumerate_involutions(n):
             if not is_chain(sigma):
                 continue
@@ -446,10 +448,8 @@ def test_filter_agrees_on_both_table_sources_for_every_cell_subset():
             essential = sorted(essential_set(w))
             for size in range(len(essential) + 1):
                 for cells in itertools.combinations(essential, size):
-                    verdict = scan_bounds_imply_all(_partial_permutation_tables(n), bounds, cells)
-                    assert verdict == scan_bounds_imply_all(
-                        _all_corner_rank_tables(n, q), bounds, cells
-                    )
+                    verdict = scan_bounds_imply_all(rooks, bounds, cells)
+                    assert verdict == scan_bounds_imply_all(everything, bounds, cells)
                     assert verdict == _bounds_imply_all(bounds, cells)
                     assert verdict or size < len(essential)
                     failed += not verdict
@@ -459,11 +459,9 @@ def test_filter_agrees_on_both_table_sources_for_every_cell_subset():
 
 def test_essential_reduction_check_leaves_no_tables_cached():
     # the check keeps the cell sets and the table count, not the tables
-    _partial_permutation_tables.cache_clear()
     _cell_sets.cache_clear()
     assert essential_reduction_check(longest_involution(5), 2)
-    assert _partial_permutation_tables.cache_info().currsize == 0
-    assert _cell_sets(5)[0] == len(_partial_permutation_tables(5)) == 1546
+    assert _cell_sets(5)[0] == 1546
 
 
 def test_essential_reduction_guards():

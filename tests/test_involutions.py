@@ -7,18 +7,15 @@ from borbits import (
     Arc,
     Involution,
     Permutation,
-    bruhat_leq_subword,
     build_poset,
     emit_hasse,
     enumerate_involutions,
-    eval_word,
     format_involution,
     identity_involution,
     involution,
     length,
     longest_involution,
     parse_involution,
-    reduced_word,
     rook_matrix_lower,
     to_permutation,
 )
@@ -31,8 +28,11 @@ from borbits.errors import (
 from conftest import (
     all_permutations,
     apply_cycles_oracle,
+    bruhat_leq_subword,
+    eval_word,
     filter_involutions,
     permutation_matrix,
+    reduced_word,
     rook_matrix_upper,
 )
 
@@ -76,6 +76,18 @@ def test_non_int_sizes_and_indices_are_rejected(build):
     build_poset(2)
     with pytest.raises(IndexOutOfRangeError):
         build()
+
+
+@pytest.mark.parametrize("m", [0, 4, -1, 7, True, 1.0, "1", None])
+def test_points_outside_one_to_n_are_rejected(m):
+    # at n = 3, apply(0) once answered 0 and is_fixed(7) True
+    sigma = parse_involution("(3,1)", 3)
+    with pytest.raises(IndexOutOfRangeError):
+        sigma.apply(m)
+    with pytest.raises(IndexOutOfRangeError):
+        sigma.is_fixed(m)
+    assert [sigma.apply(k) for k in (1, 2, 3)] == [3, 2, 1]
+    assert [sigma.is_fixed(k) for k in (1, 2, 3)] == [False, True, False]
 
 
 def test_parse_rejects_garbage():

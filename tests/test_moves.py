@@ -1,4 +1,5 @@
 import pytest
+from conftest import remove_oracle, slide_oracle
 
 from borbits import (
     Arc,
@@ -16,9 +17,6 @@ from borbits import (
     identity_involution,
     leq_star,
     minimal_support,
-    move_remove,
-    move_right,
-    move_up,
     n_minus,
     n_plus,
     n_prime,
@@ -39,7 +37,6 @@ from borbits.errors import (
     NotACandidateError,
     NotBCandidateError,
     NotCCandidateError,
-    NotMinimalError,
 )
 
 
@@ -60,32 +57,49 @@ def test_minimal_support_examples():
 
 def test_move_right_worked_example():
     sigma = parse_involution("(3,1)(8,2)(7,6)", 8)
-    assert move_right(sigma, Arc(8, 2)) == parse_involution("(3,1)(8,4)(7,6)", 8)
+    slid = parse_involution("(3,1)(8,4)(7,6)", 8)
+    assert apply_move(sigma, Move("right", Arc(8, 2))) == slid
+    assert slide_oracle(sigma, Arc(8, 2), "right") == slid
 
 
 def test_move_right_undefined_cases():
-    assert move_right(parse_involution("(2,1)", 2), Arc(2, 1)) is None
+    # an undefined slide is a move absent from the table
+    sigma = parse_involution("(2,1)", 2)
+    assert Move("right", Arc(2, 1)) not in near_moves(sigma)
+    assert slide_oracle(sigma, Arc(2, 1), "right") is None
     # m = 4 exists but (3,2) blocks: below (5,1), not below (5,4)
-    assert move_right(parse_involution("(5,1)(3,2)", 5), Arc(5, 1)) is None
+    sigma = parse_involution("(5,1)(3,2)", 5)
+    assert Move("right", Arc(5, 1)) not in near_moves(sigma)
+    assert slide_oracle(sigma, Arc(5, 1), "right") is None
 
 
 def test_move_up_worked_example():
     sigma = parse_involution("(4,1)(7,2)(8,6)", 8)
-    assert move_up(sigma, Arc(7, 2)) == parse_involution("(4,1)(5,2)(8,6)", 8)
-    assert move_up(parse_involution("(2,1)", 2), Arc(2, 1)) is None
-    assert move_up(parse_involution("(3,1)", 3), Arc(3, 1)) == parse_involution(
-        "(2,1)", 3
-    )
+    slid = parse_involution("(4,1)(5,2)(8,6)", 8)
+    assert apply_move(sigma, Move("up", Arc(7, 2))) == slid
+    assert slide_oracle(sigma, Arc(7, 2), "up") == slid
+    assert Move("up", Arc(2, 1)) not in near_moves(parse_involution("(2,1)", 2))
+    sigma = parse_involution("(3,1)", 3)
+    assert apply_move(sigma, Move("up", Arc(3, 1))) == parse_involution("(2,1)", 3)
 
 
 def test_move_remove():
     sigma = parse_involution("(3,1)(5,2)", 5)
-    assert move_remove(sigma, Arc(3, 1)) == parse_involution("(5,2)", 5)
-    assert move_remove(parse_involution("(2,1)", 2), Arc(2, 1)) == identity_involution(2)
-    with pytest.raises(NotMinimalError):
-        move_remove(parse_involution("(3,1)(8,2)(7,6)", 8), Arc(8, 2))
-    with pytest.raises(ArcNotInSupportError):
-        move_remove(sigma, Arc(4, 2))
+    assert apply_move(sigma, Move("remove", Arc(3, 1))) == parse_involution("(5,2)", 5)
+    assert remove_oracle(sigma, Arc(3, 1)) == parse_involution("(5,2)", 5)
+    single = parse_involution("(2,1)", 2)
+    assert apply_move(single, Move("remove", Arc(2, 1))) == identity_involution(2)
+    # an arc outside sigma: not in the table, and the named constructions
+    # name it
+    with pytest.raises(MoveNotApplicableError):
+        apply_move(sigma, Move("remove", Arc(4, 2)))
+    for candidates in (a_candidates, b_candidates, c_candidates):
+        with pytest.raises(ArcNotInSupportError):
+            candidates(sigma, Arc(4, 2))
+    # (8,2) is not minimal: (7,6) lies strictly below it
+    sigma = parse_involution("(3,1)(8,2)(7,6)", 8)
+    assert Move("remove", Arc(8, 2)) not in near_moves(sigma)
+    assert remove_oracle(sigma, Arc(8, 2)) is None
 
 
 def test_a_move_worked_example():
@@ -225,16 +239,18 @@ def test_arc_count_law():
 
 
 def _oracle_outputs(sigma):
-    """{move: output}, each output built by calling its named construction
-    directly, in near_moves' order: per arc, remove, right, up, then the
-    a, b and c partners in sorted order."""
-    minimal = minimal_support(sigma)
+    """{move: output} in near_moves' order: per arc, remove, right and up
+    by the definitions' oracles, then the a, b and c partners in sorted
+    order, each output built by calling its named construction directly."""
     out = {}
     for arc in sigma.arcs:
-        if arc in minimal:
-            out[Move("remove", arc)] = move_remove(sigma, arc)
-        for kind, slide in (("right", move_right), ("up", move_up)):
-            if (tau := slide(sigma, arc)) is not None:
+        one_arc = (
+            ("remove", remove_oracle(sigma, arc)),
+            ("right", slide_oracle(sigma, arc, "right")),
+            ("up", slide_oracle(sigma, arc, "up")),
+        )
+        for kind, tau in one_arc:
+            if tau is not None:
                 out[Move(kind, arc)] = tau
         for partner in sorted(a_candidates(sigma, arc)):
             out[Move("a", arc, tuple(partner))] = a_move(sigma, arc, partner)

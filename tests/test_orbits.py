@@ -1,10 +1,10 @@
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 import pytest
 from conftest import (
     ORBIT_EXAMPLES,
+    diagonal_weights,
     field_rank_profile,
     orbit_functional,
     prefix_corner_ranks,
@@ -22,7 +22,6 @@ from borbits import (
     degeneration,
     degeneration_closed_form,
     delta_minors,
-    diagonal_weights,
     enumerate_involutions,
     identity_involution,
     length,
@@ -45,7 +44,6 @@ from borbits.errors import (
     MissingArcError,
     NotAFieldError,
     MoveNotApplicableError,
-    NotDiagonalError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
     NotInvertibleError,
@@ -61,7 +59,7 @@ from borbits.matrices import (
 from borbits import orbits
 from borbits.moves import Move
 from borbits.orbits import _act_numerator, _act_word, _random_borel_int
-from borbits.rankorder import _strict_ranks, corner_ranks
+from borbits.rankorder import _strict_ranks
 from borbits.suites import _orbit_samples
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
 
@@ -208,7 +206,7 @@ def test_rank_profile_integer_route_matches_field_route(lam):
     assert rank_profile(integral_multiple(lam)) == profile
 
 
-# inputs that corner_ranks rejects, with the error it raises
+# inputs that have no strict corner ranks, with the error raised
 _NOT_FUNCTIONALS = pytest.mark.parametrize(
     "lam, error",
     [
@@ -224,8 +222,6 @@ _NOT_FUNCTIONALS = pytest.mark.parametrize(
 
 @_NOT_FUNCTIONALS
 def test_rank_profile_rejects_what_corner_ranks_rejects(lam, error):
-    with pytest.raises(error):
-        corner_ranks(lam)
     with pytest.raises(error):
         rank_profile(lam)
 
@@ -268,9 +264,9 @@ def test_unchecked_kernels_match_the_checked_routes_on_orbit_samples():
                 # the column gather against the dense field route
                 acted = act(random_borel(n, sample_seed), base)
                 assert tuple(tuple(x * det for x in row) for row in acted) == point
-                ranks = bytes(chain.from_iterable(corner_ranks(point)))
-                assert _strict_ranks(point, n) == ranks
-                assert corner_ranks(point) == prefix_corner_ranks(point, strict=True)
+                profile = rank_profile(point)
+                assert _strict_ranks(point, n) == profile.cells
+                assert profile.rows == prefix_corner_ranks(point, strict=True)
                 assert _z_point(point) == z_point(point, n) == z_point(acted, n)
 
 
@@ -324,10 +320,10 @@ def test_float_weights_are_rejected():
         orbit_point(sigma, {Arc(3, 1): 0.1})
     d = ((Fraction(2), 0, 0), (0, Fraction(1), 0), (0, 0, 1.5))
     with pytest.raises(NotAFieldError):
-        diagonal_weights(sigma, d)
+        act(d, orbit_point(sigma))
     # int and Fraction diagonals still give exact weights
     d = ((2, 0, 0), (0, 1, 0), (0, 0, Fraction(3)))
-    assert diagonal_weights(sigma, d) == {Arc(3, 1): Fraction(3, 2)}
+    assert act(d, orbit_point(sigma)) == orbit_point(sigma, {Arc(3, 1): Fraction(3, 2)})
 
 
 @pytest.mark.parametrize(
@@ -342,20 +338,23 @@ def test_float_weights_are_rejected():
     ids=["smaller", "larger", "ragged", "zero-d_i", "zero-d_j"],
 )
 def test_diagonal_weights_reject_a_wrong_size_or_a_zero_diagonal(d, error):
-    # sigma = (3,1): weight d_3 / d_1
+    # sigma = (3,1): weight d_3 / d_1, read off the torus action, which
+    # rejects a d of the wrong size or with a zero on its diagonal
     with pytest.raises(error):
-        diagonal_weights(parse_involution("(3,1)", 3), d)
+        act(d, orbit_point(parse_involution("(3,1)", 3)))
 
 
 def test_diagonal_weights_reject_an_entry_off_the_diagonal():
-    # act(d, .) of this d is no weighted base point of (3,1)
+    # act(d, .) of this d is no weighted base point of (3,1): the entry
+    # at (1, 2) moves weight off the arc, so no weights describe it
     sigma = parse_involution("(3,1)", 3)
     d = ((2, 5, 0), (0, 1, 0), (0, 0, 3))
-    with pytest.raises(NotDiagonalError, match=r"\(1, 2\)"):
-        diagonal_weights(sigma, d)
+    acted = act(d, orbit_point(sigma))
+    assert acted[2][1] == Fraction(-15, 2)
+    assert acted != orbit_point(sigma, diagonal_weights(sigma, d))
     lower = ((2, 0, 0), (0, 1, 0), (Fraction(1, 2), 0, 3))
-    with pytest.raises(NotDiagonalError):
-        diagonal_weights(sigma, lower)
+    with pytest.raises(NotUpperTriangularError):
+        act(lower, orbit_point(sigma))
 
 
 def test_action_law():

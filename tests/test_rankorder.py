@@ -9,7 +9,6 @@ from borbits import (
     Permutation,
     RankMatrix,
     bruhat_rank_matrix,
-    bruhat_leq_subword,
     enumerate_involutions,
     exact_rank,
     involution,
@@ -17,6 +16,7 @@ from borbits import (
     longest_involution,
     melnikov_rank_matrix,
     parse_involution,
+    rank_profile,
     rook_matrix_lower,
     star_rank_matrix,
     to_permutation,
@@ -36,13 +36,13 @@ from borbits.rankorder import (
     _dominated,
     _lanes,
     _strict_ranks,
-    corner_ranks,
     dominance_masks,
 )
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
 from conftest import (
     all_permutations,
+    bruhat_leq_subword,
     largest_nonzero_minor,
     leq_bruhat,
     leq_melnikov,
@@ -199,8 +199,7 @@ def test_rank_matrices_match_exact_elimination():
             upper = prefix_corner_ranks(rook_matrix_upper(sigma))
             assert upper == melnikov_rank_matrix(sigma).rows
             # both read 0 on and above the diagonal
-            lower = corner_ranks(rook_matrix_lower(sigma))
-            assert lower == star_rank_matrix(sigma).rows
+            assert rank_profile(rook_matrix_lower(sigma)) == star_rank_matrix(sigma)
 
 
 def test_base_point_strict_corner_ranks_are_star_tables():
@@ -208,8 +207,7 @@ def test_base_point_strict_corner_ranks_are_star_tables():
     # no member of a variety lies outside the order
     for n in range(1, 9):
         for tau in enumerate_involutions(n):
-            ranks = corner_ranks(rook_matrix_lower(tau))
-            assert ranks == star_rank_matrix(tau).rows
+            assert rank_profile(rook_matrix_lower(tau)) == star_rank_matrix(tau)
 
 
 # entries of each ring the kernel takes, with the prime for residues
@@ -300,7 +298,7 @@ def strictly_lower_cases(draw):
 @example(matrix=((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 def test_one_pass_corner_ranks_match_per_prefix_oracle(matrix):
     oracle = prefix_corner_ranks(promote(matrix), strict=True)
-    assert corner_ranks(matrix) == oracle
+    assert rank_profile(matrix).rows == oracle
 
 
 @pytest.mark.parametrize(
@@ -314,7 +312,7 @@ def test_one_pass_corner_ranks_match_per_prefix_oracle(matrix):
 def test_corner_ranks_of_an_int_row_above_a_field_row(matrix):
     # the bottom row goes in first, so the int row above it meets a field
     # row in the basis: the matrix must be typed as a whole
-    assert corner_ranks(matrix) == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
+    assert rank_profile(matrix).rows == ((0, 0, 0), (1, 0, 0), (1, 1, 0))
 
 
 @st.composite
@@ -333,7 +331,7 @@ def mixed_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(matrix=mixed_matrices())
 def test_rows_over_different_rings_rank_as_the_promoted_matrix(matrix):
-    assert corner_ranks(matrix) == corner_ranks(promote(matrix))
+    assert rank_profile(matrix) == rank_profile(promote(matrix))
 
 
 @pytest.mark.parametrize(
@@ -343,7 +341,7 @@ def test_rows_over_different_rings_rank_as_the_promoted_matrix(matrix):
 )
 def test_corner_ranks_rejects_non_square(matrix):
     with pytest.raises(SizeMismatchError):
-        corner_ranks(matrix)
+        rank_profile(matrix)
 
 
 _ROW = (1, 3, 0, 0)
@@ -363,7 +361,7 @@ def test_corner_ranks_rejects_floats(matrix):
     # float arithmetic would give corner (3,2) rank 2, as 0.1 * 3 != 0.3;
     # it is 1.  A float is named before an entry above the diagonal.
     with pytest.raises(NotAFieldError):
-        corner_ranks(matrix)
+        rank_profile(matrix)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +376,7 @@ def test_corner_ranks_rejects_floats(matrix):
 )
 def test_corner_ranks_rejects_entries_on_or_above_the_diagonal(matrix):
     with pytest.raises(NotStrictlyLowerError):
-        corner_ranks(matrix)
+        rank_profile(matrix)
 
 
 def test_star_is_lower_part_of_full_rank_matrix():
@@ -531,7 +529,7 @@ def test_tables_past_one_byte_per_cell_raise_before_building_one():
         lambda: star_rank_matrix(sigma),
         lambda: melnikov_rank_matrix(sigma),
         lambda: bruhat_rank_matrix(to_permutation(sigma)),
-        lambda: corner_ranks(((0,) * n,) * n),
+        lambda: rank_profile(((0,) * n,) * n),
     )
     for build in builders:
         with pytest.raises(BoundExceededError):
@@ -579,6 +577,18 @@ def test_rank_matrix_names_the_first_bad_cell_of_a_middle_row():
     with pytest.raises(IndexOutOfRangeError) as error:
         RankMatrix(4, ((0,) * 4, (0, 1, 2, 3), (0, -1, 0, 0), (0,) * 4))
     assert str(error.value) == "entry -1 at (3,2) exceeds rook bound"
+
+
+@pytest.mark.parametrize(
+    "i, j",
+    [(2, 0), (0, 2), (4, 1), (1, 4), (-1, 3), (3, -1), (True, 1), (1, True), (1.0, 1), (1, "1")],
+)
+def test_rank_matrix_entry_rejects_a_cell_outside_the_table(i, j):
+    # (2, 0) once read cell (2, 3), and (4, 1) a bare IndexError
+    table = bruhat_rank_matrix(to_permutation(parse_involution("(3,1)", 3)))
+    with pytest.raises(IndexOutOfRangeError):
+        table.entry(i, j)
+    assert [table.entry(2, c) for c in (1, 2, 3)] == list(table.rows[1])
 
 
 TABLE_KINDS = {

@@ -34,12 +34,9 @@ from .rankorder import (
 from .moves import (
     Move,
     a_candidates,
-    a_move,
     apply_move,
     b_candidates,
-    b_move,
     c_candidates,
-    c_move,
     minimal_support,
     n_minus,
     n_plus,

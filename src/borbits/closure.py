@@ -146,12 +146,12 @@ def is_chain(sigma: Involution) -> bool:
 def rothe_diagram(w: Permutation) -> frozenset[tuple[int, int]]:
     """Cells (i, j) with w(i) > j and w^{-1}(j) > i; the cell count equals
     the length of w."""
-    inv = w.inverse()
+    image, preimage = w.one_line, w.inverse().one_line
     return frozenset(
         (i, j)
         for i in range(1, w.n + 1)
         for j in range(1, w.n + 1)
-        if w.apply(i) > j and inv.apply(j) > i
+        if image[i - 1] > j and preimage[j - 1] > i
     )
 
 
@@ -322,7 +322,7 @@ def essential_reduction_check(sigma: Involution, q: int) -> bool:
     # ranks the diagram formula describes; w's own table is among the
     # partial permutations', so each bound is within its cell's sets
     bounds = bytes(
-        sum(w.apply(k) <= j for k in range(1, i + 1))
+        sum(image <= j for image in w.one_line[:i])
         for i in range(1, n + 1)
         for j in range(1, n + 1)
     )

@@ -33,22 +33,6 @@ class ArcNotInSupportError(MoveError):
     """The designated arc is not a 2-cycle of the involution."""
 
 
-class NotACandidateError(MoveError):
-    """The partner arc fails the conditions of the crossing swap."""
-
-
-class NotBCandidateError(MoveError):
-    """The partner arc fails the conditions of the nesting swap."""
-
-
-class NotCCandidateError(MoveError):
-    """The position pair fails the conditions of the splitting move."""
-
-
-class InvalidResultError(MoveError):
-    """A move would produce colliding endpoints, hence no involution."""
-
-
 class MoveNotApplicableError(MoveError):
     """A move record does not apply to the given involution."""
 

@@ -50,6 +50,9 @@ class Involution:
         seen: set[int] = set()
         prev_j = 0
         for arc in self.arcs:
+            # a plain tuple equals and hashes like its Arc, so only the type tells
+            if type(arc) is not Arc:
+                raise IndexOutOfRangeError(f"arc {arc!r} is not an Arc")
             i, j = arc
             if type(i) is not int or type(j) is not int or not 1 <= j < i <= self.n:
                 raise IndexOutOfRangeError(f"arc {arc!r} out of range for n={self.n}")
@@ -101,6 +104,8 @@ class Permutation:
         return len(self.one_line)
 
     def apply(self, k: int) -> int:
+        if type(k) is not int or not 1 <= k <= self.n:
+            raise IndexOutOfRangeError(f"point {k!r} outside 1..{self.n}")
         return self.one_line[k - 1]
 
     def inverse(self) -> "Permutation":

@@ -13,12 +13,10 @@ Moves act on the rook placement of an involution sigma:
 preserve it.  The board order on positions is (a, b) <= (c, d) iff
 a <= c and b >= d.
 
-The two-arc constructions ``a_move``, ``b_move`` and ``c_move`` check
-their input and raise the matching ``MoveError``.  One cached pass per
-sigma runs every applicable move of the six kinds and keeps the outputs:
-:func:`near_moves`, :func:`apply_move` and the neighbour classes read
-that table, and a move not in it raises
-:class:`~borbits.errors.MoveNotApplicableError`.
+One cached pass per sigma builds the output of every applicable move
+of the six kinds, and nothing else builds one: :func:`near_moves`,
+:func:`apply_move` and the neighbour classes read that table, and a
+move not in it raises :class:`~borbits.errors.MoveNotApplicableError`.
 """
 
 from __future__ import annotations
@@ -27,14 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .errors import (
-    ArcNotInSupportError,
-    InvalidResultError,
-    MoveNotApplicableError,
-    NotACandidateError,
-    NotBCandidateError,
-    NotCCandidateError,
-)
+from .errors import ArcNotInSupportError, MoveNotApplicableError
 from .involutions import Arc, Involution
 
 
@@ -59,11 +50,6 @@ def minimal_support(sigma: Involution) -> frozenset[Arc]:
 def _require_arc(sigma: Involution, arc: Arc) -> None:
     if arc not in sigma.arcs:
         raise ArcNotInSupportError(f"{arc!r} not an arc of {sigma}")
-
-
-def _is_pair(x, types: type | tuple[type, ...] = tuple) -> bool:
-    """True iff x is two ints in a sequence of one of the given types."""
-    return isinstance(x, types) and len(x) == 2 and all(isinstance(p, int) for p in x)
 
 
 def _replace(sigma: Involution, drop: tuple[Arc, ...], add: tuple[Arc, ...]) -> Involution:
@@ -111,15 +97,6 @@ def a_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
     return frozenset(out)
 
 
-def a_move(sigma: Involution, arc: Arc, partner: Arc) -> Involution:
-    """Replace (i, j), (al, be) by (be, j), (al, i)."""
-    candidates = a_candidates(sigma, arc)  # an unknown arc is named first
-    if not _is_pair(partner) or partner not in candidates:
-        raise NotACandidateError(f"{partner!r} fails the crossing-swap conditions")
-    (i, j), (al, be) = arc, partner
-    return _replace(sigma, (arc, partner), (Arc(be, j), Arc(al, i)))
-
-
 def b_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
     """Arcs strictly above (i, j) in the board order with nothing strictly
     between."""
@@ -134,68 +111,36 @@ def b_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
     return frozenset(out)
 
 
-def b_move(sigma: Involution, arc: Arc, partner: Arc) -> Involution:
-    """Replace (i, j), (al, be) by (i, be), (al, j)."""
-    candidates = b_candidates(sigma, arc)  # an unknown arc is named first
-    if not _is_pair(partner) or partner not in candidates:
-        raise NotBCandidateError(f"{partner!r} fails the nesting-swap conditions")
-    (i, j), (al, be) = arc, partner
-    return _replace(sigma, (arc, partner), (Arc(i, be), Arc(al, j)))
-
-
-def _c_clauses_hold(sigma: Involution, arc: Arc, pair: tuple[int, int]) -> bool:
-    i, j = arc
-    al, be = pair
-    if not (i > be > al > j):
-        return False
-    if any(sigma.is_fixed(s) for s in range(al + 1, be)):
-        return False
-    for p, q in sigma.arcs:
-        if phi_lt((p, q), arc) and not phi_lt((p, q), (al, j)):
-            if not phi_lt((p, q), (i, be)):
-                return False
-    return True
-
-
 def c_candidates(sigma: Involution, arc: Arc) -> frozenset[tuple[int, int]]:
     """Position pairs (al, be), j < al < be < i, both fixed points of sigma,
     with no fixed point strictly between and every arc strictly below
     (i, j) but not below (al, j) staying strictly below (i, be).
 
     Fixedness of al and be is required for the output to be an
-    involution; pairs violating it are excluded here and rejected by
-    :func:`c_move` as invalid results.
-    """
+    involution."""
     _require_arc(sigma, arc)
     i, j = arc
     return frozenset(
         (al, be)
         for al in range(j + 1, i)
         for be in range(al + 1, i)
-        if _c_clauses_hold(sigma, arc, (al, be))
-        and sigma.is_fixed(al)
+        if sigma.is_fixed(al)
         and sigma.is_fixed(be)
+        and not any(sigma.is_fixed(s) for s in range(al + 1, be))
+        and all(
+            not phi_lt(other, arc) or phi_lt(other, (al, j)) or phi_lt(other, (i, be))
+            for other in sigma.arcs
+        )
     )
-
-
-def c_move(sigma: Involution, arc: Arc, pair: tuple[int, int]) -> Involution:
-    """Replace (i, j) by (i, be), (al, j); raises the arc count by one."""
-    _require_arc(sigma, arc)
-    if not _is_pair(pair, (tuple, list)) or not _c_clauses_hold(sigma, arc, pair):
-        raise NotCCandidateError(f"{pair!r} fails the splitting conditions")
-    al, be = pair
-    if not (sigma.is_fixed(al) and sigma.is_fixed(be)):
-        raise InvalidResultError(f"positions {pair!r} collide with existing arcs")
-    i, j = arc
-    return _replace(sigma, (arc,), (Arc(i, be), Arc(al, j)))
 
 
 @dataclass(frozen=True)
 class Move:
     """One applicable move instance: kind, source arc, optional partner.
 
-    ``partner`` is an arc for kinds a/b and a position pair (al, be)
-    with al < be for kind c; the three one-arc kinds carry none.
+    ``partner`` is a plain pair (al, be): the partner arc for kinds a/b,
+    two fixed points al < be for kind c; the three one-arc kinds carry
+    none.
     """
 
     kind: str
@@ -207,22 +152,27 @@ class Move:
 def _move_outputs(sigma: Involution) -> MappingProxyType[Move, Involution]:
     """Every applicable move instance and its output, in a fixed
     deterministic order: the one construction pass over sigma, read-only
-    since the cache hands it to every caller."""
+    since the cache hands it to every caller.  For (i, j) and a partner
+    (al, be): a gives (be, j), (al, i); b gives (i, be), (al, j); c
+    splits (i, j) alone into (i, be), (al, j)."""
     minimal = minimal_support(sigma)
     out: dict[Move, Involution] = {}
     for arc in sigma.arcs:
+        i, j = arc
         if arc in minimal:
             out[Move("remove", arc)] = _replace(sigma, (arc,), ())
         for kind in ("right", "up"):
             slide = _slide(sigma, arc, kind)
             if slide is not None:
                 out[Move(kind, arc)] = _replace(sigma, (arc,), (slide[1],))
-        for partner in sorted(a_candidates(sigma, arc)):
-            out[Move("a", arc, tuple(partner))] = a_move(sigma, arc, partner)
-        for partner in sorted(b_candidates(sigma, arc)):
-            out[Move("b", arc, tuple(partner))] = b_move(sigma, arc, partner)
-        for pair in sorted(c_candidates(sigma, arc)):
-            out[Move("c", arc, pair)] = c_move(sigma, arc, pair)
+        for al, be in sorted(a_candidates(sigma, arc)):
+            drop = (arc, Arc(al, be))
+            out[Move("a", arc, (al, be))] = _replace(sigma, drop, (Arc(be, j), Arc(al, i)))
+        for al, be in sorted(b_candidates(sigma, arc)):
+            drop = (arc, Arc(al, be))
+            out[Move("b", arc, (al, be))] = _replace(sigma, drop, (Arc(i, be), Arc(al, j)))
+        for al, be in sorted(c_candidates(sigma, arc)):
+            out[Move("c", arc, (al, be))] = _replace(sigma, (arc,), (Arc(i, be), Arc(al, j)))
     return MappingProxyType(out)
 
 
@@ -235,11 +185,14 @@ def near_moves(sigma: Involution) -> tuple[Move, ...]:
 def apply_move(sigma: Involution, move: Move) -> Involution:
     """The output of a move of :func:`near_moves`; any other move raises
     :class:`MoveNotApplicableError`."""
-    outputs = _move_outputs(sigma)
     try:
-        return outputs[move]
+        tau = _move_outputs(sigma)[move]
     except (KeyError, TypeError):  # TypeError: an unhashable partner
-        raise MoveNotApplicableError(f"{move} not applicable to {sigma}") from None
+        tau = None
+    # the lookup's equality takes 4.0 for 4 and True for 1
+    if tau is None or any(type(p) is not int for p in (*move.arc, *(move.partner or ()))):
+        raise MoveNotApplicableError(f"{move} not applicable to {sigma}")
+    return tau
 
 
 def _outputs_of(sigma: Involution, kinds: tuple[str, ...]) -> frozenset[Involution]:

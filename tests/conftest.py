@@ -237,6 +237,29 @@ def slide_oracle(sigma: Involution, arc, kind: str):
     return involution(sigma.n, [a for a in sigma.arcs if a != arc] + [slid])
 
 
+def _exchange(sigma: Involution, drop, add):
+    return involution(sigma.n, [a for a in sigma.arcs if a not in drop] + list(add))
+
+
+def a_oracle(sigma: Involution, arc, partner):
+    """Oracle: the crossing swap, (i, j), (al, be) -> (be, j), (al, i)."""
+    (i, j), (al, be) = arc, partner
+    return _exchange(sigma, (arc, partner), ((be, j), (al, i)))
+
+
+def b_oracle(sigma: Involution, arc, partner):
+    """Oracle: the nesting swap, (i, j), (al, be) -> (i, be), (al, j)."""
+    (i, j), (al, be) = arc, partner
+    return _exchange(sigma, (arc, partner), ((i, be), (al, j)))
+
+
+def c_oracle(sigma: Involution, arc, pair):
+    """Oracle: the split of (i, j) through the free points al < be,
+    (i, j) -> (i, be), (al, j)."""
+    (i, j), (al, be) = arc, pair
+    return _exchange(sigma, (arc,), ((i, be), (al, j)))
+
+
 def diagonal_weights(sigma: Involution, d) -> dict:
     """Oracle: the arc weights of the base point of sigma acted on by an
     invertible diagonal d, weight(i, j) = d_i / d_j."""

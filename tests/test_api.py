@@ -20,6 +20,13 @@ REMOVED = {
     "corner_ranks": "rankorder",
     "NotMinimalError": "errors",
     "NotDiagonalError": "errors",
+    "a_move": "moves",
+    "b_move": "moves",
+    "c_move": "moves",
+    "NotACandidateError": "errors",
+    "NotBCandidateError": "errors",
+    "NotCCandidateError": "errors",
+    "InvalidResultError": "errors",
 }
 
 

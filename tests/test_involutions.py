@@ -15,10 +15,14 @@ from borbits import (
     involution,
     length,
     longest_involution,
+    n_prime,
+    near_moves,
+    orbit_point,
     parse_involution,
     rook_matrix_lower,
     to_permutation,
 )
+from borbits import moves
 from borbits.errors import (
     CycleSyntaxError,
     IndexOutOfRangeError,
@@ -57,6 +61,7 @@ NON_INT_BUILDS = {
     "Involution(2.5)": lambda: Involution(2.5, ()),
     "Involution(True)": lambda: Involution(True, ()),
     "Involution arc (2.0, 1)": lambda: Involution(3, (Arc(2.0, 1),)),
+    "Involution arc tuple (3, 1)": lambda: Involution(4, ((3, 1),)),
     "parse_involution(n=2.5)": lambda: parse_involution("id", 2.5),
     "involution((2.0, 1.0))": lambda: involution(3, [(2.0, 1.0)]),
     "enumerate_involutions(True)": lambda: enumerate_involutions(True),
@@ -80,14 +85,32 @@ def test_non_int_sizes_and_indices_are_rejected(build):
 
 @pytest.mark.parametrize("m", [0, 4, -1, 7, True, 1.0, "1", None])
 def test_points_outside_one_to_n_are_rejected(m):
-    # at n = 3, apply(0) once answered 0 and is_fixed(7) True
+    # at n = 3, apply(0) once answered 0 and is_fixed(7) True, and the
+    # permutation's apply(0) answered w(3), by wrap-around
     sigma = parse_involution("(3,1)", 3)
-    with pytest.raises(IndexOutOfRangeError):
-        sigma.apply(m)
-    with pytest.raises(IndexOutOfRangeError):
-        sigma.is_fixed(m)
+    w = Permutation((2, 1, 3))
+    for point_map in (sigma.apply, sigma.is_fixed, w.apply):
+        with pytest.raises(IndexOutOfRangeError):
+            point_map(m)
     assert [sigma.apply(k) for k in (1, 2, 3)] == [3, 2, 1]
     assert [sigma.is_fixed(k) for k in (1, 2, 3)] == [False, True, False]
+    assert [w.apply(k) for k in (1, 2, 3)] == [2, 1, 3]
+
+
+def test_a_tuple_arc_cannot_poison_the_move_caches():
+    # (3, 1) equals and hashes like Arc(3, 1), so an involution built from
+    # it once shared the cached move table of the well-formed one and put
+    # tuple arcs into it
+    moves._move_outputs.cache_clear()
+    moves.near_moves.cache_clear()
+    with pytest.raises(IndexOutOfRangeError):
+        near_moves(Involution(4, ((3, 1),)))
+    with pytest.raises(IndexOutOfRangeError):
+        orbit_point(Involution(4, ((3, 1),)))
+    sigma = parse_involution("(3,1)", 4)
+    assert all(type(move.arc) is Arc for move in near_moves(sigma))
+    # the removal's interval [1, 3] holds the fixed point 2
+    assert n_prime(sigma) == frozenset()
 
 
 def test_parse_rejects_garbage():

@@ -1,16 +1,15 @@
+from dataclasses import replace
+
 import pytest
-from conftest import remove_oracle, slide_oracle
+from conftest import a_oracle, b_oracle, c_oracle, remove_oracle, slide_oracle
 
 from borbits import (
     Arc,
     Move,
     a_candidates,
-    a_move,
     apply_move,
     b_candidates,
-    b_move,
     c_candidates,
-    c_move,
     degeneration,
     degeneration_closed_form,
     enumerate_involutions,
@@ -30,14 +29,7 @@ from borbits import (
 )
 from borbits import moves
 from borbits.orbits import degeneration_word
-from borbits.errors import (
-    ArcNotInSupportError,
-    InvalidResultError,
-    MoveNotApplicableError,
-    NotACandidateError,
-    NotBCandidateError,
-    NotCCandidateError,
-)
+from borbits.errors import ArcNotInSupportError, MoveNotApplicableError
 
 
 def test_phi_order_examples():
@@ -89,8 +81,7 @@ def test_move_remove():
     assert remove_oracle(sigma, Arc(3, 1)) == parse_involution("(5,2)", 5)
     single = parse_involution("(2,1)", 2)
     assert apply_move(single, Move("remove", Arc(2, 1))) == identity_involution(2)
-    # an arc outside sigma: not in the table, and the named constructions
-    # name it
+    # an arc outside sigma: not in the table, and the candidate sets name it
     with pytest.raises(MoveNotApplicableError):
         apply_move(sigma, Move("remove", Arc(4, 2)))
     for candidates in (a_candidates, b_candidates, c_candidates):
@@ -105,18 +96,20 @@ def test_move_remove():
 def test_a_move_worked_example():
     sigma = parse_involution("(5,1)(6,2)(8,4)", 8)
     assert Arc(8, 4) in a_candidates(sigma, Arc(6, 2))
-    assert a_move(sigma, Arc(6, 2), Arc(8, 4)) == parse_involution(
-        "(5,1)(4,2)(8,6)", 8
-    )
+    swapped = parse_involution("(5,1)(4,2)(8,6)", 8)
+    assert apply_move(sigma, Move("a", Arc(6, 2), (8, 4))) == swapped
+    assert a_oracle(sigma, Arc(6, 2), (8, 4)) == swapped
 
 
 def test_a_move_small_case():
     sigma = parse_involution("(3,1)(4,2)", 4)
     assert a_candidates(sigma, Arc(3, 1)) == {Arc(4, 2)}
-    assert a_move(sigma, Arc(3, 1), Arc(4, 2)) == parse_involution("(2,1)(4,3)", 4)
+    swapped = parse_involution("(2,1)(4,3)", 4)
+    assert apply_move(sigma, Move("a", Arc(3, 1), (4, 2))) == swapped
+    assert a_oracle(sigma, Arc(3, 1), (4, 2)) == swapped
     assert a_candidates(parse_involution("(2,1)", 2), Arc(2, 1)) == frozenset()
-    with pytest.raises(NotACandidateError):
-        a_move(sigma, Arc(4, 2), Arc(3, 1))
+    # (3,1) is no a partner of (4,2): the move is absent from the table
+    assert Move("a", Arc(4, 2), (3, 1)) not in near_moves(sigma)
 
 
 def test_a_blocker_uses_board_order():
@@ -128,73 +121,71 @@ def test_a_blocker_uses_board_order():
 def test_b_move_worked_example():
     sigma = parse_involution("(8,1)(3,2)(5,4)(7,6)", 8)
     assert Arc(8, 1) in b_candidates(sigma, Arc(5, 4))
-    assert b_move(sigma, Arc(5, 4), Arc(8, 1)) == parse_involution(
-        "(5,1)(3,2)(8,4)(7,6)", 8
-    )
+    swapped = parse_involution("(5,1)(3,2)(8,4)(7,6)", 8)
+    assert apply_move(sigma, Move("b", Arc(5, 4), (8, 1))) == swapped
+    assert b_oracle(sigma, Arc(5, 4), (8, 1)) == swapped
     assert b_candidates(parse_involution("(2,1)", 2), Arc(2, 1)) == frozenset()
 
 
 def test_b_candidates_requires_comparability():
     sigma = parse_involution("(3,1)(4,2)", 4)
     assert b_candidates(sigma, Arc(3, 1)) == frozenset()
-    with pytest.raises(NotBCandidateError):
-        b_move(sigma, Arc(3, 1), Arc(4, 2))
+    assert Move("b", Arc(3, 1), (4, 2)) not in near_moves(sigma)
 
 
 def test_c_move_worked_example():
     sigma = parse_involution("(4,1)(8,2)(7,6)", 8)
     assert (3, 5) in c_candidates(sigma, Arc(8, 2))
-    assert c_move(sigma, Arc(8, 2), (3, 5)) == parse_involution(
-        "(4,1)(3,2)(8,5)(7,6)", 8
-    )
+    split = parse_involution("(4,1)(3,2)(8,5)(7,6)", 8)
+    assert apply_move(sigma, Move("c", Arc(8, 2), (3, 5))) == split
+    assert c_oracle(sigma, Arc(8, 2), (3, 5)) == split
 
 
 def test_c_move_small_cases():
     assert c_candidates(parse_involution("(3,1)", 3), Arc(3, 1)) == frozenset()
     sigma = parse_involution("(4,1)", 4)
     assert c_candidates(sigma, Arc(4, 1)) == {(2, 3)}
-    assert c_move(sigma, Arc(4, 1), (2, 3)) == parse_involution("(2,1)(4,3)", 4)
-    with pytest.raises(NotCCandidateError):
-        c_move(sigma, Arc(4, 1), (3, 2))
+    split = parse_involution("(2,1)(4,3)", 4)
+    assert apply_move(sigma, Move("c", Arc(4, 1), (2, 3))) == split
+    assert c_oracle(sigma, Arc(4, 1), (2, 3)) == split
+    assert Move("c", Arc(4, 1), (3, 2)) not in near_moves(sigma)
 
 
 @pytest.mark.parametrize(
-    "construct, text, n, arc, partner, error",
+    "text, n, move",
     [
-        (a_move, "(3,1)(4,2)", 4, Arc(3, 1), (4, 2), NotACandidateError),
-        (b_move, "(8,1)(3,2)(5,4)(7,6)", 8, Arc(5, 4), (8, 1), NotBCandidateError),
-        (c_move, "(8,2)", 8, Arc(8, 2), (3, 4), NotCCandidateError),
+        ("(3,1)(4,2)", 4, Move("a", Arc(3, 1), (4, 2))),
+        ("(8,1)(3,2)(5,4)(7,6)", 8, Move("b", Arc(5, 4), (8, 1))),
+        ("(8,2)", 8, Move("c", Arc(8, 2), (3, 4))),
     ],
+    ids=["a", "b", "c"],
 )
-def test_malformed_partners_raise_the_construction_error(
-    construct, text, n, arc, partner, error
-):
+def test_malformed_partners_are_not_applicable(text, n, move):
     sigma = parse_involution(text, n)
-    expected = construct(sigma, arc, partner)
-    malformed = [
-        partner[:1],
-        partner + (7,),
-        (partner[0], [partner[1]]),
-        (float(partner[0]), partner[1]),
+    assert move in near_moves(sigma)
+    (i, j), (al, be) = move.arc, move.partner
+    partners = [
+        (al,),
+        (al, be, 7),
+        (al, [be]),
+        [al, be],
+        (float(al), be),
+        (al, float(be)),
         5,
         None,
     ]
-    # a c partner is a position pair, which may be a list; a and b
-    # partners are arcs
-    if construct is c_move:
-        assert c_move(sigma, arc, list(partner)) == expected
-    else:
-        malformed.append(list(partner))
+    arcs = [(float(i), j), Arc(i, float(j)), [i, j]]
+    malformed = [replace(move, partner=p) for p in partners]
+    malformed += [replace(move, arc=arc) for arc in arcs]
     for bad in malformed:
-        with pytest.raises(error):
-            construct(sigma, arc, bad)
+        with pytest.raises(MoveNotApplicableError):
+            apply_move(sigma, bad)
 
 
 def test_c_move_rejects_colliding_endpoints():
     # the printed clauses hold for (3,4) yet 3 is already an endpoint
     sigma = parse_involution("(5,1)(3,2)", 5)
-    with pytest.raises(InvalidResultError):
-        c_move(sigma, Arc(5, 1), (3, 4))
+    assert Move("c", Arc(5, 1), (3, 4)) not in near_moves(sigma)
     assert (3, 4) not in c_candidates(sigma, Arc(5, 1))
 
 
@@ -241,7 +232,7 @@ def test_arc_count_law():
 def _oracle_outputs(sigma):
     """{move: output} in near_moves' order: per arc, remove, right and up
     by the definitions' oracles, then the a, b and c partners in sorted
-    order, each output built by calling its named construction directly."""
+    order, each output built by its kind's exchange formula."""
     out = {}
     for arc in sigma.arcs:
         one_arc = (
@@ -253,11 +244,11 @@ def _oracle_outputs(sigma):
             if tau is not None:
                 out[Move(kind, arc)] = tau
         for partner in sorted(a_candidates(sigma, arc)):
-            out[Move("a", arc, tuple(partner))] = a_move(sigma, arc, partner)
+            out[Move("a", arc, tuple(partner))] = a_oracle(sigma, arc, partner)
         for partner in sorted(b_candidates(sigma, arc)):
-            out[Move("b", arc, tuple(partner))] = b_move(sigma, arc, partner)
+            out[Move("b", arc, tuple(partner))] = b_oracle(sigma, arc, partner)
         for pair in sorted(c_candidates(sigma, arc)):
-            out[Move("c", arc, pair)] = c_move(sigma, arc, pair)
+            out[Move("c", arc, pair)] = c_oracle(sigma, arc, pair)
     return out
 
 
@@ -265,7 +256,7 @@ def _of_kinds(outputs, *kinds):
     return {tau for move, tau in outputs.items() if move.kind in kinds}
 
 
-def test_move_table_matches_the_named_constructions():
+def test_move_table_matches_the_oracles():
     for n in range(1, 7):
         for sigma in enumerate_involutions(n):
             oracle = _oracle_outputs(sigma)
@@ -305,6 +296,11 @@ _NOT_IN_TABLE = pytest.mark.parametrize(
         ("(3,1)(5,2)", 5, Move("right", Arc(4, 2))),
         ("(2,1)", 2, Move("swap", Arc(2, 1))),
         ("(3,1)(4,2)", 4, Move("a", Arc(3, 1), [4, 2])),
+        # 4.0 == 4 and True == 1 with equal hashes: the lookup finds these
+        ("(3,1)(4,2)", 4, Move("a", Arc(3, 1), (4.0, 2))),
+        ("(8,1)(3,2)(5,4)(7,6)", 8, Move("b", Arc(5, 4), (8, True))),
+        ("(3,1)", 3, Move("remove", (3, True))),
+        ("(3,1)", 3, Move("up", Arc(3.0, 1))),
     ],
     ids=[
         "not-minimal",
@@ -319,6 +315,10 @@ _NOT_IN_TABLE = pytest.mark.parametrize(
         "slide-arc-not-in-sigma",
         "unknown-kind",
         "unhashable-partner",
+        "float-partner",
+        "bool-partner",
+        "bool-arc",
+        "float-arc",
     ],
 )
 

@@ -3,14 +3,19 @@
 Subcommands: enum, rank, compare, near, hasse, verify.  Exit codes:
 0 on success or a passing suite, 1 on suite failure, 2 on usage errors
 (including malformed involutions and out-of-bound sizes).
+
+Each command's options are one table, ``_COMMANDS``.  A well-formed
+command line is parsed from that table directly; argparse, built from
+the same table, is imported only for help, usage and errors, so their
+text is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import BorbitsError, BoundExceededError
 from .involutions import (
@@ -32,11 +37,6 @@ def _rank_rows_text(rows) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
 
 
-def _enum_arguments(enum) -> None:
-    enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def _cmd_enum(args) -> int:
     if args.n > ENUM_MAX_N:
         raise BoundExceededError(f"enum accepts n <= {ENUM_MAX_N}")
@@ -54,27 +54,6 @@ def _cmd_enum(args) -> int:
     return 0
 
 
-def _rank_arguments(rank) -> None:
-    rank.add_argument("--n", type=int, required=True)
-    rank.add_argument("--sigma", required=True, help="cycle notation, e.g. (3,1)(5,2)")
-    # no argparse default: a default value given explicitly would escape
-    # the conflict check; _cmd_rank falls back to melnikov
-    which = rank.add_mutually_exclusive_group()
-    which.add_argument(
-        "--order",
-        choices=ORDER_TABLES,
-        help="which rank matrix to print (default: melnikov)",
-    )
-    which.add_argument(
-        "--star",
-        action="store_const",
-        const="star",
-        dest="order",
-        help="shortcut for --order star",
-    )
-    rank.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def _cmd_rank(args) -> int:
     sigma = parse_involution(args.sigma, args.n)
     matrix = order_table(args.order or "melnikov")(sigma)
@@ -83,14 +62,6 @@ def _cmd_rank(args) -> int:
     else:
         sys.stdout.write(_rank_rows_text(matrix.rows))
     return 0
-
-
-def _compare_arguments(compare) -> None:
-    compare.add_argument("--n", type=int, required=True)
-    compare.add_argument("--sigma", required=True)
-    compare.add_argument("--tau", required=True)
-    compare.add_argument("--order", choices=ORDER_TABLES, default="star")
-    compare.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _cmd_compare(args) -> int:
@@ -111,17 +82,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _near_arguments(near_cmd) -> None:
-    near_cmd.add_argument("--n", type=int, required=True)
-    near_cmd.add_argument("--sigma", required=True)
-    near_cmd.add_argument(
-        "--prime",
-        action="store_true",
-        help="restricted neighbour set (equals the covering set)",
-    )
-    near_cmd.add_argument("--format", choices=("text", "json"), default="text")
-
-
 def _cmd_near(args) -> int:
     sigma = parse_involution(args.sigma, args.n)
     neighbours = near_prime(sigma) if args.prime else near(sigma)
@@ -139,23 +99,9 @@ def _cmd_near(args) -> int:
     return 0
 
 
-def _hasse_arguments(hasse) -> None:
-    hasse.add_argument("--n", type=int, required=True)
-    hasse.add_argument("--order", choices=ORDER_TABLES, default="star")
-    hasse.add_argument("--format", choices=("dot", "json"), default="dot")
-
-
 def _cmd_hasse(args) -> int:
     sys.stdout.write(emit_hasse(args.n, args.order, args.format))
     return 0
-
-
-def _verify_arguments(verify) -> None:
-    verify.add_argument("suite", choices=suite_names())
-    verify.add_argument("--n", type=int, required=True)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--samples", type=int, default=100)
-    verify.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _cmd_verify(args) -> int:
@@ -167,24 +113,68 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# name -> (help line, adds the arguments to its subparser, runs it),
-# in the order the help lists them
+# each option is its flag and the keywords argparse's add_argument
+# takes; an option that names its dest shares a mutually exclusive
+# group with the other options of that dest
+_N = ("--n", {"type": int, "required": True})
+_SIGMA = ("--sigma", {"required": True})
+_TEXT_OR_JSON = ("--format", {"choices": ("text", "json"), "default": "text"})
+_ORDER = ("--order", {"choices": ORDER_TABLES, "default": "star"})
+
+# name -> (help line, runs it, its options), in the order the help
+# lists them
 _COMMANDS = {
-    "enum": ("list all involutions of S_n", _enum_arguments, _cmd_enum),
-    "rank": ("print a rank matrix of an involution", _rank_arguments, _cmd_rank),
-    "compare": ("compare two involutions in one order", _compare_arguments, _cmd_compare),
-    "near": ("list the move neighbours of an involution", _near_arguments, _cmd_near),
-    "hasse": ("render the covering diagram", _hasse_arguments, _cmd_hasse),
-    "verify": ("run a verification suite", _verify_arguments, _cmd_verify),
+    "enum": ("list all involutions of S_n", _cmd_enum, (_N, _TEXT_OR_JSON)),
+    "rank": ("print a rank matrix of an involution", _cmd_rank, (
+        _N,
+        ("--sigma", {"required": True, "help": "cycle notation, e.g. (3,1)(5,2)"}),
+        # no default: a default given explicitly would escape the
+        # conflict check; _cmd_rank falls back to melnikov
+        ("--order", {"dest": "order", "choices": ORDER_TABLES,
+                     "help": "which rank matrix to print (default: melnikov)"}),
+        ("--star", {"dest": "order", "action": "store_const", "const": "star",
+                    "help": "shortcut for --order star"}),
+        _TEXT_OR_JSON,
+    )),
+    "compare": ("compare two involutions in one order", _cmd_compare, (
+        _N, _SIGMA, ("--tau", {"required": True}), _ORDER, _TEXT_OR_JSON,
+    )),
+    "near": ("list the move neighbours of an involution", _cmd_near, (
+        _N,
+        _SIGMA,
+        ("--prime", {"action": "store_true", "default": False,
+                     "help": "restricted neighbour set (equals the covering set)"}),
+        _TEXT_OR_JSON,
+    )),
+    "hasse": ("render the covering diagram", _cmd_hasse, (
+        _N, _ORDER, ("--format", {"choices": ("dot", "json"), "default": "dot"}),
+    )),
+    "verify": ("run a verification suite", _cmd_verify, (
+        ("suite", {"choices": suite_names()}),
+        _N,
+        ("--seed", {"type": int, "default": 0}),
+        ("--samples", {"type": int, "default": 100}),
+        _TEXT_OR_JSON,
+    )),
 }
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  When its first word names a command, the
-    root gets that command's subparser alone, and a metavar that keeps
-    every command in the root usage line; otherwise it gets all of them
-    and no metavar, so that an unknown or missing command is reported
-    by the argument's own name and choices."""
+def _add_options(parser, options) -> None:
+    groups = {}
+    for flag, spec in options:
+        if "dest" in spec and spec["dest"] not in groups:
+            groups[spec["dest"]] = parser.add_mutually_exclusive_group()
+        groups.get(spec.get("dest"), parser).add_argument(flag, **spec)
+
+
+def _build_parser(argv: list[str]):
+    """The argparse parser for ``argv``.  When its first word names a
+    command, the root gets that command's subparser alone, and a metavar
+    that keeps every command in the root usage line; otherwise it gets
+    all of them and no metavar, so that an unknown or missing command is
+    reported by the argument's own name and choices."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="borbits",
         description="Exact combinatorics of orbit degenerations on involutions.",
@@ -193,9 +183,56 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        help_text, _, options = _COMMANDS[name]
+        _add_options(sub.add_parser(name, help=help_text), options)
     return parser
+
+
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments argparse would parse from ``argv``, read from the
+    option table alone, or None wherever that is not certain: a word
+    that is not a str or not an option's exact name (help, an
+    abbreviation, ``--``), an option given twice or missing, or a value
+    that starts with "-" and is not a plain negative int, or that its
+    type or choices reject.  argparse then parses ``argv`` and words
+    its help and errors."""
+    if not (argv and all(type(word) is str for word in argv) and argv[0] in _COMMANDS):
+        return None
+    options = dict(_COMMANDS[argv[0]][2])
+    positionals = [flag for flag in options if flag[0] != "-"]
+    args = {"command": argv[0]}
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            if not positionals:
+                return None
+            flag, value = positionals.pop(0), word
+        else:
+            flag, eq, value = word.partition("=")
+            if flag not in options or (eq and "action" in options[flag]):
+                return None
+            if "action" in options[flag]:
+                value = options[flag].get("const", True)
+            elif not eq:
+                value = next(words, "-")  # "-": no value left, declined below
+                if value[:1] == "-" and not (value[1:].isascii() and value[1:].isdigit()):
+                    return None
+        spec = options[flag]
+        dest = spec.get("dest", flag.lstrip("-"))
+        if "action" not in spec:
+            try:
+                value = spec.get("type", str)(value)
+            except ValueError:
+                return None
+        if dest in args or value not in spec.get("choices", (value,)):
+            return None
+        args[dest] = value
+    for flag, spec in options.items():
+        dest = spec.get("dest", flag.lstrip("-"))
+        if dest not in args and (spec.get("required") or flag in positionals):
+            return None
+        args.setdefault(dest, spec.get("default"))
+    return SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,11 +242,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
-        try:
-            args = _build_parser(argv).parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
-        return _COMMANDS[args.command][2](args)
+        args = _parse_direct(argv)
+        if args is None:
+            try:
+                args = _build_parser(argv).parse_args(argv)
+            except SystemExit as exc:
+                return int(exc.code or 0)
+        return _COMMANDS[args.command][1](args)
     except BorbitsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -48,7 +48,8 @@ def minimal_support(sigma: Involution) -> frozenset[Arc]:
 
 
 def _require_arc(sigma: Involution, arc: Arc) -> None:
-    if arc not in sigma.arcs:
+    # `in` compares by equality, which takes 4.0 for 4 and True for 1
+    if arc not in sigma.arcs or any(type(p) is not int for p in arc):
         raise ArcNotInSupportError(f"{arc!r} not an arc of {sigma}")
 
 

@@ -1,11 +1,16 @@
 import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import borbits
 from borbits import cli
@@ -246,8 +251,8 @@ def full_parser(argv):
         description="Exact combinatorics of orbit degenerations on involutions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in cli._COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, _, options) in cli._COMMANDS.items():
+        cli._add_options(sub.add_parser(name, help=help_text), options)
     return parser
 
 
@@ -285,17 +290,116 @@ def test_one_subparser_answers_as_the_full_parser(capsys, monkeypatch, argv):
     assert ours == run_cli(capsys, *argv)
 
 
-def run_module(*argv):
-    """``python -m borbits.cli`` in a fresh interpreter: main reads sys.argv."""
+# the words a command line is drawn from: every command, option and
+# choice, abbreviations, help, "--", and values argparse and int() read
+# differently (signs, spaces, underscores, non-ASCII digits, huge ints)
+OPTIONS = [option for _, _, options in cli._COMMANDS.values() for option in options]
+FLAGS = sorted({flag for flag, _ in OPTIONS if flag.startswith("-")})
+CHOICES = sorted({choice for _, spec in OPTIONS for choice in spec.get("choices", ())})
+ABBREVIATIONS = ["--s", "--sa", "--sig", "--ord", "--st", "--pr", "--fo", "--se", "--t", "--he"]
+INTS = ["0", "1", "3", "-1", "-3", "007", " 2", "2 ", "3_0", "+2", "\u0663", "9" * 40]
+TEXTS = ["(2,1)", "id", "(3,1)(4,2)", "-3", "", "text", "json", "dot"]
+VALUES = [
+    *INTS, *TEXTS, "-\u0663", "\u00b2", "-\u00b2", "-" + "9" * 40, "9" * 5000, "1.5", "-1.5",
+    "-", "-x", "x y", "--x y", "xml", "bogus", *CHOICES,
+]
+WORDS = [*cli._COMMANDS, "frobnicate", *FLAGS, *ABBREVIATIONS, "-h", "--help", "--", *VALUES]
+words = st.one_of(
+    st.sampled_from(WORDS),
+    st.builds("{}={}".format, st.sampled_from(FLAGS + ABBREVIATIONS), st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """A command with each of its options given or left out in a shuffled
+    order, in either value form, the values mostly its own choices; then
+    maybe one word from anywhere in the vocabulary put in."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    given = []
+    for flag, spec in cli._COMMANDS[name][2]:
+        if not (spec.get("required") or not flag.startswith("-") or draw(st.booleans())):
+            continue
+        fitting = list(spec.get("choices", ())) or (INTS if spec.get("type") else TEXTS)
+        value = draw(st.sampled_from(fitting if draw(st.integers(0, 3)) else VALUES))
+        if "action" in spec:
+            given.append([flag])
+        elif not flag.startswith("-"):
+            given.append([value])
+        else:
+            given.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    argv = [name, *(word for option in draw(st.permutations(given)) for word in option)]
+    for word in draw(st.lists(words, max_size=1)):
+        argv.insert(draw(st.integers(1, len(argv))), word)
+    return argv
+
+
+def echo(args):
+    """Stands in for every command: prints what it was given."""
+    print(sorted(vars(args).items()))
+    return 0
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=st.one_of(command_lines(), st.lists(words, max_size=6)))
+@example(argv=["near", "--n", "3", "--sigma", "id", "--prime=1"])
+@example(argv=["compare", "--n", "3", "--sigma", "-\u00b2", "--tau", "id"])
+@example(argv=["compare", "--n", "3", "--sigma=", "--tau", "id"])
+@example(argv=["verify", "--n", "3"])
+@example(argv=["verify", "bogus", "--n", "3"])
+@example(argv=["enum", "--n", "x"])
+@example(argv=["enum", "--n", "3", "extra"])
+@example(argv=["rank", "--n", "3", "--sigma", "id", "--star", "--order", "bruhat"])
+def test_direct_parse_answers_as_argparse(argv):
+    # the commands echo their arguments, so a huge --samples costs nothing
+    echoing = {name: (help_text, echo, options)
+               for name, (help_text, _, options) in cli._COMMANDS.items()}
+    with mock.patch.dict(cli._COMMANDS, echoing):
+        ours = run_main(argv)
+        with mock.patch.object(cli, "_parse_direct", lambda argv: None):
+            assert ours == run_main(argv)
+        direct = cli._parse_direct(list(argv))
+        if direct is not None:
+            assert vars(direct) == vars(full_parser(argv).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "--n=5", "--sigma", "(4,1)(5,2)", "--star", "--format=json"],
+        ["verify", "--n", "-3", "counts", "--seed=-1"],
+        ["near", "--sigma=-x", "--prime", "--n", "3"],
+        ["compare", "--n", " 3", "--sigma", "", "--tau", "id"],
+    ],
+)
+def test_direct_parse_reads_what_argparse_reads(argv):
+    # well-formed, so the direct parse must not leave them to argparse
+    assert vars(cli._parse_direct(argv)) == vars(full_parser(argv).parse_args(argv))
+
+
+def run_python(*args):
+    """A fresh interpreter that imports this borbits."""
     src = str(Path(borbits.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "borbits.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=60,
     )
+
+
+def run_module(*argv):
+    """``python -m borbits.cli`` in a fresh interpreter: main reads sys.argv."""
+    return run_python("-m", "borbits.cli", *argv)
 
 
 def test_module_run_reads_sys_argv(capsys):
@@ -317,3 +421,50 @@ def test_module_run_unknown_command_is_usage_error():
     result = run_module("frobnicate")
     assert result.returncode == 2
     assert "invalid choice" in result.stderr
+
+
+# a module run of each command, and the modules it leaves imported
+IMPORTS = """
+import sys
+before = set(sys.modules)
+from borbits.cli import main
+code = main(sys.argv[1:])
+names = ("argparse", "gettext", "locale")
+print("imported:", *(name for name in names if name in set(sys.modules) - before),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_probe(*argv):
+    return run_python("-c", IMPORTS, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--n", "3"],
+        ["rank", "--n", "3", "--sigma", "(2,1)", "--star"],
+        ["compare", "--n", "3", "--sigma", "(3,1)", "--tau", "id", "--format", "json"],
+        ["near", "--n", "3", "--sigma", "(3,1)", "--prime"],
+        ["hasse", "--n", "3", "--order", "bruhat"],
+        ["verify", "essential-set", "--n", "4", "--format", "json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_well_formed_run_imports_no_argparse(argv):
+    result = run_probe(*argv)
+    assert result.returncode == 0
+    assert result.stdout
+    assert result.stderr.splitlines()[-1] == "imported:"
+
+
+def test_help_and_errors_still_come_from_argparse():
+    result = run_probe("verify", "--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: borbits verify [-h]")
+    assert "argparse" in result.stderr.splitlines()[-1].split()
+    result = run_probe("verify", "counts", "--n", "3", "--format", "xml")
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: borbits verify [-h]")
+    assert "argument --format: invalid choice: 'xml'" in result.stderr

@@ -93,6 +93,16 @@ def test_move_remove():
     assert remove_oracle(sigma, Arc(8, 2)) is None
 
 
+@pytest.mark.parametrize("candidates", [a_candidates, b_candidates, c_candidates])
+def test_candidate_sets_reject_an_arc_of_non_ints(candidates):
+    # each equals (4, 1) or breaks range(); neither may get an answer
+    sigma = parse_involution("(4,1)", 4)
+    for arc in (Arc(4, True), Arc(True, 1), (4.0, 1), Arc(4, 1.0)):
+        with pytest.raises(ArcNotInSupportError):
+            candidates(sigma, arc)
+    candidates(sigma, (4, 1))
+
+
 def test_a_move_worked_example():
     sigma = parse_involution("(5,1)(6,2)(8,4)", 8)
     assert Arc(8, 4) in a_candidates(sigma, Arc(6, 2))

@@ -15,7 +15,7 @@ from operator import or_
 
 from .errors import BoundExceededError, NotInPosetError
 from .involutions import Involution, enumerate_involutions, format_involution
-from .rankorder import bit_indices, dominance_masks, order_table
+from .rankorder import bit_indices, dominance_masks, joined_cells
 
 POSET_MAX_N = 9
 
@@ -53,30 +53,31 @@ class Poset:
 @lru_cache(maxsize=None, typed=True)
 def build_poset(n: int, order: str = "star") -> Poset:
     """Build the full poset from all-pairs dominance of the order's rank
-    tables; covers come from peeling each down-set by entry-sum layers."""
+    tables, built joined in one call; covers come from peeling each
+    down-set by entry-sum layers."""
     if n > POSET_MAX_N:
         raise BoundExceededError(f"n={n} exceeds poset bound {POSET_MAX_N}")
-    table = order_table(order)
     elements = enumerate_involutions(n)
-    tables = [table(sigma) for sigma in elements]
-    masks = dominance_masks(tables)
+    cells = joined_cells(order, elements, n)
+    masks = dominance_masks(cells, n)
     less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))
     return Poset(
         order=order,
         n=n,
         elements=elements,
         less=less,
-        covers=_lower_covers(tables, less),
+        covers=_lower_covers(cells, n, less),
         index={sigma: k for k, sigma in enumerate(elements)},
     )
 
 
-def _lower_covers(tables, less) -> tuple[tuple[int, ...], ...]:
-    """Lower covers of distinct ``tables`` of nonnegative ints under
+def _lower_covers(cells: bytes, n: int, less) -> tuple[tuple[int, ...], ...]:
+    """Lower covers of distinct n x n tables, joined in ``cells``, under
     dominance, with strict down-sets ``less``.  a < b makes a's entry sum
     smaller, so one sum is an antichain: walking b's down-set down by
     sum, what is left at a sum is a cover; its down-set is removed."""
-    sums = [sum(table.cells) for table in tables]
+    stride = n * n
+    sums = [sum(cells[k : k + stride]) for k in range(0, len(cells), stride)]
     layers = [0] * (max(sums, default=0) + 1)
     for k, s in enumerate(sums):
         layers[s] |= 1 << k

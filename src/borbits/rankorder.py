@@ -14,15 +14,22 @@ A table is one row-major ``bytes`` of n*n cells, built as an int of
 byte lanes: a rook at (a, b) adds 1 in rows 1..a times columns b..n,
 the cells whose South-West corner holds it.  A cell counts at most n
 rooks, so no lane carries while n <= 255, the bound of every table.
+The tables of many placements are built at once, by one product over
+one int in which each placement has a slot of 2n rows, and come out
+joined: what a rook adds above row 1 stays in its slot's spare upper
+rows.  The all-pairs consumers read joined cells: posets and
+order-equivalence build no per-table object, and closure joins the
+tables its varieties keep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     BoundExceededError,
@@ -38,8 +45,8 @@ TABLE_MAX_N = 255
 
 
 def _table_size(n: int) -> int:
-    if type(n) is not int:
-        raise IndexOutOfRangeError(f"table size {n!r} is not an int")
+    if type(n) is not int or n < 0:
+        raise IndexOutOfRangeError(f"table size {n!r} is not an int >= 0")
     if n > TABLE_MAX_N:
         raise BoundExceededError(f"n={n} exceeds table bound {TABLE_MAX_N}: one byte per cell")
     return n
@@ -63,15 +70,63 @@ def _lanes(n: int) -> tuple[int, tuple[int, ...], int, int]:
     return units, columns, (1 << 8 * n * n) - 1, below
 
 
-def _southwest_cells(rooks: Iterable[tuple[int, int]], n: int, strict: bool = False) -> bytes:
-    """Row-major South-West counts of rooks (row, column), 1-based, at
-    most one per row; with ``strict``, 0 on and above the diagonal.  Each
-    rook's row of 1s goes into its row, and one product with ``units``
-    adds it to every row above; what rises past row 1 is masked off."""
+def _southwest_cells(
+    placements: Sequence[Iterable[tuple[int, int]]], n: int, strict: bool = False
+) -> bytes:
+    """Row-major South-West counts of each rook placement, its rooks
+    (row, column) 1-based and at most one per row, the tables joined in
+    order; with ``strict``, 0 on and above the diagonal.  Each rook's row
+    of 1s goes into its row, and one product with ``units`` adds it to
+    every row above.  One placement is an int of n rows, and what rises
+    past row 1 is masked off.  More get a slot of 2n rows each, the table
+    in the lower n: what rises past row 1 lands in the slot's spare upper
+    rows, and only the lower rows are kept."""
     units, columns, full, below = _lanes(_table_size(n))
-    width = 8 * n
-    placed = sum(columns[b - 1] << width * (n - a) for a, b in rooks)
-    return (placed * units & (below if strict else full)).to_bytes(n * n, "big")
+    size = n * n
+    if len(placements) == 1:
+        width, placed = 8 * n, 0
+        for a, b in placements[0]:
+            placed += columns[b - 1] << width * (n - a)
+        return (placed * units & (below if strict else full)).to_bytes(size, "big")
+    rows = [column.to_bytes(n, "big") for column in columns]
+    slot = 2 * size
+    placed = bytearray(slot * len(placements))
+    start = size - n  # row a of the slot begins at start + a*n
+    for rooks in placements:
+        for a, b in rooks:
+            placed[start + a * n : start + a * n + n] = rows[b - 1]
+        start += slot
+    summed = int.from_bytes(placed, "big") * units
+    if strict:
+        mask = bytes(size) + below.to_bytes(size, "big")
+        summed &= int.from_bytes(mask * len(placements), "big")
+    cells = summed.to_bytes(len(placed), "big")
+    return b"".join([cells[k : k + size] for k in range(size, len(cells), slot)])
+
+
+def _checked_cells(n: int, cells: Sequence[int], count: int = 1) -> bytes:
+    """``cells`` as the bytes of ``count`` joined n x n tables, each cell
+    within its rook bound.  ``bytes`` are checked against the bound alone,
+    in one pass; any other sequence must hold ints, no bool, and none
+    below 0.  The first bad cell is named."""
+    size = _table_size(n) * n
+    if type(cells) is not bytes and (
+        not isinstance(cells, Sequence) or not set(map(type, cells)) <= {int}
+    ):
+        raise IndexOutOfRangeError("corner ranks must be ints")
+    if len(cells) != size * count:
+        tables = f"{n}x{n} table" if count == 1 else f"{count} tables of {n}x{n}"
+        raise SizeMismatchError(f"expected {tables}")
+    bounds = _rook_bounds(n) * count
+    if not all(map(le, cells, bounds)) or type(cells) is not bytes and min(cells, default=0) < 0:
+        for k, (entry, bound) in enumerate(zip(cells, bounds)):
+            if not 0 <= entry <= bound:
+                table, k = divmod(k, size)
+                where = f" of table {table + 1}" if count > 1 else ""
+                raise IndexOutOfRangeError(
+                    f"entry {entry} at ({k // n + 1},{k % n + 1}){where} exceeds rook bound"
+                )
+    return bytes(cells)
 
 
 @dataclass(frozen=True, init=False)
@@ -87,30 +142,17 @@ class RankMatrix:
     def __init__(self, n: int, rows: Sequence[Sequence[int]]) -> None:
         if _table_size(n) != len(rows) or any(len(r) != n for r in rows):
             raise SizeMismatchError(f"expected {n}x{n} table")
-        cells = list(chain.from_iterable(rows))
-        if not set(map(type, cells)) <= {int}:  # a bool, float or Fraction
-            raise IndexOutOfRangeError("corner ranks must be ints")
-        self._fill(n, cells)
+        self._fill(n, list(chain.from_iterable(rows)))
 
     @classmethod
-    def of_cells(cls, n: int, cells: bytes) -> RankMatrix:
+    def of_cells(cls, n: int, cells: Sequence[int]) -> RankMatrix:
         table = cls.__new__(cls)
-        table._fill(_table_size(n), cells)
+        table._fill(n, cells)
         return table
 
     def _fill(self, n: int, cells: Sequence[int]) -> None:
-        # ints are checked before they become bytes, so a negative one is named
-        if len(cells) != n * n:
-            raise SizeMismatchError(f"expected {n}x{n} table")
-        bounds = _rook_bounds(n)
-        if not all(map(le, cells, bounds)) or min(cells, default=0) < 0:
-            for k, (entry, bound) in enumerate(zip(cells, bounds)):
-                if not 0 <= entry <= bound:
-                    raise IndexOutOfRangeError(
-                        f"entry {entry} at ({k // n + 1},{k % n + 1}) exceeds rook bound"
-                    )
+        object.__setattr__(self, "cells", _checked_cells(n, cells))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cells", bytes(cells))
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -138,25 +180,40 @@ def exact_rank(matrix: Sequence[Sequence]) -> int:
     return len(basis)
 
 
+# order name -> (the rook placement of an involution, whether its table
+# is 0 on and above the diagonal)
+_PLACEMENTS = {
+    "star": (lambda sigma: sigma.arcs, True),
+    "melnikov": (lambda sigma: ((j, i) for i, j in sigma.arcs), False),
+    "bruhat": (lambda sigma: zip(sigma.one_line(), range(1, sigma.n + 1)), False),
+}
+
+
+def _placement_table(order: str, sigma: Involution) -> RankMatrix:
+    rooks, strict = _PLACEMENTS[order]
+    return RankMatrix.of_cells(sigma.n, _southwest_cells((rooks(sigma),), sigma.n, strict))
+
+
 @lru_cache(maxsize=None)
 def melnikov_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly upper-triangular placement of sigma,
     with a rook at (j, i) for each arc (i, j)."""
-    return RankMatrix.of_cells(sigma.n, _southwest_cells(((j, i) for i, j in sigma.arcs), sigma.n))
+    return _placement_table("melnikov", sigma)
 
 
 @lru_cache(maxsize=None)
 def star_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly lower-triangular placement of sigma;
     entries on and above the diagonal are defined to be 0."""
-    return RankMatrix.of_cells(sigma.n, _southwest_cells(sigma.arcs, sigma.n, strict=True))
+    return _placement_table("star", sigma)
 
 
 @lru_cache(maxsize=None)
 def bruhat_rank_matrix(w: Permutation) -> RankMatrix:
     """Corner ranks of the full permutation matrix (rook of column k in
     row w(k)), over the whole n x n grid."""
-    return RankMatrix.of_cells(w.n, _southwest_cells(zip(w.one_line, range(1, w.n + 1)), w.n))
+    rooks = zip(w.one_line, range(1, w.n + 1))
+    return RankMatrix.of_cells(w.n, _southwest_cells((rooks,), w.n))
 
 
 # order name -> the rank table of an involution whose entrywise
@@ -168,14 +225,30 @@ ORDER_TABLES = {
 }
 
 
+def _unknown_order(order: str) -> UnknownSuiteError:
+    return UnknownSuiteError(f"unknown order {order!r}; expected one of {tuple(ORDER_TABLES)}")
+
+
 def order_table(order: str):
     """The rank table whose entrywise comparison defines ``order``."""
     try:
         return ORDER_TABLES[order]
     except KeyError:
-        raise UnknownSuiteError(
-            f"unknown order {order!r}; expected one of {tuple(ORDER_TABLES)}"
-        ) from None
+        raise _unknown_order(order) from None
+
+
+def joined_cells(order: str, sigmas: Sequence[Involution], n: int) -> bytes:
+    """The rank tables of ``sigmas`` under ``order``, joined: table k is
+    ``cells[k*n*n:(k+1)*n*n]``, the cells of ``order_table(order)(sigmas[k])``.
+    One product builds them all, and every table is checked against the
+    rook bound, as a :class:`RankMatrix` is."""
+    if order not in _PLACEMENTS:
+        raise _unknown_order(order)
+    if {sigma.n for sigma in sigmas} - {n}:
+        raise SizeMismatchError(f"involutions not all of size {n}")
+    rooks, strict = _PLACEMENTS[order]
+    cells = _southwest_cells([rooks(sigma) for sigma in sigmas], n, strict)
+    return _checked_cells(n, cells, len(sigmas))
 
 
 def _dominated(low: RankMatrix, high: RankMatrix) -> bool:
@@ -195,28 +268,28 @@ def _at_most_sets(column: bytes) -> tuple[int, ...]:
     )
 
 
-def dominance_masks(tables: Sequence[RankMatrix]) -> tuple[int, ...]:
-    """All pairs of tables compared at once: bit a of entry b is set iff
-    ``tables[a]`` is entrywise at most ``tables[b]``.
+def dominance_masks(cells: bytes, n: int) -> tuple[int, ...]:
+    """All pairs of joined n x n tables compared at once, table k being
+    ``cells[k*n*n:(k+1)*n*n]``: bit a of entry b is set iff table a is
+    entrywise at most table b.
 
     Bit-sliced by cell: for each cell, :func:`_at_most_sets` of the
-    tables' entries there, a strided slice of their joined cells, gives
-    the int bitset of the tables whose entry is at most v, and each
-    table's mask is ANDed with the set for its own entry.  About N*n*n big-int ANDs instead of N*N pairwise scans; a
-    cell on which every table agrees is skipped.  The pairwise
-    :func:`_dominated` is the oracle for this kernel.
+    tables' entries there, a strided slice of the cells, gives the int
+    bitset of the tables whose entry is at most v, and each table's mask
+    is ANDed with the set for its own entry.  About N*n*n big-int ANDs
+    instead of N*N pairwise scans; a cell on which every table agrees is
+    skipped.  The pairwise :func:`_dominated` is the oracle for this
+    kernel.
     """
-    if not tables:
+    if not cells:
         return ()
-    sizes = {table.n for table in tables}
-    if len(sizes) > 1:
-        raise SizeMismatchError(f"tables of different sizes: {sorted(sizes)}")
-    (n,) = sizes
-    size, stride = len(tables), n * n
-    flat = b"".join(table.cells for table in tables)
+    stride = n * n
+    if not stride or len(cells) % stride:
+        raise SizeMismatchError(f"{len(cells)} cells are not whole {n}x{n} tables")
+    size = len(cells) // stride
     masks = [(1 << size) - 1] * size
     for k in range(stride):
-        column = flat[k::stride]
+        column = cells[k::stride]
         if column.count(column[0]) == size:
             continue
         at_most = _at_most_sets(column)
@@ -255,4 +328,4 @@ def _strict_ranks(matrix: Matrix, n: int) -> bytes:
         col = echelon_insert(basis, list(matrix[i][:i]))
         if col is not None:
             rooks.append((i + 1, col + 1))
-    return _southwest_cells(rooks, n, strict=True)
+    return _southwest_cells((rooks,), n, strict=True)

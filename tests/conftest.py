@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import itemgetter
 
 import pytest
 from hypothesis import strategies as st
@@ -39,6 +40,16 @@ def filter_involutions(n: int) -> list[Involution]:
         if perm.compose(perm).one_line == tuple(range(1, n + 1)):
             out.append(involution_from_one_line(word))
     return out
+
+
+def composing_involution_count(m: int) -> int:
+    """Oracle for the counts suite's filter: every word w of S_m composed
+    with itself in C, with no first-point reject, compared with id."""
+    points = range(m)
+    identity = itemgetter(*points)(points)
+    return sum(
+        itemgetter(*word)(word) == identity for word in itertools.permutations(points)
+    )
 
 
 def randint_borel(n: int, seed: int, bound: int = 3) -> tuple:

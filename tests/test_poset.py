@@ -23,10 +23,11 @@ from borbits import (
     to_permutation,
 )
 from borbits import poset as poset_module
+from borbits import rankorder
 from borbits.errors import BoundExceededError, NotInPosetError, UnknownSuiteError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
 from borbits.poset import _lower_covers, poset_ranks
-from borbits.rankorder import RankMatrix, bit_indices, dominance_masks
+from borbits.rankorder import RankMatrix, bit_indices, dominance_masks, joined_cells
 
 from conftest import leq_bruhat, leq_melnikov, scan_l_sets
 from test_rankorder import rank_tables
@@ -238,16 +239,31 @@ def test_covers_at_n9_are_the_transitive_reduction(order):
 
 @pytest.mark.parametrize("order", sorted(PAIRWISE))
 def test_build_poset_computes_the_order_relation_once(order, monkeypatch):
+    # one joined build of the 76 tables and one all-pairs comparison of
+    # them, and no per-table object
     calls = []
 
-    def counting(tables):
-        calls.append(len(tables))
-        return dominance_masks(tables)
+    def counting_build(name, sigmas, n):
+        calls.append(("joined", name, len(sigmas)))
+        return joined_cells(name, sigmas, n)
 
-    monkeypatch.setattr(poset_module, "dominance_masks", counting)
+    def counting_masks(cells, n):
+        calls.append(("dominance", len(cells) // (n * n)))
+        return dominance_masks(cells, n)
+
+    monkeypatch.setattr(poset_module, "joined_cells", counting_build)
+    monkeypatch.setattr(poset_module, "dominance_masks", counting_masks)
+    tables = (
+        rankorder.star_rank_matrix,
+        rankorder.melnikov_rank_matrix,
+        rankorder.bruhat_rank_matrix,
+    )
     build_poset.cache_clear()
+    for table in tables:
+        table.cache_clear()
     build_poset(6, order)
-    assert calls == [76]
+    assert calls == [("joined", order, 76), ("dominance", 76)]
+    assert all(table.cache_info().currsize == 0 for table in tables)
 
 
 # distinct 2x2 tables, listed top first: A and B are incomparable with
@@ -273,9 +289,11 @@ _EQUAL_SUMS = [
 @example(tables=_EQUAL_SUMS)
 def test_peeled_covers_match_implied_or_reduction(tables):
     # distinct tables, so entrywise dominance is a partial order
-    masks = dominance_masks(tables)
+    n = tables[0].n if tables else 1
+    cells = b"".join(table.cells for table in tables)
+    masks = dominance_masks(cells, n)
     less = tuple(mask & ~(1 << b) for b, mask in enumerate(masks))
-    assert _lower_covers(tables, less) == implied_or_covers(less)
+    assert _lower_covers(cells, n, less) == implied_or_covers(less)
 
 
 def test_unknown_order():

@@ -28,15 +28,19 @@ from borbits.errors import (
     NotAFieldError,
     NotStrictlyLowerError,
     SizeMismatchError,
+    UnknownSuiteError,
 )
 from borbits.matrices import promote
+from borbits import rankorder
 from borbits.rankorder import (
     TABLE_MAX_N,
     _at_most_sets,
     _dominated,
     _lanes,
+    _southwest_cells,
     _strict_ranks,
     dominance_masks,
+    joined_cells,
 )
 from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
 
@@ -507,6 +511,33 @@ def test_rank_matrix_from_cells_is_checked_as_from_rows():
     assert str(error.value) == "entry 2 at (2,2) exceeds rook bound"
     with pytest.raises(IndexOutOfRangeError):
         RankMatrix.of_cells(1.0, b"\0")
+    # a negative size once made a table of n = -1 from one cell
+    with pytest.raises(IndexOutOfRangeError):
+        RankMatrix.of_cells(-1, b"\0")
+
+
+@pytest.mark.parametrize(
+    "cells",
+    # a bool once became a 1, and a float or a str raised a bare TypeError
+    [[0, 0, 0, True], [0, 0, 0, 1.0], "abcd", (0, Fraction(1), 0, 0), [0, 0, None, 0], None, 5],
+)
+def test_rank_matrix_from_cells_rejects_non_int_cells(cells):
+    with pytest.raises(IndexOutOfRangeError, match="must be ints"):
+        RankMatrix.of_cells(2, cells)
+
+
+def test_rank_matrix_from_cells_reads_int_sequences_as_bytes():
+    table = RankMatrix.of_cells(2, b"\0\1\0\1")
+    for cells in ([0, 1, 0, 1], (0, 1, 0, 1), bytearray(b"\0\1\0\1")):
+        assert RankMatrix.of_cells(2, cells) == table
+        assert type(RankMatrix.of_cells(2, cells).cells) is bytes
+    assert RankMatrix.of_cells(1, range(1)) == RankMatrix(1, ((0,),))
+    with pytest.raises(IndexOutOfRangeError) as error:
+        RankMatrix.of_cells(2, [0, -1, 0, 0])
+    assert str(error.value) == "entry -1 at (1,2) exceeds rook bound"
+    with pytest.raises(IndexOutOfRangeError) as error:
+        RankMatrix.of_cells(2, [0, 0, 0, 300])
+    assert str(error.value) == "entry 300 at (2,2) exceeds rook bound"
 
 
 class _Untouchable:
@@ -613,16 +644,22 @@ def rank_tables(draw, n):
 
 @st.composite
 def table_lists(draw):
-    """0-30 tables of one size, repeats likely: drawn from a pool of up to 8."""
+    """n and 0-30 tables of size n, repeats likely: drawn from a pool of up
+    to 8."""
     n = draw(st.integers(1, 8))
     pool = draw(st.lists(rank_tables(n), min_size=1, max_size=8))
-    return draw(st.lists(st.sampled_from(pool), max_size=30))
+    return n, draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+def joined(tables) -> bytes:
+    return b"".join(table.cells for table in tables)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tables=table_lists())
-def test_dominance_masks_match_pairwise_oracle(tables):
-    masks = dominance_masks(tables)
+@given(sized=table_lists())
+def test_dominance_masks_match_pairwise_oracle(sized):
+    n, tables = sized
+    masks = dominance_masks(joined(tables), n)
     assert len(masks) == len(tables)
     for b, high in enumerate(tables):
         for a, low in enumerate(tables):
@@ -656,7 +693,7 @@ def test_dominance_masks_read_the_last_cell_and_the_stride_boundary():
     last = RankMatrix.of_cells(3, bytes(8) + b"\1")
     first = RankMatrix.of_cells(3, b"\1" + bytes(8))
     tables = [zero, last, first, last]
-    masks = dominance_masks(tables)
+    masks = dominance_masks(joined(tables), 3)
     assert masks == (0b0001, 0b1011, 0b0101, 0b1011)
     for b, high in enumerate(tables):
         for a, low in enumerate(tables):
@@ -664,16 +701,82 @@ def test_dominance_masks_read_the_last_cell_and_the_stride_boundary():
 
 
 def test_dominance_masks_at_n_1():
-    zero, one = RankMatrix(1, ((0,),)), RankMatrix(1, ((1,),))
-    assert dominance_masks([zero, one, zero]) == (0b101, 0b111, 0b101)
-    assert dominance_masks([one]) == (0b1,)
+    assert dominance_masks(b"\0\1\0", 1) == (0b101, 0b111, 0b101)
+    assert dominance_masks(b"\1", 1) == (0b1,)
 
 
 def test_dominance_masks_empty_and_mixed_sizes():
-    assert dominance_masks([]) == ()
+    assert dominance_masks(b"", 3) == ()
     small = star_rank_matrix(parse_involution("id", 3))
     large = star_rank_matrix(parse_involution("id", 4))
+    # a 3x3 table joined to a 4x4 one is a whole number of neither
+    for n in (3, 4):
+        with pytest.raises(SizeMismatchError):
+            dominance_masks(joined([small, large]), n)
+        with pytest.raises(SizeMismatchError):
+            dominance_masks(joined([small, small, large]), n)
     with pytest.raises(SizeMismatchError):
-        dominance_masks([small, large])
+        dominance_masks(b"\0", 0)
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_KINDS))
+def test_joined_cells_are_the_per_sigma_tables_joined(order):
+    for n in range(1, 9):
+        sigmas = enumerate_involutions(n)
+        cells = joined_cells(order, sigmas, n)
+        assert cells == b"".join(TABLE_KINDS[order](sigma).cells for sigma in sigmas)
+        # one placement takes the unslotted route, and must agree too
+        assert joined_cells(order, sigmas[-1:], n) == TABLE_KINDS[order](sigmas[-1]).cells
+    assert joined_cells(order, (), 3) == b""
+
+
+@st.composite
+def rook_placements(draw):
+    """n <= 9 and 0-6 placements of at most one rook (row, column) per
+    row; a column may hold several, so a cell may count up to n."""
+    n = draw(st.integers(1, 9))
+    placement = st.dictionaries(st.integers(1, n), st.integers(1, n)).map(
+        lambda rooks: sorted(rooks.items())
+    )
+    return n, draw(st.lists(placement, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sized=rook_placements(), strict=st.booleans())
+@example(sized=(3, []), strict=False)
+@example(sized=(1, [[], [(1, 1)], [(1, 1)]]), strict=False)
+@example(sized=(1, [[(1, 1)], []]), strict=True)
+@example(sized=(4, [[(1, 4)], [(1, 1), (4, 4)], [(1, 2)]]), strict=True)  # row 1
+@example(sized=(9, [[(a, 1) for a in range(1, 10)]] * 2), strict=False)  # a full column
+@example(sized=(9, [[(a, 10 - a) for a in range(1, 10)], [(9, 1)]]), strict=True)
+def test_joined_southwest_cells_match_one_count_per_cell(sized, strict):
+    # the slotted product against the one-placement route and against one
+    # South-West count per cell; a rook's rise past row 1 stays in its slot
+    n, placements = sized
+    cells = _southwest_cells(placements, n, strict)
+    assert cells == b"".join(_southwest_cells((rooks,), n, strict) for rooks in placements)
+    assert cells == b"".join(southwest_cells(rooks, n, strict) for rooks in placements)
+
+
+def test_joined_cells_check_every_table(monkeypatch):
+    sigmas = enumerate_involutions(3)
+    built = joined_cells("star", sigmas, 3)
+    # the second table's (2,1) over its rook bound of 1
+    bad = built[:12] + b"\2" + built[13:]
+    monkeypatch.setattr(rankorder, "_southwest_cells", lambda placements, n, strict: bad)
+    with pytest.raises(IndexOutOfRangeError) as error:
+        joined_cells("star", sigmas, 3)
+    assert str(error.value) == "entry 2 at (2,1) of table 2 exceeds rook bound"
+    monkeypatch.setattr(rankorder, "_southwest_cells", lambda placements, n, strict: built[:-1])
     with pytest.raises(SizeMismatchError):
-        dominance_masks([small, small, large])
+        joined_cells("star", sigmas, 3)
+
+
+def test_joined_cells_refuse_an_unknown_order_and_mixed_sizes():
+    with pytest.raises(UnknownSuiteError, match="expected one of"):
+        joined_cells("nope", enumerate_involutions(3), 3)
+    mixed = enumerate_involutions(3) + enumerate_involutions(4)
+    with pytest.raises(SizeMismatchError):
+        joined_cells("star", mixed, 3)
+    with pytest.raises(BoundExceededError):
+        joined_cells("bruhat", (), TABLE_MAX_N + 1)

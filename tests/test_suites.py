@@ -20,6 +20,8 @@ from borbits.poset import build_poset, is_graded
 from borbits.errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
 from borbits.rankorder import _dominated
 
+from conftest import composing_involution_count
+
 
 def test_suite_names_complete():
     assert set(suite_names()) == {
@@ -41,6 +43,18 @@ def test_counts_suite():
     assert report.suite == "counts" and report.n == 5
 
 
+def test_counts_filter_matches_the_composing_oracle(monkeypatch):
+    # with no involution enumerated, every m fails and its record shows
+    # the filtered count, which must be the composing filter's
+    monkeypatch.setattr(suites, "enumerate_involutions", lambda m: ())
+    checked, failures = suites._suite_counts(8, 0, 1)
+    assert checked == 8
+    assert [record["filtered"] for record in failures] == [
+        composing_involution_count(m) for m in range(1, 9)
+    ]
+    assert [record["n"] for record in failures] == list(range(1, 9))
+
+
 def test_order_equivalence_suite_small():
     report = run_suite("order-equivalence", 5)
     assert report.passed
@@ -50,30 +64,29 @@ def test_order_equivalence_suite_small():
 def test_order_equivalence_failures_keep_pairwise_records(monkeypatch):
     # give (2,1) the Bruhat table of (3,1)(4,2): the orders then disagree
     # on a few pairs, which must be reported as the pairwise scan would
-    swapped = {
-        to_permutation(parse_involution("(2,1)", 4)): bruhat_rank_matrix(
-            to_permutation(parse_involution("(3,1)(4,2)", 4))
-        )
-    }
-    monkeypatch.setattr(
-        suites, "bruhat_rank_matrix", lambda w: swapped.get(w) or bruhat_rank_matrix(w)
-    )
     elements = enumerate_involutions(4)
+    bruhat = {s: bruhat_rank_matrix(to_permutation(s)) for s in elements}
+    bruhat[parse_involution("(2,1)", 4)] = bruhat[parse_involution("(3,1)(4,2)", 4)]
+    built = suites.joined_cells
+
+    def swapped(order, sigmas, n):
+        if order != "bruhat":
+            return built(order, sigmas, n)
+        return b"".join(bruhat[s].cells for s in sigmas)
+
+    monkeypatch.setattr(suites, "joined_cells", swapped)
     want = []
     for tau in elements:
         for sigma in elements:
             star = _dominated(star_rank_matrix(tau), star_rank_matrix(sigma))
-            bruhat = _dominated(
-                suites.bruhat_rank_matrix(to_permutation(tau)),
-                suites.bruhat_rank_matrix(to_permutation(sigma)),
-            )
-            if star != bruhat:
+            full = _dominated(bruhat[tau], bruhat[sigma])
+            if star != full:
                 want.append(
                     {
                         "tau": format_involution(tau),
                         "sigma": format_involution(sigma),
                         "star": star,
-                        "bruhat": bruhat,
+                        "bruhat": full,
                     }
                 )
     report = run_suite("order-equivalence", 4)

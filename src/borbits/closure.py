@@ -21,6 +21,7 @@ elimination.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
@@ -70,7 +71,8 @@ def quadric_cells(sigma: Involution) -> frozenset[tuple[int, int]]:
     )
 
 
-# (n, strict corner ranks as row-major bytes, cells where A^2 != 0)
+# (n, strict corner ranks as row-major bytes, cells where A^2 != 0 among
+# those read: all of them by z_point)
 ZPoint = tuple[int, bytes, frozenset[tuple[int, int]]]
 
 
@@ -90,19 +92,24 @@ def z_point(a: Matrix, n: int | None = None) -> ZPoint:
     return _z_point(a)
 
 
-def _z_point(a: Matrix) -> ZPoint:
-    """:func:`z_point` unchecked: a strictly lower square matrix of one type."""
-    ranks = _strict_ranks(a, len(a))
+def _z_point(a: Matrix, cells: Collection[tuple[int, int]] | None = None) -> ZPoint:
+    """:func:`z_point` unchecked: a strictly lower square matrix of one
+    type.  Given ``cells``, 1-based (r, s), A^2 is read there only, and
+    the third item is the cells among them where it is nonzero: all that
+    a variety whose quadric cells lie among them reads of the point."""
+    n = len(a)
+    ranks = _strict_ranks(a, n)
+    if cells is None:
+        cells = [(r, s) for r in range(3, n + 1) for s in range(1, r - 1)]
+    if not cells:
+        return n, ranks, frozenset()
     # (A^2)_{r,s} is row r times column s; for strictly lower A only the
     # terms A[r,k] A[k,s] with s < k < r can be nonzero
     columns = tuple(zip(*a))
     support = frozenset(
-        (r, s)
-        for r, row in enumerate(a, 1)
-        for s in range(1, r - 1)
-        if sum(map(mul, row, columns[s - 1]))
+        (r, s) for r, s in cells if sum(map(mul, a[r - 1][s : r - 1], columns[s - 1][s : r - 1]))
     )
-    return len(a), ranks, support
+    return n, ranks, support
 
 
 @dataclass(frozen=True)

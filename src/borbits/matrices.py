@@ -11,7 +11,9 @@ computed by :func:`echelon_insert`: over an exact field (``Fraction``,
 GF(q) tables are not built by it.  A caller types its matrix once, by
 :func:`integral_multiple` or :func:`promote`, which reject a float.  The
 strict corner ranks of a functional are one bottom-up pass of it, each
-row cut to the columns left of its diagonal entry.
+row cut to the columns left of its diagonal entry; typed once, an int
+matrix goes to the fraction-free mode, :func:`_fraction_free_insert`,
+with no type scan per row.
 """
 
 from __future__ import annotations
@@ -137,35 +139,52 @@ def upper_inverse(g: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def echelon_insert(basis: list, row: list) -> int | None:
-    """Reduce ``row`` in place against an echelon basis and append it if
+def echelon_insert(basis: list, row) -> int | None:
+    """Reduce ``row`` against an echelon basis and append it if
     independent.
 
     ``basis`` holds (pivot column, row) pairs in insertion order.  A
     row's pivot is its first nonzero entry, and every row is zero at the
     pivots of the rows before it, so one pass in that order reduces a new
     row to zero at all pivots, and ``len(basis)`` is the rank so far.
-    The new row picks the mode: a row of plain ints becomes ``p row - x
-    pivot_row`` divided by its content, any other row is reduced over its
+    The new row picks the mode: a row of plain ints goes to
+    :func:`_fraction_free_insert`, any other row is reduced over its
     exact field (Fraction, RFun).  So the caller types the matrix as a
-    whole, all ints or all in one field, as an int row meeting a Fraction
-    basis row fails in ``gcd``; a float is not rejected here.  Returns
-    the new pivot column, or None when the row depends on the basis.
+    whole, all ints or all in one field, as an int row meeting a
+    Fraction basis row fails in ``gcd``; a float is not rejected here.
+    Each step rebuilds the row as a new list, so ``row`` may be any
+    sequence and is left as it was.  A basis row may be longer than the
+    new row, which is reduced over its own length.  Returns the new
+    pivot column, or None when the row depends on the basis.
     """
-    integral = all(type(x) is int for x in row)
+    if all(type(x) is int for x in row):
+        return _fraction_free_insert(basis, row)
     for col, pivot_row in basis:
         x = row[col]
-        if not x:
-            continue
-        if integral:  # the whole row: it may be nonzero left of col
+        if x:
+            factor = x / pivot_row[col]
+            # an entry stays where the pivot row is 0, left of its pivot too
+            row = [y - factor * p if p else y for y, p in zip(row, pivot_row)]
+    return _append_independent(basis, row)
+
+
+def _fraction_free_insert(basis: list, row) -> int | None:
+    """The mode of :func:`echelon_insert` for a sequence of plain ints,
+    unchecked: each step makes ``p row - x pivot_row``, divided by its
+    content, a new list, and the last of them goes into the basis.  For
+    a caller that has typed its matrix as ints once."""
+    for col, pivot_row in basis:
+        x = row[col]
+        if x:  # the whole row: it may be nonzero left of col
             p = pivot_row[col]
-            row[:] = [p * y - x * z for y, z in zip(row, pivot_row)]
+            row = [p * y - x * z for y, z in zip(row, pivot_row)]
             content = gcd(*row)
             if content > 1:
-                row[:] = [y // content for y in row]
-            continue
-        factor = x / pivot_row[col]
-        row[col:] = [y - factor * p for y, p in zip(row[col:], pivot_row[col:])]
+                row = [y // content for y in row]
+    return _append_independent(basis, row)
+
+
+def _append_independent(basis: list, row) -> int | None:
     for col, x in enumerate(row):
         if x:
             basis.append((col, row))
@@ -182,7 +201,7 @@ def exact_det(matrix: Matrix) -> Fraction | RFun:
     one, zero = field_constants(rows)
     basis: list = []
     for row in rows:
-        if echelon_insert(basis, list(row)) is None:
+        if echelon_insert(basis, row) is None:
             return zero
     cols = [col for col, _ in basis]
     inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])

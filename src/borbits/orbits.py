@@ -8,8 +8,10 @@ harmless: act(g, act(h, lam)) == act(g h, lam).
 
 :func:`act` takes one dense route over any exact field.  The sampled
 suites run on ints instead: they test the numerator ``det(g) act(g, lam)``
-of integer g and lam itself, of g from the int sampler.  That numerator,
-ints and strictly lower by construction, is ranked by unchecked kernels.
+of integer g and lam itself, of g from the int sampler.  That numerator is
+``(g lam) adj(g)``, built from the rows of the adjugate at the nonzero
+columns of lam only; ints and strictly lower by construction, it is
+ranked by unchecked kernels.
 
 Degeneration curves live over the exact rational-function field in eps,
 so limits at eps -> 0 and identities of curves are exact equalities, not
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     IndexOutOfRangeError,
@@ -100,34 +102,53 @@ def act(g: Matrix, lam: Matrix) -> Matrix:
 
 def _act_numerator(g: Matrix, lam: Matrix) -> tuple[Matrix, int]:
     """(det(g) act(g, lam), det g) for integer g and lam, unchecked but
-    for the diagonal of g: the strictly lower part of the integer matrix m
-    with m g = det(g) g lam, row by row by forward substitution, in which
-    every division is exact."""
+    for the diagonal of g, and reading lam below its diagonal only.
+
+    With adj(g) = det(g) g^{-1}, integral and upper triangular,
+    det(g) g lam g^{-1} = (g lam) adj(g), and its entry (i, j) below the
+    diagonal sums g[i][r] lam[r][c] adj[c][j] over c <= j < i <= r.  So
+    only the rows of adj(g) at lam's nonzero columns are built, row c up
+    to column r - 1 for the lowest nonzero lam[r][c] of the column, each
+    one forward substitution of x g = det(g) e_c in which every division
+    is exact.  The tests keep the forward substitution of
+    m g = det(g) g lam, row by row of m, as the oracle."""
     n = len(g)
     det = 1
-    for k in range(n):
-        if not g[k][k]:
+    for k, row in enumerate(g):
+        if not row[k]:
             raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
-        det *= g[k][k]
-    # det(g) g lam over the nonzero entries of lam: column r of g, scaled,
-    # lands in column c; a rook placement makes this a column gather
-    prod = [[0] * n for _ in range(n)]
-    for r in range(n):
+        det *= row[k]
+    columns = list(zip(*g))
+    adjugate: dict[int, list[int]] = {}
+    zero = (0,) * n
+    out = [zero] * n  # a row no term reaches stays 0
+    for r, lam_row in enumerate(lam):
+        if not any(lam_row[:r]):
+            continue
         for c in range(r):
-            x = lam[r][c]
-            if x:
-                x *= det
-                for i in range(r + 1):
-                    prod[i][c] += g[i][r] * x
-    columns = [column[:j] for j, column in enumerate(zip(*g))]  # g[0..j-1][j]
-    for i, row in enumerate(prod):
-        for j in range(i):
-            acc = row[j] - sum(map(mul, row, columns[j]))
-            row[j], remainder = divmod(acc, g[j][j])
-            if remainder:
-                raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
-        row[i:] = [0] * (n - i)
-    return tuple(map(tuple, prod)), det
+            x = lam_row[c]
+            if not x:
+                continue
+            # row c of adj(g) from column c on, extended to column r - 1:
+            # sum over k of adj[c][k] g[k][j] is det at j = c, else 0
+            adj = adjugate.setdefault(c, [])
+            for j in range(c + len(adj), r):
+                acc = -sum(map(mul, adj, columns[j][c:j])) if adj else det
+                quotient, remainder = divmod(acc, g[j][j])
+                if remainder:
+                    raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
+                adj.append(quotient)
+            column = columns[r]
+            for i in range(c + 1, r + 1):
+                y = column[i] * x
+                if y:
+                    target = out[i]
+                    if target is zero:
+                        target = out[i] = [0] * n
+                        target[c:i] = map(y.__mul__, adj[: i - c])
+                    else:
+                        target[c:i] = map(add, target[c:i], map(y.__mul__, adj))
+    return tuple(map(tuple, out)), det
 
 
 def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Matrix:

@@ -38,7 +38,7 @@ from .errors import (
     UnknownSuiteError,
 )
 from .involutions import Involution, Permutation, to_permutation
-from .matrices import Matrix, echelon_insert, integral_multiple
+from .matrices import Matrix, _fraction_free_insert, echelon_insert, integral_multiple
 
 # one byte per cell, and a cell counts at most n rooks
 TABLE_MAX_N = 255
@@ -106,9 +106,16 @@ def _southwest_cells(
 
 def _checked_cells(n: int, cells: Sequence[int], count: int = 1) -> bytes:
     """``cells`` as the bytes of ``count`` joined n x n tables, each cell
-    within its rook bound.  ``bytes`` are checked against the bound alone,
-    in one pass; any other sequence must hold ints, no bool, and none
-    below 0.  The first bad cell is named."""
+    within its rook bound.  ``bytes`` are checked against the bound alone;
+    any other sequence must hold ints, no bool, and none below 0.  The
+    first bad cell is named.
+
+    For n <= 127 every bound is below 128, and ``bytes`` are compared all
+    at once, as ints B of the bounds and C of the cells: with H the high
+    bit of every byte, a cell below 128 leaves 128 + bound - cell >= 1 in
+    its byte of (B | H) - C, so no byte borrows from the next, and that
+    byte keeps its high bit iff the cell is within its bound.  A table
+    that fails this test is scanned cell by cell for the error."""
     size = _table_size(n) * n
     if type(cells) is not bytes and (
         not isinstance(cells, Sequence) or not set(map(type, cells)) <= {int}
@@ -118,6 +125,11 @@ def _checked_cells(n: int, cells: Sequence[int], count: int = 1) -> bytes:
         tables = f"{n}x{n} table" if count == 1 else f"{count} tables of {n}x{n}"
         raise SizeMismatchError(f"expected {tables}")
     bounds = _rook_bounds(n) * count
+    if type(cells) is bytes and n <= 127:
+        high = int.from_bytes(b"\x80" * len(cells), "big")
+        packed = int.from_bytes(cells, "big")
+        if not packed & high and ((int.from_bytes(bounds, "big") | high) - packed) & high == high:
+            return cells
     if not all(map(le, cells, bounds)) or type(cells) is not bytes and min(cells, default=0) < 0:
         for k, (entry, bound) in enumerate(zip(cells, bounds)):
             if not 0 <= entry <= bound:
@@ -176,7 +188,7 @@ def exact_rank(matrix: Sequence[Sequence]) -> int:
         raise SizeMismatchError("ragged rows")
     basis: list = []
     for row in integral_multiple(matrix):
-        echelon_insert(basis, list(row))
+        echelon_insert(basis, row)
     return len(basis)
 
 
@@ -320,12 +332,22 @@ def _strict_ranks(matrix: Matrix, n: int) -> bytes:
     go into one echelon basis, and dropping columns commutes with row
     operations, so corner (i, j) has rank the number of pivots South-West
     of it.  Only columns < i reach a strict corner of row i or above, so
-    row i goes in cut to them, and the basis, cut first, drops its rows
-    pivoted further right."""
-    basis, rooks = [], []
+    row i goes in cut to them, and before it the basis drops the one row
+    pivoted at column i; the rows it keeps are reduced against whole, the
+    new row being cut to its own length.  The matrix is typed once, by
+    its entry at (n, 1): an int matrix goes to the fraction-free mode of
+    :func:`~borbits.matrices.echelon_insert` directly."""
+    integral = n > 1 and type(matrix[n - 1][0]) is int
+    insert = _fraction_free_insert if integral else echelon_insert
+    basis, rooks, pivot_rows = [], [], {}
     for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
-        basis = [(col, row[:i]) for col, row in basis if col < i]
-        col = echelon_insert(basis, list(matrix[i][:i]))
+        if i in pivot_rows:
+            basis.remove(pivot_rows.pop(i))
+        row = matrix[i][:i]
+        if not any(row):
+            continue
+        col = insert(basis, row)
         if col is not None:
+            pivot_rows[col] = basis[-1]
             rooks.append((i + 1, col + 1))
     return _southwest_cells((rooks,), n, strict=True)

@@ -209,8 +209,10 @@ def _suite_dimension(n: int, seed: int, samples: int):
 def _orbit_samples(n: int, seed: int, samples: int, index: int, sigma):
     """(seed, det(g) act(g, base)) per sampled g: an integer multiple of
     the acted point, with its corner ranks and its vanishing quadrics.  The
-    typing boundary: :func:`_act_numerator` works in ints and zeroes each row
-    from the diagonal on, so the suites rank the points unchecked."""
+    typing boundary: :func:`_act_numerator` works in ints, from the rows of
+    adj(g) at the arcs' columns, and fills only cells below the diagonal,
+    so the suites rank the points unchecked and read their quadrics at
+    the cells a test reads."""
     base = rook_matrix_lower(sigma)
     for k in range(samples):
         sample_seed = seed * 1_000_003 + index * 1_000 + k
@@ -263,9 +265,11 @@ def _suite_closure(n: int, seed: int, samples: int):
     for index, sigma in enumerate(elements):
         spec = z_spec(sigma)
         for k, (sample_seed, raw) in enumerate(_orbit_samples(n, seed, samples, index, sigma)):
-            point = _z_point(raw)
             if k == 0:
+                point = _z_point(raw)
                 first_points.append(point)
+            else:  # tested against sigma's own variety alone
+                point = _z_point(raw, spec.quadric_cells)
             checked += 1
             if not spec.contains(point):
                 failures.append(
@@ -313,9 +317,9 @@ _SUITES = {
     "covers": (_suite_covers, 8),
     "graded": (_suite_graded, 9),
     "dimension": (_suite_dimension, 6),
-    "rank-invariance": (_suite_rank_invariance, 6),
+    "rank-invariance": (_suite_rank_invariance, 7),
     "degeneration": (_suite_degeneration, 8),
-    "closure": (_suite_closure, 6),
+    "closure": (_suite_closure, 7),
     "essential-set": (_suite_essential_set, ESSENTIAL_MAX_N),
 }
 

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import strategies as st
@@ -62,6 +62,33 @@ def randint_borel(n: int, seed: int, bound: int = 3) -> tuple:
         for c in range(r + 1, n):
             rows[r][c] = rng.randint(-bound, bound)
     return tuple(tuple(row) for row in rows)
+
+
+def forward_substitution_numerator(g, lam) -> tuple:
+    """Oracle for ``orbits._act_numerator``: (det(g) act(g, lam), det g)
+    for integer g and lam, the strictly lower part of the integer matrix
+    m with m g = det(g) g lam, row by row by forward substitution, in
+    which every division is exact and checked."""
+    n = len(g)
+    det = 1
+    for k in range(n):
+        det *= g[k][k]
+    # det(g) g lam over the entries of lam below its diagonal
+    prod = [[0] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(r):
+            x = lam[r][c] * det
+            for i in range(r + 1):
+                prod[i][c] += g[i][r] * x
+    columns = [column[:j] for j, column in enumerate(zip(*g))]  # g[0..j-1][j]
+    for i, row in enumerate(prod):
+        for j in range(i):
+            acc = row[j] - sum(map(mul, row, columns[j]))
+            row[j], remainder = divmod(acc, g[j][j])
+            if remainder:
+                raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
+        row[i:] = [0] * (n - i)
+    return tuple(map(tuple, prod)), det
 
 
 def all_permutations(n: int) -> list[Permutation]:

@@ -6,6 +6,7 @@ from conftest import (
     ORBIT_EXAMPLES,
     diagonal_weights,
     field_rank_profile,
+    forward_substitution_numerator,
     orbit_functional,
     prefix_corner_ranks,
     randint_borel,
@@ -188,6 +189,65 @@ def test_act_numerator_over_d_det_is_the_field_route(pair):
     assert type(det) is int and all(type(x) is int for row in m for x in row)
     divided = tuple(tuple(Fraction(x, d * det) for x in row) for row in m)
     assert divided == act(g, lam)
+
+
+_INT_ENTRIES = st.integers(-7, 7)
+
+
+@st.composite
+def int_action_pair(draw):
+    """(g, lam) in ints, n <= 7: g upper triangular with a nonzero
+    diagonal of either sign, lam the weighted rook matrix of an
+    involution or a dense strictly lower matrix."""
+    n = draw(st.integers(0, 7))
+    g = draw(upper(n, _INT_ENTRIES, _INT_ENTRIES.filter(bool)))
+    if not n or draw(st.booleans()):
+        lam = draw(strictly_lower(n, _INT_ENTRIES))
+    else:
+        sigma = draw(st.sampled_from(enumerate_involutions(n)))
+        weights = {(arc.i, arc.j): draw(_INT_ENTRIES.filter(bool)) for arc in sigma.arcs}
+        lam = tuple(
+            tuple(weights.get((r, c), 0) for c in range(1, n + 1)) for r in range(1, n + 1)
+        )
+    return g, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=int_action_pair())
+@example(pair=(((-2, 3, 1), (0, 3, -1), (0, 0, -5)), ((0, 0, 0), (4, 0, 0), (-1, 6, 0))))
+def test_act_numerator_is_the_forward_substitution(pair):
+    # the adjugate rows at lam's columns against m g = det(g) g lam
+    g, lam = pair
+    assert _act_numerator(g, lam) == forward_substitution_numerator(g, lam)
+
+
+def test_act_numerator_checks_every_division():
+    # a g whose adjugate is not integral, here by a Fraction above the
+    # diagonal, leaves a remainder, which both routes raise on
+    g = ((1, Fraction(1, 2), 0), (0, 1, 0), (0, 0, 1))
+    lam = ((0, 0, 0), (0, 0, 0), (1, 0, 0))
+    for route in (_act_numerator, forward_substitution_numerator):
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            route(g, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=st.integers(1, 7).flatmap(
+        lambda n: st.tuples(
+            st.one_of(strictly_lower(n, _INT_ENTRIES), orbit_functional(n)),
+            st.sets(st.sampled_from([(r, s) for r in range(1, n + 1) for s in range(1, r)]))
+            if n > 1
+            else st.just(set()),
+        )
+    )
+)
+def test_z_point_at_some_cells_reads_the_full_support_there(case):
+    lam, cells = case
+    a = integral_multiple(lam)
+    n, ranks, support = _z_point(a)
+    assert _z_point(a, frozenset(cells)) == (n, ranks, support & cells)
+    assert _z_point(a, frozenset()) == (n, ranks, frozenset())
 
 
 @settings(max_examples=200, deadline=None)

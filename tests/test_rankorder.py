@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import chain
+from operator import le, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,8 +36,10 @@ from borbits import rankorder
 from borbits.rankorder import (
     TABLE_MAX_N,
     _at_most_sets,
+    _checked_cells,
     _dominated,
     _lanes,
+    _rook_bounds,
     _southwest_cells,
     _strict_ranks,
     dominance_masks,
@@ -538,6 +541,54 @@ def test_rank_matrix_from_cells_reads_int_sequences_as_bytes():
     with pytest.raises(IndexOutOfRangeError) as error:
         RankMatrix.of_cells(2, [0, 0, 0, 300])
     assert str(error.value) == "entry 300 at (2,2) exceeds rook bound"
+
+
+@st.composite
+def joined_near_bounds(draw):
+    """(n, count, cells): the bytes of count joined n x n tables, each
+    cell at its rook bound or one below, with a few cells set one above
+    it or to 128 or more."""
+    n = draw(st.one_of(st.integers(0, 9), st.sampled_from([126, 127, 128, 130])))
+    count = draw(st.integers(0, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    bounds = _rook_bounds(n) * count
+    # one below the bound where a random bit is set and the bound is not 0
+    below = rng.randbytes(len(bounds)).translate(bytes([0, 1]) * 128)
+    cells = bytearray(map(sub, bounds, map(min, below, bounds)))
+    for _ in range(draw(st.integers(0, 2)) if cells else 0):
+        k = rng.randrange(len(cells))
+        if rng.random() < 0.5:
+            cells[k] = min(cells[k] + rng.randint(1, 2), 255)
+        else:
+            cells[k] = rng.randint(128, 255)
+    return n, count, bytes(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=joined_near_bounds())
+@example(case=(2, 1, b"\0\1\0\2"))  # one above the bound at (2,2)
+@example(case=(2, 1, b"\0\1\0\x81"))  # 129: its high bit alone is set
+@example(case=(1, 2, b"\1\x80"))  # within in table 1, 128 in table 2
+# 130 past a bound of 1 borrows from the cell before, below its bound
+@example(case=(1, 2, b"\0\x82"))
+@example(case=(127, 1, _rook_bounds(127)))  # every cell at its bound
+def test_byte_cells_are_checked_as_the_per_cell_scan(case):
+    # the carry-free test on the packed cells accepts exactly the tables
+    # whose every cell is within its bound, and otherwise the scan names
+    # the first cell past it
+    n, count, cells = case
+    bounds = _rook_bounds(n) * count
+    if all(map(le, cells, bounds)):
+        assert _checked_cells(n, cells, count) == cells
+        return
+    k = next(k for k, (cell, bound) in enumerate(zip(cells, bounds)) if cell > bound)
+    table, cell = divmod(k, n * n)
+    where = f" of table {table + 1}" if count > 1 else ""
+    with pytest.raises(IndexOutOfRangeError) as error:
+        _checked_cells(n, cells, count)
+    assert str(error.value) == (
+        f"entry {cells[k]} at ({cell // n + 1},{cell % n + 1}){where} exceeds rook bound"
+    )
 
 
 class _Untouchable:

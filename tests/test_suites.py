@@ -123,6 +123,12 @@ def test_graded_suite_checks_covers_against_incittis_rank(monkeypatch):
     ]
 
 
+def test_sampled_suites_at_their_bounds():
+    # a few samples per involution of S_7, the bound of both
+    assert run_suite("rank-invariance", 7, samples=2).passed
+    assert run_suite("closure", 7, samples=2).passed
+
+
 def test_sampled_suites_small():
     assert run_suite("rank-invariance", 3, seed=1, samples=5).passed
     assert run_suite("closure", 3, seed=1, samples=5).passed
@@ -157,17 +163,30 @@ def test_unknown_suite():
         run_suite("bogus", 3)
 
 
+# suite -> the largest n it accepts
+_BOUNDS = {
+    "counts": 8,
+    "order-equivalence": 8,
+    "covers": 8,
+    "graded": 9,
+    "dimension": 6,
+    "rank-invariance": 7,
+    "degeneration": 8,
+    "closure": 7,
+    "essential-set": 7,
+}
+
+
+@pytest.mark.parametrize("name", sorted(suites._SUITES))
+def test_every_suite_rejects_one_past_its_bound(name):
+    bound = _BOUNDS[name]
+    assert suites._SUITES[name][1] == bound
+    with pytest.raises(BoundExceededError, match=f"accepts 1 <= n <= {bound}"):
+        run_suite(name, bound + 1)
+
+
 def test_bound_exceeded():
-    with pytest.raises(BoundExceededError):
-        run_suite("counts", 9)
-    with pytest.raises(BoundExceededError):
-        run_suite("covers", 9)
-    with pytest.raises(BoundExceededError):
-        run_suite("degeneration", 9)
-    with pytest.raises(BoundExceededError):
-        run_suite("graded", 10)
-    with pytest.raises(BoundExceededError):
-        run_suite("essential-set", 8)
+    assert set(_BOUNDS) == set(suites._SUITES)
     with pytest.raises(BoundExceededError):
         emit_hasse(10)
 

@@ -55,12 +55,10 @@ from .orbits import (
     act,
     degeneration,
     degeneration_closed_form,
-    delta_minors,
     orbit_dimension,
     orbit_point,
     random_borel,
     rank_profile,
-    x_elem,
 )
 from .closure import (
     ZSpec,

@@ -4,8 +4,8 @@ Matrices are tuples of row tuples over one field at a time: ``Fraction``
 or :class:`~borbits.ratfunc.RFun`.  Constructors promote plain ints so
 that arithmetic never falls back to floating point.
 
-Every rank, corner-rank table and determinant over Q or Q(eps) is
-computed by :func:`echelon_insert`: over an exact field (``Fraction``,
+Every rank and corner-rank table over Q or Q(eps) is computed by
+:func:`echelon_insert`: over an exact field (``Fraction``,
 ``RFun``) or fraction-free over the integers (Bareiss, *Math. Comp.* 22,
 1968), which ranks use for every rational matrix.  The oracles' F_2 and
 GF(q) tables are not built by it.  A caller types its matrix once, by
@@ -72,13 +72,6 @@ def square_size(*matrices) -> int:
     if any(len(m) != n or any(len(row) != n for row in m) for m in matrices):
         raise SizeMismatchError("ragged, non-square or mismatched matrices")
     return n
-
-
-def identity_matrix(n: int, like=Fraction(1)) -> Matrix:
-    one, zero = field_constants(((like,),))
-    return tuple(
-        tuple(one if r == c else zero for c in range(n)) for r in range(n)
-    )
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -190,23 +183,3 @@ def _append_independent(basis: list, row) -> int | None:
             basis.append((col, row))
             return col
     return None
-
-
-def exact_det(matrix: Matrix) -> Fraction | RFun:
-    """Determinant over the field of the entries (ints count as
-    rationals): the sign of the pivot-column order times the product of
-    the pivots."""
-    square_size(matrix)
-    rows = promote(matrix)
-    one, zero = field_constants(rows)
-    basis: list = []
-    for row in rows:
-        if echelon_insert(basis, row) is None:
-            return zero
-    cols = [col for col, _ in basis]
-    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
-    det = -one if inversions % 2 else one
-    for col, pivot_row in basis:
-        det = det * pivot_row[col]
-    return det
-

@@ -7,11 +7,13 @@ matrices to upper-plus-diagonal matrices, truncating between steps is
 harmless: act(g, act(h, lam)) == act(g h, lam).
 
 :func:`act` takes one dense route over any exact field.  The sampled
-suites run on ints instead: they test the numerator ``det(g) act(g, lam)``
-of integer g and lam itself, of g from the int sampler.  That numerator is
-``(g lam) adj(g)``, built from the rows of the adjugate at the nonzero
-columns of lam only; ints and strictly lower by construction, it is
-ranked by unchecked kernels.
+suites run on ints instead: a sample draws g as its upper-triangular
+columns, straight from the C generator under ``random.Random``, and
+acts on lam given by its nonzero entries, the arcs of an involution.  It
+tests the numerator ``det(g) act(g, lam)``, which is ``(g lam) adj(g)``,
+built from the rows of the adjugate at those entries' columns only;
+ints and strictly lower by construction, it is ranked by unchecked
+kernels.
 
 Degeneration curves live over the exact rational-function field in eps,
 so limits at eps -> 0 and identities of curves are exact equalities, not
@@ -22,10 +24,11 @@ each conjugation is one row and one column operation.
 
 from __future__ import annotations
 
-import random
+from _random import Random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
+from typing import Iterable
 
 from .errors import (
     IndexOutOfRangeError,
@@ -34,16 +37,11 @@ from .errors import (
     NotInvertibleError,
     NotStrictlyLowerError,
     NotUpperTriangularError,
-    SingularElementError,
     ZeroXiError,
 )
 from .involutions import Arc, Involution, rook_matrix_lower
 from .matrices import (
     Matrix,
-    exact_det,
-    exact_entry,
-    field_constants,
-    identity_matrix,
     integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
@@ -67,25 +65,6 @@ from .ratfunc import (
 )
 
 
-def x_elem(n: int, j: int, i: int, alpha) -> Matrix:
-    """One-parameter element: identity plus alpha at (j, i).
-
-    On the diagonal (j == i) the entry becomes 1 + alpha, which must not
-    vanish.
-    """
-    if any(type(x) is not int for x in (n, j, i)):
-        raise IndexOutOfRangeError(f"size and indices must be ints, got {(n, j, i)!r}")
-    if not (1 <= j <= n and 1 <= i <= n):
-        raise IndexOutOfRangeError(f"({j},{i}) outside 1..{n}")
-    alpha = exact_entry(alpha)
-    one, _ = field_constants(((alpha,),))
-    if j == i and not (one + alpha):
-        raise SingularElementError("diagonal entry 1 + alpha vanishes")
-    rows = [list(row) for row in identity_matrix(n, like=one)]
-    rows[j - 1][i - 1] = rows[j - 1][i - 1] + alpha
-    return tuple(tuple(row) for row in rows)
-
-
 def act(g: Matrix, lam: Matrix) -> Matrix:
     """The induced action: strictly lower part of g lam g^{-1}, over Q or
     Q(eps), by two dense products and a back-substitution inverse; over Q
@@ -100,54 +79,53 @@ def act(g: Matrix, lam: Matrix) -> Matrix:
     return strictly_lower_part(mat_mul(mat_mul(g, lam), upper_inverse(g)))
 
 
-def _act_numerator(g: Matrix, lam: Matrix) -> tuple[Matrix, int]:
+def _act_numerator(
+    columns: Matrix, entries: Iterable[tuple[int, int, int]]
+) -> tuple[Matrix, int]:
     """(det(g) act(g, lam), det g) for integer g and lam, unchecked but
-    for the diagonal of g, and reading lam below its diagonal only.
+    for the diagonal of g.  g comes as its upper-triangular columns,
+    ``columns[j][i] = g[i][j]`` for i <= j, as :func:`_random_borel_int`
+    draws it; lam as its nonzero entries (r, c, x) below the diagonal,
+    0-based, any number per column.  The point is a tuple of row tuples.
 
     With adj(g) = det(g) g^{-1}, integral and upper triangular,
     det(g) g lam g^{-1} = (g lam) adj(g), and its entry (i, j) below the
     diagonal sums g[i][r] lam[r][c] adj[c][j] over c <= j < i <= r.  So
-    only the rows of adj(g) at lam's nonzero columns are built, row c up
-    to column r - 1 for the lowest nonzero lam[r][c] of the column, each
-    one forward substitution of x g = det(g) e_c in which every division
-    is exact.  The tests keep the forward substitution of
-    m g = det(g) g lam, row by row of m, as the oracle."""
-    n = len(g)
+    only the rows of adj(g) at lam's columns are built, row c up to column
+    r - 1 for the lowest entry of the column, each one forward
+    substitution of x g = det(g) e_c in which every division is exact.
+    The tests keep the forward substitution of m g = det(g) g lam, row by
+    row of m, as the oracle."""
+    n = len(columns)
     det = 1
-    for k, row in enumerate(g):
-        if not row[k]:
+    for k, column in enumerate(columns):
+        if not column[k]:
             raise NotInvertibleError(f"zero diagonal entry at {k + 1}")
-        det *= row[k]
-    columns = list(zip(*g))
+        det *= column[k]
     adjugate: dict[int, list[int]] = {}
     zero = (0,) * n
     out = [zero] * n  # a row no term reaches stays 0
-    for r, lam_row in enumerate(lam):
-        if not any(lam_row[:r]):
-            continue
-        for c in range(r):
-            x = lam_row[c]
-            if not x:
-                continue
-            # row c of adj(g) from column c on, extended to column r - 1:
-            # sum over k of adj[c][k] g[k][j] is det at j = c, else 0
-            adj = adjugate.setdefault(c, [])
-            for j in range(c + len(adj), r):
-                acc = -sum(map(mul, adj, columns[j][c:j])) if adj else det
-                quotient, remainder = divmod(acc, g[j][j])
-                if remainder:
-                    raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
-                adj.append(quotient)
-            column = columns[r]
-            for i in range(c + 1, r + 1):
-                y = column[i] * x
-                if y:
-                    target = out[i]
-                    if target is zero:
-                        target = out[i] = [0] * n
-                        target[c:i] = map(y.__mul__, adj[: i - c])
-                    else:
-                        target[c:i] = map(add, target[c:i], map(y.__mul__, adj))
+    for r, c, x in entries:
+        # row c of adj(g) from column c on, extended to column r - 1:
+        # sum over k of adj[c][k] g[k][j] is det at j = c, else 0
+        adj = adjugate.setdefault(c, [])
+        for j in range(c + len(adj), r):
+            column = columns[j]
+            acc = -sum(map(mul, adj, column[c:j])) if adj else det
+            quotient, remainder = divmod(acc, column[j])
+            if remainder:
+                raise ArithmeticError(f"{acc} is not divisible by {column[j]}")
+            adj.append(quotient)
+        column = columns[r]
+        for i in range(c + 1, r + 1):
+            y = column[i] * x
+            if y:
+                target = out[i]
+                if target is zero:
+                    target = out[i] = [0] * n
+                    target[c:i] = map(y.__mul__, adj[: i - c])
+                else:
+                    target[c:i] = map(add, target[c:i], map(y.__mul__, adj))
     return tuple(map(tuple, out)), det
 
 
@@ -207,29 +185,30 @@ def orbit_dimension(sigma: Involution) -> int:
     return exact_rank(tuple(matrix)) if matrix else 0
 
 
-def delta_minors(y: Matrix) -> tuple[Fraction, ...]:
-    """Bottom-left corner determinants: the k-th minor spans rows
-    n-k+1..n and columns 1..k, for k up to n // 2."""
-    n = square_size(y)
-    out = []
-    for k in range(1, n // 2 + 1):
-        block = tuple(tuple(y[r][c] for c in range(k)) for r in range(n - k, n))
-        out.append(exact_det(block))
-    return tuple(out)
-
-
 def _random_borel_int(n: int, seed: int, bound: int = 3) -> Matrix:
-    """The entries of :func:`random_borel` as ints, from the same stream."""
+    """The entries of :func:`random_borel` as ints, from the same stream,
+    as g's upper-triangular columns: ``columns[j][i] = g[i][j]``, i <= j.
+    ``random.Random(s).randint(a, b)`` is a plus ``_randbelow(b - a + 1)``,
+    which draws ``getrandbits(k)`` from the C base class, k the bit length
+    of the range, until a draw falls inside it; so does this, row by row,
+    from a fresh C generator of the same seed."""
     if bound < 1:
         raise IndexOutOfRangeError(f"bound must be >= 1, got {bound}")
-    # randint(a, b) is a + _randbelow(b - a + 1): the same stream, unchecked
-    below = random.Random(seed * 1_000_003 + n * 1_009 + bound)._randbelow
-    rows = [[0] * n for _ in range(n)]
-    for r in range(n):
-        rows[r][r] = 1 + below(bound)
-        for c in range(r + 1, n):
-            rows[r][c] = below(2 * bound + 1) - bound
-    return tuple(tuple(row) for row in rows)
+    bits = Random(seed * 1_000_003 + n * 1_009 + bound).getrandbits
+    diagonal, width = bound.bit_length(), 2 * bound + 1
+    above = width.bit_length()
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for r, column in enumerate(columns):
+        x = bits(diagonal)
+        while x >= bound:
+            x = bits(diagonal)
+        column.append(1 + x)
+        for later in columns[r + 1 :]:
+            x = bits(above)
+            while x >= width:
+                x = bits(above)
+            later.append(x - bound)
+    return tuple(map(tuple, columns))
 
 
 def random_borel(n: int, seed: int, bound: int = 3) -> Matrix:
@@ -238,7 +217,10 @@ def random_borel(n: int, seed: int, bound: int = 3) -> Matrix:
     ints all three, with n >= 0 and bound >= 1."""
     if not all(type(x) is int for x in (n, seed, bound)) or n < 0 or bound < 1:
         raise IndexOutOfRangeError(f"bad n, seed or bound: {n!r}, {seed!r}, {bound!r}")
-    return tuple(tuple(map(Fraction, row)) for row in _random_borel_int(n, seed, bound))
+    columns = _random_borel_int(n, seed, bound)
+    return tuple(
+        tuple(Fraction(columns[j][i]) if i <= j else Q_ZERO for j in range(n)) for i in range(n)
+    )
 
 
 @dataclass(frozen=True)
@@ -246,9 +228,9 @@ class Degeneration:
     """A curve inside the orbit of sigma whose limit at eps -> 0 is the
     base functional of the move's output.
 
-    ``word`` lists (j, i, alpha) factors for :func:`x_elem`, leftmost
-    first; ``curve`` is the acted functional over the rational-function
-    field; ``limit`` is its entrywise value at 0.
+    ``word`` lists factors (j, i, alpha), leftmost first, each the
+    identity plus alpha at (j, i); ``curve`` is the acted functional over
+    the rational-function field; ``limit`` is its entrywise value at 0.
     """
 
     move: Move
@@ -258,7 +240,7 @@ class Degeneration:
 
 
 def _torus_factor(i: int, value: RFun) -> tuple[int, int, RFun]:
-    # x_elem puts 1 + alpha on the diagonal, so alpha = value - 1
+    # a factor on the diagonal puts 1 + alpha there, so alpha = value - 1
     return (i, i, value - RF_ONE)
 
 
@@ -326,10 +308,10 @@ def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
 
 
 def _act_word(word: tuple[tuple[int, int, RFun], ...], rook: Matrix) -> Matrix:
-    """act(g, lam) over Q(eps) for g the product of the :func:`x_elem`
-    factors of ``word`` and lam the 0/1 matrix ``rook``: lam is conjugated
-    by each factor x, rightmost first, as x lam x^{-1}, visiting nonzero
-    entries only, and truncated once at the end.  For x = I + alpha E_{j,i}
+    """act(g, lam) over Q(eps) for g the product of the factors of
+    ``word`` and lam the 0/1 matrix ``rook``: lam is conjugated by each
+    factor x, rightmost first, as x lam x^{-1}, visiting nonzero entries
+    only, and truncated once at the end.  For x = I + alpha E_{j,i}
     that is row j += alpha row i, then column i -= alpha column j; for a
     diagonal factor, with d = 1 + alpha, row i *= d, then column i /= d."""
     rows = [[RF_ONE if x else RF_ZERO for x in row] for row in rook]

@@ -334,12 +334,17 @@ def _strict_ranks(matrix: Matrix, n: int) -> bytes:
     of it.  Only columns < i reach a strict corner of row i or above, so
     row i goes in cut to them, and before it the basis drops the one row
     pivoted at column i; the rows it keeps are reduced against whole, the
-    new row being cut to its own length.  The matrix is typed once, by
-    its entry at (n, 1): an int matrix goes to the fraction-free mode of
+    new row being cut to its own length.  Each pivot adds its column's
+    lane to the table as it is found, and one product with ``units`` and
+    one mask finish it: the size is checked and the lanes looked up once
+    per call.  The matrix is typed once, by its entry at (n, 1): an int
+    matrix goes to the fraction-free mode of
     :func:`~borbits.matrices.echelon_insert` directly."""
+    units, lanes, _, below = _lanes(_table_size(n))
+    width = 8 * n
     integral = n > 1 and type(matrix[n - 1][0]) is int
     insert = _fraction_free_insert if integral else echelon_insert
-    basis, rooks, pivot_rows = [], [], {}
+    basis, pivot_rows, placed = [], {}, 0
     for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
         if i in pivot_rows:
             basis.remove(pivot_rows.pop(i))
@@ -349,5 +354,5 @@ def _strict_ranks(matrix: Matrix, n: int) -> bytes:
         col = insert(basis, row)
         if col is not None:
             pivot_rows[col] = basis[-1]
-            rooks.append((i + 1, col + 1))
-    return _southwest_cells((rooks,), n, strict=True)
+            placed += lanes[col] << width * (n - 1 - i)
+    return (placed * units & below).to_bytes(n * n, "big")

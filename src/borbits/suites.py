@@ -27,7 +27,6 @@ from .involutions import (
     enumerate_involutions,
     format_involution,
     length,
-    rook_matrix_lower,
     to_permutation,
 )
 from .moves import (
@@ -209,14 +208,15 @@ def _suite_dimension(n: int, seed: int, samples: int):
 def _orbit_samples(n: int, seed: int, samples: int, index: int, sigma):
     """(seed, det(g) act(g, base)) per sampled g: an integer multiple of
     the acted point, with its corner ranks and its vanishing quadrics.  The
-    typing boundary: :func:`_act_numerator` works in ints, from the rows of
-    adj(g) at the arcs' columns, and fills only cells below the diagonal,
-    so the suites rank the points unchecked and read their quadrics at
-    the cells a test reads."""
-    base = rook_matrix_lower(sigma)
+    typing boundary: g is drawn as its int columns, and
+    :func:`_act_numerator` acts on sigma's arcs, listed once, from the
+    rows of adj(g) at the arcs' columns; it fills only cells below the
+    diagonal, so the suites rank the points unchecked and read their
+    quadrics at the cells a test reads."""
+    arcs = [(i - 1, j - 1, 1) for i, j in sigma.arcs]
     for k in range(samples):
         sample_seed = seed * 1_000_003 + index * 1_000 + k
-        yield sample_seed, _act_numerator(_random_borel_int(n, sample_seed), base)[0]
+        yield sample_seed, _act_numerator(_random_borel_int(n, sample_seed), arcs)[0]
 
 
 def _suite_rank_invariance(n: int, seed: int, samples: int):

@@ -27,7 +27,8 @@ from borbits import (
     parse_involution,
     random_borel,
 )
-from borbits.matrices import echelon_insert
+from borbits.errors import IndexOutOfRangeError, SingularElementError
+from borbits.matrices import echelon_insert, exact_entry, field_constants, promote, square_size
 from borbits.poset import LSets
 from borbits.rankorder import _dominated, bit_indices
 
@@ -64,6 +65,18 @@ def randint_borel(n: int, seed: int, bound: int = 3) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
+def columns_of(g) -> tuple:
+    """The upper-triangular columns of a dense g, as the int sampler
+    draws them: ``columns[j][i] = g[i][j]`` for i <= j."""
+    return tuple(tuple(g[i][j] for i in range(j + 1)) for j in range(len(g)))
+
+
+def lower_entries(lam) -> list:
+    """The nonzero entries (r, c, x) of a dense lam below its diagonal,
+    0-based, as the action kernel reads a functional."""
+    return [(r, c, x) for r, row in enumerate(lam) for c, x in enumerate(row[:r]) if x]
+
+
 def forward_substitution_numerator(g, lam) -> tuple:
     """Oracle for ``orbits._act_numerator``: (det(g) act(g, lam), det g)
     for integer g and lam, the strictly lower part of the integer matrix
@@ -89,6 +102,59 @@ def forward_substitution_numerator(g, lam) -> tuple:
                 raise ArithmeticError(f"{acc} is not divisible by {g[j][j]}")
         row[i:] = [0] * (n - i)
     return tuple(map(tuple, prod)), det
+
+
+def identity_matrix(n: int, like=Fraction(1)) -> tuple:
+    """The n x n identity over the field of ``like``."""
+    one, zero = field_constants(((like,),))
+    return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
+
+
+def x_elem(n: int, j: int, i: int, alpha) -> tuple:
+    """Oracle for one factor (j, i, alpha) of a degeneration word: the
+    identity plus alpha at (j, i), 1-based.  On the diagonal (j == i) the
+    entry becomes 1 + alpha, which must not vanish."""
+    if any(type(x) is not int for x in (n, j, i)):
+        raise IndexOutOfRangeError(f"size and indices must be ints, got {(n, j, i)!r}")
+    if not (1 <= j <= n and 1 <= i <= n):
+        raise IndexOutOfRangeError(f"({j},{i}) outside 1..{n}")
+    alpha = exact_entry(alpha)
+    one, _ = field_constants(((alpha,),))
+    if j == i and not (one + alpha):
+        raise SingularElementError("diagonal entry 1 + alpha vanishes")
+    rows = [list(row) for row in identity_matrix(n, like=one)]
+    rows[j - 1][i - 1] = rows[j - 1][i - 1] + alpha
+    return tuple(tuple(row) for row in rows)
+
+
+def exact_det(matrix):
+    """Oracle: the determinant over the field of the entries (ints count
+    as rationals), by the elimination kernel: the sign of the
+    pivot-column order times the product of the pivots."""
+    square_size(matrix)
+    rows = promote(matrix)
+    one, zero = field_constants(rows)
+    basis: list = []
+    for row in rows:
+        if echelon_insert(basis, row) is None:
+            return zero
+    cols = [col for col, _ in basis]
+    inversions = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1 :])
+    det = -one if inversions % 2 else one
+    for col, pivot_row in basis:
+        det = det * pivot_row[col]
+    return det
+
+
+def delta_minors(y) -> tuple:
+    """Oracle: the bottom-left corner determinants of y, semi-invariants
+    of the B-action; the k-th minor spans rows n-k+1..n and columns 1..k,
+    for k up to n // 2."""
+    n = square_size(y)
+    return tuple(
+        exact_det(tuple(tuple(y[r][c] for c in range(k)) for r in range(n - k, n)))
+        for k in range(1, n // 2 + 1)
+    )
 
 
 def all_permutations(n: int) -> list[Permutation]:

@@ -27,6 +27,10 @@ REMOVED = {
     "NotBCandidateError": "errors",
     "NotCCandidateError": "errors",
     "InvalidResultError": "errors",
+    "x_elem": "orbits",
+    "delta_minors": "orbits",
+    "exact_det": "matrices",
+    "identity_matrix": "matrices",
 }
 
 

@@ -6,6 +6,7 @@ from operator import le
 import pytest
 from conftest import (
     ORBIT_EXAMPLES,
+    delta_minors,
     field_z_contains,
     nonzero_rationals,
     orbit_functional,
@@ -25,7 +26,6 @@ from borbits import (
     bruhat_rank_matrix,
     complement_permutation,
     degeneration,
-    delta_minors,
     enumerate_involutions,
     essential_reduction_check,
     essential_set,

@@ -13,8 +13,6 @@ from borbits.closure import (
 from borbits.errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from borbits.matrices import (
     echelon_insert,
-    exact_det,
-    identity_matrix,
     integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
@@ -29,7 +27,7 @@ from borbits.orbits import act, random_borel, rank_profile
 from borbits.rankorder import exact_rank
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun, poly
 
-from conftest import largest_nonzero_minor, leibniz_det
+from conftest import exact_det, identity_matrix, largest_nonzero_minor, leibniz_det
 
 
 def test_upper_inverse_random():

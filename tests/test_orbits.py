@@ -4,14 +4,19 @@ from math import lcm
 import pytest
 from conftest import (
     ORBIT_EXAMPLES,
+    columns_of,
+    delta_minors,
     diagonal_weights,
     field_rank_profile,
     forward_substitution_numerator,
+    identity_matrix,
+    lower_entries,
     orbit_functional,
     prefix_corner_ranks,
     randint_borel,
     strictly_lower,
     upper,
+    x_elem,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +27,6 @@ from borbits import (
     apply_move,
     degeneration,
     degeneration_closed_form,
-    delta_minors,
     enumerate_involutions,
     identity_involution,
     length,
@@ -36,7 +40,6 @@ from borbits import (
     rook_matrix_lower,
     star_rank_matrix,
     to_permutation,
-    x_elem,
 )
 from borbits.closure import _z_point, z_point
 from borbits.errors import (
@@ -52,11 +55,7 @@ from borbits.errors import (
     SizeMismatchError,
     ZeroXiError,
 )
-from borbits.matrices import (
-    identity_matrix,
-    integral_multiple,
-    mat_mul,
-)
+from borbits.matrices import integral_multiple, mat_mul
 from borbits import orbits
 from borbits.moves import Move
 from borbits.orbits import _act_numerator, _act_word, _random_borel_int
@@ -185,7 +184,7 @@ def test_act_numerator_over_d_det_is_the_field_route(pair):
     g, lam = pair
     # a g and d lam are integral; the numerator of the pair is d det(a g) act(g, lam)
     d = lcm(*(x.denominator for row in lam for x in row))
-    m, det = _act_numerator(integral_multiple(g), integral_multiple(lam))
+    m, det = _act_numerator(columns_of(integral_multiple(g)), lower_entries(integral_multiple(lam)))
     assert type(det) is int and all(type(x) is int for row in m for x in row)
     divided = tuple(tuple(Fraction(x, d * det) for x in row) for row in m)
     assert divided == act(g, lam)
@@ -216,9 +215,13 @@ def int_action_pair(draw):
 @given(pair=int_action_pair())
 @example(pair=(((-2, 3, 1), (0, 3, -1), (0, 0, -5)), ((0, 0, 0), (4, 0, 0), (-1, 6, 0))))
 def test_act_numerator_is_the_forward_substitution(pair):
-    # the adjugate rows at lam's columns against m g = det(g) g lam
+    # the adjugate rows at lam's columns against m g = det(g) g lam, with
+    # lam's entries in either order
     g, lam = pair
-    assert _act_numerator(g, lam) == forward_substitution_numerator(g, lam)
+    expected = forward_substitution_numerator(g, lam)
+    entries = lower_entries(lam)
+    assert _act_numerator(columns_of(g), entries) == expected
+    assert _act_numerator(columns_of(g), entries[::-1]) == expected
 
 
 def test_act_numerator_checks_every_division():
@@ -226,9 +229,10 @@ def test_act_numerator_checks_every_division():
     # diagonal, leaves a remainder, which both routes raise on
     g = ((1, Fraction(1, 2), 0), (0, 1, 0), (0, 0, 1))
     lam = ((0, 0, 0), (0, 0, 0), (1, 0, 0))
-    for route in (_act_numerator, forward_substitution_numerator):
-        with pytest.raises(ArithmeticError, match="not divisible"):
-            route(g, lam)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        _act_numerator(columns_of(g), lower_entries(lam))
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        forward_substitution_numerator(g, lam)
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,9 +304,10 @@ def test_z_point_rejects_what_corner_ranks_rejects(lam, error):
 def test_integer_sampler_is_the_stream_of_random_borel():
     for n, seed, bound in ((1, 0, 3), (4, 7, 3), (6, 123, 5), (5, 3, 1)):
         ints = _random_borel_int(n, seed, bound)
-        assert all(type(x) is int for row in ints for x in row)
+        assert all(type(x) is int for column in ints for x in column)
         fractions = random_borel(n, seed, bound)
-        assert fractions == ints
+        assert columns_of(fractions) == ints
+        assert fractions == randint_borel(n, seed, bound)
         assert all(type(x) is Fraction for row in fractions for x in row)
 
 
@@ -310,7 +315,24 @@ def test_integer_sampler_draws_the_randint_stream():
     for n in range(1, 8):
         for seed in (0, 1, 7, 123, 10**6 + 3):
             for bound in (1, 3, 5):
-                assert _random_borel_int(n, seed, bound) == randint_borel(n, seed, bound)
+                assert _random_borel_int(n, seed, bound) == columns_of(
+                    randint_borel(n, seed, bound)
+                )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    bound=st.integers(1, 7),
+    seed=st.one_of(
+        st.just(0), st.integers(max_value=-1), st.integers(min_value=2**64), st.integers(1, 2**64)
+    ),
+)
+def test_integer_sampler_is_the_randint_draw_of_any_seed(n, bound, seed):
+    # randint draws getrandbits(k), k the bit length of its range, until a
+    # draw falls inside it; the sampler repeats that on the C base class of
+    # random.Random, which seeds by the absolute value, of any size
+    assert _random_borel_int(n, seed, bound) == columns_of(randint_borel(n, seed, bound))
 
 
 def test_unchecked_kernels_match_the_checked_routes_on_orbit_samples():
@@ -319,7 +341,9 @@ def test_unchecked_kernels_match_the_checked_routes_on_orbit_samples():
         for index, sigma in enumerate(enumerate_involutions(n)):
             base = rook_matrix_lower(sigma)
             for sample_seed, point in _orbit_samples(n, 0, 10, index, sigma):
-                numerator, det = _act_numerator(_random_borel_int(n, sample_seed), base)
+                numerator, det = _act_numerator(
+                    _random_borel_int(n, sample_seed), lower_entries(base)
+                )
                 assert numerator == point
                 # the column gather against the dense field route
                 acted = act(random_borel(n, sample_seed), base)

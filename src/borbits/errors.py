@@ -53,10 +53,6 @@ class ZeroXiError(BorbitsError):
     """Arc weights must be nonzero."""
 
 
-class SingularElementError(BorbitsError):
-    """One-parameter element with vanishing diagonal entry."""
-
-
 class NotAFieldError(BorbitsError):
     """An entry or modulus outside the exact fields: a float entry, or a
     modulus that is not prime."""

@@ -2,24 +2,23 @@
 functionals, orbit representatives, degeneration curves, and dimensions.
 
 The action is ``act(g, lam) = strictly lower part of g lam g^{-1}``.
-Because conjugation by an upper-triangular g sends upper-plus-diagonal
-matrices to upper-plus-diagonal matrices, truncating between steps is
-harmless: act(g, act(h, lam)) == act(g h, lam).
+Conjugation by an upper-triangular g maps upper-plus-diagonal matrices
+to themselves, so act(g, act(h, lam)) == act(g h, lam).
 
-:func:`act` takes one dense route over any exact field.  The sampled
-suites run on ints instead: a sample draws g as its upper-triangular
-columns, straight from the C generator under ``random.Random``, and
-acts on lam given by its nonzero entries, the arcs of an involution.  It
-tests the numerator ``det(g) act(g, lam)``, which is ``(g lam) adj(g)``,
-built from the rows of the adjugate at those entries' columns only;
-ints and strictly lower by construction, it is ranked by unchecked
-kernels.
+:func:`act` is one dense route over any exact field.  The sampled suites
+act on ints instead: g is drawn as its upper-triangular columns from the
+C generator under ``random.Random``, lam is given by the arcs of an
+involution, and the point is the numerator ``det(g) act(g, lam)``, that
+is ``(g lam) adj(g)``, built from the adjugate's rows at the arcs'
+columns only; ints and strictly lower by construction, it is ranked by
+unchecked kernels.
 
 Degeneration curves live over the exact rational-function field in eps,
-so limits at eps -> 0 and identities of curves are exact equalities, not
-numeric approximations.  A curve acts with a word of elementary factors,
-g = x_1 ... x_k, so it conjugates lam by one factor at a time, x_k first:
-each conjugation is one row and one column operation.
+so limits at eps -> 0 are exact.  A curve has a handful of nonzero
+entries, and its routes keep only those, as {(r, c): value} maps: the
+action conjugates the arcs of sigma by one factor of its word at a
+time, the closed form writes the entries down, and the limit is taken
+at them.  The public functions return dense matrices.
 """
 
 from __future__ import annotations
@@ -62,6 +61,10 @@ from .ratfunc import (
     RF_ZERO,
     RFun,
     exact_rational,
+    rf_add,
+    rf_div,
+    rf_mul,
+    rf_neg,
 )
 
 
@@ -134,17 +137,16 @@ def orbit_point(sigma: Involution, xi: dict[Arc, Fraction] | None = None) -> Mat
     weight 1 everywhere when xi is omitted."""
     if xi is None:
         xi = dict.fromkeys(sigma.arcs, Q_ONE)
-    rows = [[Q_ZERO] * sigma.n for _ in range(sigma.n)]
+    entries = {}
     for arc in sigma.arcs:
         if arc not in xi:
             raise MissingArcError(f"no weight for arc {arc!r}")
-        value = exact_rational(xi[arc])
-        if value == 0:
+        entries[arc] = exact_rational(xi[arc])
+        if entries[arc] == 0:
             raise ZeroXiError(f"weight of {arc!r} must be nonzero")
-        rows[arc.i - 1][arc.j - 1] = value
     if stray := [key for key in xi if key not in sigma.arcs]:
         raise MissingArcError(f"weight for {stray[0]!r}, which is not an arc")
-    return tuple(tuple(row) for row in rows)
+    return _dense(sigma.n, entries, Q_ZERO)
 
 
 def rank_profile(lam: Matrix) -> RankMatrix:
@@ -262,11 +264,7 @@ def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RF
         return ((al, i, EPS_INV), (j, be, -EPS_INV), _torus_factor(i, EPS))
     if move.kind == "a":
         al, be = move.partner
-        return (
-            (be, i, EPS_INV),
-            _torus_factor(i, EPS),
-            _torus_factor(al, -EPS),
-        )
+        return ((be, i, EPS_INV), _torus_factor(i, EPS), _torus_factor(al, -EPS))
     al, be = move.partner  # kind b: the table holds no other kind
     return (
         (be, j, -EPS_INV),
@@ -276,72 +274,77 @@ def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RF
     )
 
 
-def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
-    """The displayed entries of the curve, built directly: the second,
-    independent route against which the group-action computation is
-    checked.  It shares only the applicability check of the move table."""
-    apply_move(sigma, move)
+def _closed_form_entries(sigma: Involution, move: Move) -> dict[tuple[int, int], RFun]:
+    """The curve of a move of :func:`~borbits.moves.near_moves`, written
+    down directly as its entries {(r, c): value}, 1-based, none 0."""
     i, j = move.arc
-    entries = dict.fromkeys(sigma.arcs, RF_ONE)
-    entries[(i, j)] = EPS
+    entries = dict.fromkeys(sigma.arcs, RF_ONE) | {move.arc: EPS}
     if move.kind in ("right", "up"):
         m = _slide(sigma, move.arc, move.kind)[0]
         entries[(i, m) if move.kind == "right" else (m, j)] = RF_ONE
     elif move.kind == "c":
         al, be = move.partner
-        entries[(al, j)] = RF_ONE
-        entries[(i, be)] = RF_ONE
+        entries.update({(al, j): RF_ONE, (i, be): RF_ONE})
     elif move.kind == "a":
         al, be = move.partner
-        entries[(be, j)] = RF_ONE
-        entries[(al, i)] = RF_ONE
-        entries[(al, be)] = -EPS
+        entries.update({(be, j): RF_ONE, (al, i): RF_ONE, (al, be): -EPS})
     elif move.kind == "b":
         al, be = move.partner
-        entries[(i, be)] = RF_ONE
-        entries[(al, j)] = RF_ONE
-        entries[(al, be)] = EPS
-    rows = [[RF_ZERO] * sigma.n for _ in range(sigma.n)]
+        entries.update({(i, be): RF_ONE, (al, j): RF_ONE, (al, be): EPS})
+    return entries
+
+
+def _dense(n: int, entries: dict, zero) -> Matrix:
+    """The n x n matrix of ``entries`` at 1-based (r, c), ``zero`` elsewhere."""
+    rows = [[zero] * n for _ in range(n)]
     for (r, c), value in entries.items():
         rows[r - 1][c - 1] = value
     return tuple(map(tuple, rows))
 
 
-def _act_word(word: tuple[tuple[int, int, RFun], ...], rook: Matrix) -> Matrix:
-    """act(g, lam) over Q(eps) for g the product of the factors of
-    ``word`` and lam the 0/1 matrix ``rook``: lam is conjugated by each
-    factor x, rightmost first, as x lam x^{-1}, visiting nonzero entries
-    only, and truncated once at the end.  For x = I + alpha E_{j,i}
-    that is row j += alpha row i, then column i -= alpha column j; for a
-    diagonal factor, with d = 1 + alpha, row i *= d, then column i /= d."""
-    rows = [[RF_ONE if x else RF_ZERO for x in row] for row in rook]
+def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
+    """:func:`_closed_form_entries` made dense: the second, independent route,
+    against which the group action is checked; it shares only the applicability check."""
+    apply_move(sigma, move)
+    return _dense(sigma.n, _closed_form_entries(sigma, move), RF_ZERO)
+
+
+def _act_word(word: tuple, arcs: Iterable[Arc]) -> dict[tuple[int, int], RFun]:
+    """act(g, lam) over Q(eps), g the product of the factors of ``word``
+    and lam 1 at each of ``arcs``, as its nonzero entries {(r, c): value}
+    below the diagonal, 1-based.  lam is one {column: value} dict per
+    nonzero row, conjugated by each factor x, rightmost first, as
+    x lam x^{-1} (a cancelled 0 leaves with the truncation at the end):
+    for x = I + alpha E_{j,i} and x^{-1} = I + beta E_{j,i}, row j +=
+    alpha row i, then column i += beta column j, by the field's memos
+    directly; beta is -alpha, or -alpha / (1 + alpha) on the diagonal."""
+    rows = {r: {c: RF_ONE} for r, c in arcs}
     for j, i, alpha in reversed(word):
-        j, i = j - 1, i - 1
-        if j == i:
-            d = RF_ONE + alpha
-            rows[i] = [x * d if x else x for x in rows[i]]
-            for row in rows:
-                if row[i]:
-                    row[i] = row[i] / d
-            continue
-        target = rows[j]
-        for c, x in enumerate(rows[i]):
-            if x:
-                target[c] = target[c] + alpha * x
-        for row in rows:
-            if row[j]:
-                row[i] = row[i] - alpha * row[j]
-    n = len(rows)
-    return tuple(tuple(row[:r]) + (RF_ZERO,) * (n - r) for r, row in enumerate(rows))
+        beta = rf_div(rf_neg(alpha), rf_add(RF_ONE, alpha)) if j == i else rf_neg(alpha)
+        target = rows.setdefault(j, {})
+        for c, x in rows.get(i, {}).items():  # for j == i, each c rewritten once
+            target[c] = rf_add(target[c], rf_mul(alpha, x)) if c in target else rf_mul(alpha, x)
+        for row in rows.values():
+            if j in row:
+                y = rf_mul(beta, row[j])
+                row[i] = rf_add(row[i], y) if i in row else y
+    return {(r, c): x for r, row in rows.items() for c, x in row.items() if c < r and x}
+
+
+def _sparse_degeneration(sigma: Involution, move: Move) -> tuple:
+    """(word, curve, limit) of :func:`degeneration` as maps: the curve's
+    :func:`_act_word` entries and their nonzero values at eps = 0."""
+    word = degeneration_word(sigma, move)
+    curve = _act_word(word, sigma.arcs)
+    try:
+        limit = {cell: value for cell, x in curve.items() if (value := x.eval_at(0))}
+    except ZeroDivisionError as exc:
+        raise LimitUndefinedError(str(exc)) from exc
+    return word, curve, limit
 
 
 def degeneration(sigma: Involution, move: Move) -> Degeneration:
     """Compute the degeneration curve of a move by the group action over
     the rational-function field, factor by factor, and its limit at 0."""
-    word = degeneration_word(sigma, move)
-    curve = _act_word(word, rook_matrix_lower(sigma))
-    try:
-        limit = tuple(tuple(x.eval_at(0) if x else Q_ZERO for x in row) for row in curve)
-    except ZeroDivisionError as exc:
-        raise LimitUndefinedError(str(exc)) from exc
-    return Degeneration(move=move, word=word, curve=curve, limit=limit)
+    word, curve, limit = _sparse_degeneration(sigma, move)
+    return Degeneration(move, word, _dense(sigma.n, curve, RF_ZERO), _dense(sigma.n, limit, Q_ZERO))

@@ -20,17 +20,22 @@ from borbits import (
     act,
     bruhat_rank_matrix,
     enumerate_involutions,
+    format_involution,
     involution,
     involution_from_one_line,
     melnikov_rank_matrix,
+    near_moves,
     orbit_point,
     parse_involution,
     random_borel,
+    rook_matrix_lower,
 )
-from borbits.errors import IndexOutOfRangeError, SingularElementError
+from borbits import orbits, suites
+from borbits.errors import BorbitsError, IndexOutOfRangeError, LimitUndefinedError
 from borbits.matrices import echelon_insert, exact_entry, field_constants, promote, square_size
 from borbits.poset import LSets
 from borbits.rankorder import _dominated, bit_indices
+from borbits.ratfunc import Q_ZERO, RF_ONE, RF_ZERO
 
 
 def filter_involutions(n: int) -> list[Involution]:
@@ -110,6 +115,10 @@ def identity_matrix(n: int, like=Fraction(1)) -> tuple:
     return tuple(tuple(one if r == c else zero for c in range(n)) for r in range(n))
 
 
+class SingularElementError(BorbitsError):
+    """A factor of :func:`x_elem` with a vanishing diagonal entry."""
+
+
 def x_elem(n: int, j: int, i: int, alpha) -> tuple:
     """Oracle for one factor (j, i, alpha) of a degeneration word: the
     identity plus alpha at (j, i), 1-based.  On the diagonal (j == i) the
@@ -125,6 +134,64 @@ def x_elem(n: int, j: int, i: int, alpha) -> tuple:
     rows = [list(row) for row in identity_matrix(n, like=one)]
     rows[j - 1][i - 1] = rows[j - 1][i - 1] + alpha
     return tuple(tuple(row) for row in rows)
+
+
+def dense_act_word(word, rook) -> tuple:
+    """Oracle: act(g, lam) over Q(eps) as a dense matrix, g the product of
+    the factors of ``word`` and lam the 0/1 matrix ``rook``, conjugated in
+    place by each factor x, rightmost first, on every nonzero entry, and
+    truncated once at the end.  For x = I + alpha E_{j,i} that is row
+    j += alpha row i, then column i -= alpha column j; for a diagonal
+    factor, with d = 1 + alpha, row i *= d, then column i /= d."""
+    rows = [[RF_ONE if x else RF_ZERO for x in row] for row in rook]
+    for j, i, alpha in reversed(word):
+        j, i = j - 1, i - 1
+        if j == i:
+            d = RF_ONE + alpha
+            rows[i] = [x * d if x else x for x in rows[i]]
+            for row in rows:
+                if row[i]:
+                    row[i] = row[i] / d
+            continue
+        target = rows[j]
+        for c, x in enumerate(rows[i]):
+            if x:
+                target[c] = target[c] + alpha * x
+        for row in rows:
+            if row[j]:
+                row[i] = row[i] - alpha * row[j]
+    n = len(rows)
+    return tuple(tuple(row[:r]) + (RF_ZERO,) * (n - r) for r, row in enumerate(rows))
+
+
+def dense_degeneration_suite(n: int) -> tuple[int, list]:
+    """Oracle: the degeneration suite's body on dense n x n matrices, the
+    curve by :func:`dense_act_word` and its limit taken entry by entry.
+    The closed form is read through ``orbits`` and the move's output
+    through ``suites.apply_move`` at call time, so that a test's
+    monkeypatch of either reaches this body and the suite alike."""
+    checked, failures = 0, []
+    for sigma in enumerate_involutions(n):
+        for move in near_moves(sigma):
+            checked += 1
+            record = {
+                "sigma": format_involution(sigma),
+                "move": move.kind,
+                "arc": list(move.arc),
+                "partner": list(move.partner) if move.partner else None,
+            }
+            curve = dense_act_word(orbits.degeneration_word(sigma, move), rook_matrix_lower(sigma))
+            try:
+                limit = tuple(tuple(x.eval_at(0) if x else Q_ZERO for x in row) for row in curve)
+            except ZeroDivisionError as exc:
+                raise LimitUndefinedError(str(exc)) from exc
+            if curve != orbits.degeneration_closed_form(sigma, move):
+                failures.append({**record, "detail": "curve != closed form"})
+                continue
+            tau = suites.apply_move(sigma, move)
+            if limit != orbit_point(tau):
+                failures.append({**record, "detail": "limit != target functional"})
+    return checked, failures
 
 
 def exact_det(matrix):

@@ -31,6 +31,7 @@ REMOVED = {
     "delta_minors": "orbits",
     "exact_det": "matrices",
     "identity_matrix": "matrices",
+    "SingularElementError": "errors",
 }
 
 

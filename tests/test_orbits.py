@@ -4,8 +4,10 @@ from math import lcm
 import pytest
 from conftest import (
     ORBIT_EXAMPLES,
+    SingularElementError,
     columns_of,
     delta_minors,
+    dense_act_word,
     diagonal_weights,
     field_rank_profile,
     forward_substitution_numerator,
@@ -51,7 +53,6 @@ from borbits.errors import (
     NotStrictlyLowerError,
     NotUpperTriangularError,
     NotInvertibleError,
-    SingularElementError,
     SizeMismatchError,
     ZeroXiError,
 )
@@ -60,7 +61,8 @@ from borbits import orbits
 from borbits.moves import Move
 from borbits.orbits import _act_numerator, _act_word, _random_borel_int
 from borbits.rankorder import _strict_ranks
-from borbits.suites import _orbit_samples
+from borbits.cli import main
+from borbits.suites import _orbit_samples, run_suite
 from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun
 
 
@@ -609,7 +611,24 @@ def test_factorwise_action_of_any_word(data, n):
     sigma = data.draw(st.sampled_from(enumerate_involutions(n)))
     word = data.draw(_words(n))
     rook = rook_matrix_lower(sigma)
-    assert _typed(_act_word(word, rook)) == _typed(_product_action(n, word, rook))
+    curve = _act_word(word, sigma.arcs)
+    # a sparse map: nonzero RFun values at strictly lower 1-based cells
+    assert all(type(x) is RFun and x != RF_ZERO for x in curve.values())
+    assert all(1 <= c < r <= n for r, c in curve)
+    # fixed by sigma, not by the order its arcs are listed in
+    assert _act_word(word, data.draw(st.permutations(sigma.arcs))) == curve
+    dense = [[curve.get((r, c), RF_ZERO) for c in range(1, n + 1)] for r in range(1, n + 1)]
+    assert _typed(dense) == _typed(dense_act_word(word, rook))
+    assert _typed(dense) == _typed(_product_action(n, word, rook))
+
+
+def test_sparse_action_drops_cancelled_entries():
+    sigma = parse_involution("(3,1)", 3)
+    # row 2 gets -eps, then +eps, of row 3 at (2,1); a zero factor adds 0
+    for word in (((2, 3, EPS), (2, 3, -EPS)), ((2, 3, RF_ZERO),)):
+        assert _act_word(word, sigma.arcs) == {(3, 1): RF_ONE}
+        rook = rook_matrix_lower(sigma)
+        assert dense_act_word(word, rook) == _product_action(3, word, rook)
 
 
 def test_degeneration_rejects_inapplicable_move():
@@ -618,7 +637,7 @@ def test_degeneration_rejects_inapplicable_move():
         degeneration(sigma, Move("up", Arc(2, 1)))
 
 
-def test_degeneration_names_a_pole_at_zero(monkeypatch):
+def test_degeneration_names_a_pole_at_zero(monkeypatch, capsys):
     # a word whose curve is 1/eps at (2,1): dividing column 1 by eps
     monkeypatch.setattr(
         orbits, "degeneration_word", lambda sigma, move: ((1, 1, EPS - RF_ONE),)
@@ -626,6 +645,11 @@ def test_degeneration_names_a_pole_at_zero(monkeypatch):
     sigma = parse_involution("(2,1)", 2)
     with pytest.raises(LimitUndefinedError, match="pole at 0"):
         degeneration(sigma, Move("remove", Arc(2, 1)))
+    # the suite's sparse route names it too, and the CLI exits 2
+    with pytest.raises(LimitUndefinedError, match="pole at 0"):
+        run_suite("degeneration", 2)
+    assert main(["verify", "degeneration", "--n", "2"]) == 2
+    assert capsys.readouterr().err == "error: pole at 0\n"
 
 
 def test_second_largest_unipotent_rank_is_attained_by_swap_family():

@@ -270,3 +270,12 @@ def test_degeneration_suite_needs_few_distinct_operations():
     before = sum(memo.cache_info().misses for memo in MEMOS)
     assert run_suite("degeneration", 6).passed
     assert sum(memo.cache_info().misses for memo in MEMOS) - before <= 40
+
+
+def test_equal_results_are_one_object():
+    # each result is canonical: the first RFun met of its value
+    assert EPS_INV * EPS is RF_ONE
+    assert -(-EPS) is EPS
+    assert EPS - EPS is RF_ZERO
+    assert RFun.const(1) is RF_ONE
+    assert (EPS + 1) * EPS_INV is EPS_INV + 1

@@ -15,12 +15,12 @@ from borbits import (
     suite_names,
     to_permutation,
 )
-from borbits import closure, suites
+from borbits import closure, orbits, suites
 from borbits.poset import build_poset, is_graded
 from borbits.errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
 from borbits.rankorder import _dominated
 
-from conftest import composing_involution_count
+from conftest import composing_involution_count, dense_degeneration_suite
 
 
 def test_suite_names_complete():
@@ -171,7 +171,7 @@ _BOUNDS = {
     "graded": 9,
     "dimension": 6,
     "rank-invariance": 7,
-    "degeneration": 8,
+    "degeneration": 9,
     "closure": 7,
     "essential-set": 7,
 }
@@ -198,8 +198,44 @@ def test_covers_suite_at_its_bound():
 
 
 def test_degeneration_suite_at_its_bound():
-    report = run_suite("degeneration", 8)
-    assert report.passed and report.checked == 4489
+    report = run_suite("degeneration", 9)
+    assert report.passed and report.checked == 18293
+
+
+@pytest.mark.parametrize("patched", ["closed form", "target", "both"])
+@pytest.mark.parametrize("kind", ["remove", "right", "up", "a", "b", "c"])
+def test_degeneration_failures_are_those_of_the_dense_suite(monkeypatch, kind, patched):
+    # the closed form loses its eps entry on moves of one kind, and/or
+    # the target is the move's input; with both, those moves must stop at
+    # the curve mismatch and every other one fail at its limit
+    closed_form, apply_move = orbits._closed_form_entries, suites.apply_move
+
+    def dropped(sigma, move):
+        entries = closed_form(sigma, move)
+        if move.kind == kind:
+            del entries[move.arc]
+        return entries
+
+    def wrong_target(sigma, move):
+        return sigma if patched == "both" or move.kind == kind else apply_move(sigma, move)
+
+    if patched != "target":
+        monkeypatch.setattr(orbits, "_closed_form_entries", dropped)
+        monkeypatch.setattr(suites, "_closed_form_entries", dropped)
+    if patched != "closed form":
+        monkeypatch.setattr(suites, "apply_move", wrong_target)
+    report = run_suite("degeneration", 4)
+    checked, failures = dense_degeneration_suite(4)
+    assert report.failures and report.checked == checked == 20
+    assert report.failures == tuple(failures)
+    expect = SuiteReport("degeneration", 4, checked, tuple(failures), 0.0)
+    assert report.to_json() == expect.to_json()
+    assert report.to_text() == expect.to_text()
+    if patched == "both":
+        assert len(report.failures) == 20
+        assert {f["detail"] for f in report.failures if f["move"] == kind} == {
+            "curve != closed form"
+        }
 
 
 def test_graded_suite_at_its_bound():

@@ -58,11 +58,11 @@ def _replace(sigma: Involution, drop: tuple[Arc, ...], add: tuple[Arc, ...]) -> 
     return Involution(sigma.n, tuple(sorted(kept, key=lambda a: a.j)))
 
 
-def _slide(sigma: Involution, arc: Arc, kind: str) -> tuple[int, Arc] | None:
-    """The free point m and the slid arc of a slide of arc (i, j): right
-    to (i, m), m the smallest fixed point in (j, i), or up to (m, j), m
-    the largest.  Undefined (None) when no such m exists or some arc
-    strictly below (i, j) fails to stay strictly below the slid arc."""
+def _slide(sigma: Involution, arc: Arc, kind: str) -> Arc | None:
+    """The slid arc of a slide of arc (i, j): right to (i, m), m the
+    smallest fixed point in (j, i), or up to (m, j), m the largest.
+    Undefined (None) when no such m exists or some arc strictly below
+    (i, j) fails to stay strictly below the slid arc."""
     _require_arc(sigma, arc)
     i, j = arc
     inside = range(j + 1, i) if kind == "right" else range(i - 1, j, -1)
@@ -72,7 +72,7 @@ def _slide(sigma: Involution, arc: Arc, kind: str) -> tuple[int, Arc] | None:
     new_arc = Arc(i, m) if kind == "right" else Arc(m, j)
     if any(phi_lt(other, arc) and not phi_lt(other, new_arc) for other in sigma.arcs):
         return None
-    return m, new_arc
+    return new_arc
 
 
 def a_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
@@ -163,9 +163,9 @@ def _move_outputs(sigma: Involution) -> MappingProxyType[Move, Involution]:
         if arc in minimal:
             out[Move("remove", arc)] = _replace(sigma, (arc,), ())
         for kind in ("right", "up"):
-            slide = _slide(sigma, arc, kind)
-            if slide is not None:
-                out[Move(kind, arc)] = _replace(sigma, (arc,), (slide[1],))
+            slid = _slide(sigma, arc, kind)
+            if slid is not None:
+                out[Move(kind, arc)] = _replace(sigma, (arc,), (slid,))
         for al, be in sorted(a_candidates(sigma, arc)):
             drop = (arc, Arc(al, be))
             out[Move("a", arc, (al, be))] = _replace(sigma, drop, (Arc(be, j), Arc(al, i)))

@@ -50,7 +50,7 @@ from .matrices import (
     strictly_lower_part,
     upper_inverse,
 )
-from .moves import Move, _slide, apply_move
+from .moves import Move, apply_move
 from .rankorder import RankMatrix, _strict_ranks, exact_rank
 from .ratfunc import (
     EPS,
@@ -249,16 +249,16 @@ def _torus_factor(i: int, value: RFun) -> tuple[int, int, RFun]:
 def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RFun], ...]:
     """The elementary factor list of the degeneration curve for a move of
     :func:`~borbits.moves.near_moves`; :func:`~borbits.moves.apply_move`
-    rejects any other move."""
-    apply_move(sigma, move)
+    rejects any other move.  A slide's free point m is read off the
+    move's output tau: its arc (i, m) to the right, (m, j) up."""
+    tau = apply_move(sigma, move)
     i, j = move.arc
     if move.kind == "remove":
         return (_torus_factor(i, EPS),)
-    if move.kind in ("right", "up"):
-        m = _slide(sigma, move.arc, move.kind)[0]  # the table holds the slide
-        if move.kind == "right":
-            return ((j, m, -EPS_INV), _torus_factor(i, EPS))
-        return ((m, i, EPS_INV), _torus_factor(i, EPS))
+    if move.kind == "right":
+        return ((j, tau.apply(i), -EPS_INV), _torus_factor(i, EPS))
+    if move.kind == "up":
+        return ((tau.apply(j), i, EPS_INV), _torus_factor(i, EPS))
     if move.kind == "c":
         al, be = move.partner
         return ((al, i, EPS_INV), (j, be, -EPS_INV), _torus_factor(i, EPS))
@@ -276,21 +276,15 @@ def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RF
 
 def _closed_form_entries(sigma: Involution, move: Move) -> dict[tuple[int, int], RFun]:
     """The curve of a move of :func:`~borbits.moves.near_moves`, written
-    down directly as its entries {(r, c): value}, 1-based, none 0."""
-    i, j = move.arc
-    entries = dict.fromkeys(sigma.arcs, RF_ONE) | {move.arc: EPS}
-    if move.kind in ("right", "up"):
-        m = _slide(sigma, move.arc, move.kind)[0]
-        entries[(i, m) if move.kind == "right" else (m, j)] = RF_ONE
-    elif move.kind == "c":
-        al, be = move.partner
-        entries.update({(al, j): RF_ONE, (i, be): RF_ONE})
-    elif move.kind == "a":
-        al, be = move.partner
-        entries.update({(be, j): RF_ONE, (al, i): RF_ONE, (al, be): -EPS})
-    elif move.kind == "b":
-        al, be = move.partner
-        entries.update({(i, be): RF_ONE, (al, j): RF_ONE, (al, be): EPS})
+    down directly as its entries {(r, c): value}, 1-based, none 0: 1 at
+    every arc of sigma and of the move's output tau, eps at the moved
+    arc, and at the partner arc -eps for kind a and eps for kind b.
+    :func:`~borbits.moves.apply_move` gives tau and rejects any other
+    move."""
+    tau = apply_move(sigma, move)
+    entries = dict.fromkeys((*sigma.arcs, *tau.arcs), RF_ONE) | {move.arc: EPS}
+    if move.kind in ("a", "b"):
+        entries[move.partner] = -EPS if move.kind == "a" else EPS
     return entries
 
 
@@ -304,8 +298,7 @@ def _dense(n: int, entries: dict, zero) -> Matrix:
 
 def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
     """:func:`_closed_form_entries` made dense: the second, independent route,
-    against which the group action is checked; it shares only the applicability check."""
-    apply_move(sigma, move)
+    against which the group action is checked; it shares only the move table."""
     return _dense(sigma.n, _closed_form_entries(sigma, move), RF_ZERO)
 
 

@@ -17,7 +17,7 @@ from .errors import BoundExceededError, NotInPosetError
 from .involutions import Involution, enumerate_involutions, format_involution
 from .rankorder import bit_indices, dominance_masks, joined_cells
 
-POSET_MAX_N = 9
+POSET_MAX_N = 10
 
 
 @dataclass(frozen=True, eq=False)

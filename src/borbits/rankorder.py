@@ -60,14 +60,14 @@ def _rook_bounds(n: int) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _lanes(n: int) -> tuple[int, tuple[int, ...], int, int]:
+def _lanes(n: int) -> tuple[int, tuple[int, ...], int]:
     """The byte lanes of an n x n table as ints, row 1 highest: a 1 in the
     last column of every row; per column c, 0-based, one row of 1s in
-    columns c..n-1; 255 in every cell; and 255 below the diagonal."""
+    columns c..n-1; and 255 below the diagonal."""
     units = sum(1 << 8 * n * i for i in range(n))
     columns = tuple((256 ** (n - c) - 1) // 255 for c in range(n))
     below = int.from_bytes(b"".join(b"\xff" * i + bytes(n - i) for i in range(n)), "big")
-    return units, columns, (1 << 8 * n * n) - 1, below
+    return units, columns, below
 
 
 def _southwest_cells(
@@ -77,17 +77,11 @@ def _southwest_cells(
     (row, column) 1-based and at most one per row, the tables joined in
     order; with ``strict``, 0 on and above the diagonal.  Each rook's row
     of 1s goes into its row, and one product with ``units`` adds it to
-    every row above.  One placement is an int of n rows, and what rises
-    past row 1 is masked off.  More get a slot of 2n rows each, the table
-    in the lower n: what rises past row 1 lands in the slot's spare upper
+    every row above.  Each placement gets a slot of 2n rows, the table in
+    the lower n: what rises past row 1 lands in the slot's spare upper
     rows, and only the lower rows are kept."""
-    units, columns, full, below = _lanes(_table_size(n))
+    units, columns, below = _lanes(_table_size(n))
     size = n * n
-    if len(placements) == 1:
-        width, placed = 8 * n, 0
-        for a, b in placements[0]:
-            placed += columns[b - 1] << width * (n - a)
-        return (placed * units & (below if strict else full)).to_bytes(size, "big")
     rows = [column.to_bytes(n, "big") for column in columns]
     slot = 2 * size
     placed = bytearray(slot * len(placements))
@@ -340,7 +334,7 @@ def _strict_ranks(matrix: Matrix, n: int) -> bytes:
     per call.  The matrix is typed once, by its entry at (n, 1): an int
     matrix goes to the fraction-free mode of
     :func:`~borbits.matrices.echelon_insert` directly."""
-    units, lanes, _, below = _lanes(_table_size(n))
+    units, lanes, below = _lanes(_table_size(n))
     width = 8 * n
     integral = n > 1 and type(matrix[n - 1][0]) is int
     insert = _fraction_free_insert if integral else echelon_insert

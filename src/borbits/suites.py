@@ -309,11 +309,11 @@ def _suite_essential_set(n: int, seed: int, samples: int):
 
 # name -> (suite, largest n it accepts)
 _SUITES = {
-    "counts": (_suite_counts, 8),
-    "order-equivalence": (_suite_order_equivalence, 8),
-    "covers": (_suite_covers, 8),
-    "graded": (_suite_graded, 9),
-    "dimension": (_suite_dimension, 6),
+    "counts": (_suite_counts, 10),
+    "order-equivalence": (_suite_order_equivalence, 10),
+    "covers": (_suite_covers, 9),
+    "graded": (_suite_graded, 10),
+    "dimension": (_suite_dimension, 9),
     "rank-invariance": (_suite_rank_invariance, 7),
     "degeneration": (_suite_degeneration, 9),
     "closure": (_suite_closure, 7),

@@ -30,12 +30,12 @@ from borbits import (
     random_borel,
     rook_matrix_lower,
 )
-from borbits import orbits, suites
+from borbits import moves, orbits, suites
 from borbits.errors import BorbitsError, IndexOutOfRangeError, LimitUndefinedError
 from borbits.matrices import echelon_insert, exact_entry, field_constants, promote, square_size
 from borbits.poset import LSets
 from borbits.rankorder import _dominated, bit_indices
-from borbits.ratfunc import Q_ZERO, RF_ONE, RF_ZERO
+from borbits.ratfunc import EPS, Q_ZERO, RF_ONE, RF_ZERO
 
 
 def filter_involutions(n: int) -> list[Involution]:
@@ -192,6 +192,28 @@ def dense_degeneration_suite(n: int) -> tuple[int, list]:
             if limit != orbit_point(tau):
                 failures.append({**record, "detail": "limit != target functional"})
     return checked, failures
+
+
+def explicit_closed_form(sigma: Involution, move) -> dict:
+    """Oracle: the closed-form entries of a move's curve written out kind
+    by kind, 1 at sigma's arcs and eps at the moved arc (i, j), then: the
+    slid arc found again by ``moves._slide``; for c at (al, be), 1 at
+    (al, j) and (i, be); for a, 1 at (be, j) and (al, i) and -eps at the
+    partner; for b, 1 at (i, be) and (al, j) and eps at the partner."""
+    i, j = move.arc
+    entries = dict.fromkeys(sigma.arcs, RF_ONE) | {move.arc: EPS}
+    if move.kind in ("right", "up"):
+        entries[moves._slide(sigma, move.arc, move.kind)] = RF_ONE
+    elif move.kind == "c":
+        al, be = move.partner
+        entries.update({(al, j): RF_ONE, (i, be): RF_ONE})
+    elif move.kind == "a":
+        al, be = move.partner
+        entries.update({(be, j): RF_ONE, (al, i): RF_ONE, (al, be): -EPS})
+    elif move.kind == "b":
+        al, be = move.partner
+        entries.update({(i, be): RF_ONE, (al, j): RF_ONE, (al, be): EPS})
+    return entries
 
 
 def exact_det(matrix):

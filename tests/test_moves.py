@@ -1,3 +1,5 @@
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -29,6 +31,7 @@ from borbits import (
 )
 from borbits import moves
 from borbits.orbits import degeneration_word
+from borbits.suites import run_suite
 from borbits.errors import ArcNotInSupportError, MoveNotApplicableError
 
 
@@ -370,3 +373,27 @@ def test_each_move_is_constructed_once(monkeypatch):
         "remove", "right", "up", "a", "b", "c",
     }
     assert len(calls) == len(near_moves(sigma)) == 7
+
+
+def test_slides_are_found_only_by_the_move_table():
+    # the degeneration suite reads each slide's free point off the move's
+    # output: _slide runs inside the table's one pass alone, right and up
+    # once each per arc.  A profile hook sees every call, by any binding
+    code, callers, slides = moves._slide.__code__, set(), Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            callers.add(frame.f_back.f_code.co_name)
+            slides[frame.f_locals["sigma"], frame.f_locals["arc"]] += 1
+
+    moves._move_outputs.cache_clear()
+    moves.near_moves.cache_clear()
+    sys.setprofile(profile)
+    try:
+        report = run_suite("degeneration", 6)
+    finally:
+        sys.setprofile(None)
+    assert report.passed
+    assert callers == {"_move_outputs"}
+    assert len(slides) == sum(len(sigma.arcs) for sigma in enumerate_involutions(6))
+    assert set(slides.values()) == {2}

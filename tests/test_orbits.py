@@ -9,6 +9,7 @@ from conftest import (
     delta_minors,
     dense_act_word,
     diagonal_weights,
+    explicit_closed_form,
     field_rank_profile,
     forward_substitution_numerator,
     identity_matrix,
@@ -561,6 +562,20 @@ def test_degeneration_agrees_with_closed_form_small():
                 result = degeneration(sigma, move)
                 assert result.curve == degeneration_closed_form(sigma, move)
                 assert result.limit == orbit_point(apply_move(sigma, move))
+
+
+def test_closed_form_rule_is_the_per_kind_closed_form():
+    # 1 on the arcs of sigma and of tau, eps at the moved arc and -eps or
+    # eps at an a or b partner, against the entries written kind by kind
+    kinds = set()
+    for n in range(1, 8):
+        for sigma in enumerate_involutions(n):
+            for move in near_moves(sigma):
+                kinds.add(move.kind)
+                assert orbits._closed_form_entries(sigma, move) == explicit_closed_form(
+                    sigma, move
+                )
+    assert kinds == {"remove", "right", "up", "a", "b", "c"}
 
 
 def _product_action(n: int, word, rook) -> tuple:

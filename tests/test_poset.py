@@ -67,7 +67,7 @@ def test_leq_and_membership():
 
 def test_bound_exceeded():
     with pytest.raises(BoundExceededError):
-        build_poset(10, "star")
+        build_poset(11, "star")
 
 
 def test_l_sets_example_n3():

@@ -776,7 +776,6 @@ def test_joined_cells_are_the_per_sigma_tables_joined(order):
         sigmas = enumerate_involutions(n)
         cells = joined_cells(order, sigmas, n)
         assert cells == b"".join(TABLE_KINDS[order](sigma).cells for sigma in sigmas)
-        # one placement takes the unslotted route, and must agree too
         assert joined_cells(order, sigmas[-1:], n) == TABLE_KINDS[order](sigmas[-1]).cells
     assert joined_cells(order, (), 3) == b""
 
@@ -801,8 +800,8 @@ def rook_placements(draw):
 @example(sized=(9, [[(a, 1) for a in range(1, 10)]] * 2), strict=False)  # a full column
 @example(sized=(9, [[(a, 10 - a) for a in range(1, 10)], [(9, 1)]]), strict=True)
 def test_joined_southwest_cells_match_one_count_per_cell(sized, strict):
-    # the slotted product against the one-placement route and against one
-    # South-West count per cell; a rook's rise past row 1 stays in its slot
+    # the slotted product against each placement built alone and against
+    # one South-West count per cell; a rook's rise past row 1 stays in its slot
     n, placements = sized
     cells = _southwest_cells(placements, n, strict)
     assert cells == b"".join(_southwest_cells((rooks,), n, strict) for rooks in placements)

@@ -165,11 +165,11 @@ def test_unknown_suite():
 
 # suite -> the largest n it accepts
 _BOUNDS = {
-    "counts": 8,
-    "order-equivalence": 8,
-    "covers": 8,
-    "graded": 9,
-    "dimension": 6,
+    "counts": 10,
+    "order-equivalence": 10,
+    "covers": 9,
+    "graded": 10,
+    "dimension": 9,
     "rank-invariance": 7,
     "degeneration": 9,
     "closure": 7,
@@ -188,13 +188,13 @@ def test_every_suite_rejects_one_past_its_bound(name):
 def test_bound_exceeded():
     assert set(_BOUNDS) == set(suites._SUITES)
     with pytest.raises(BoundExceededError):
-        emit_hasse(10)
+        emit_hasse(11)
 
 
 def test_covers_suite_at_its_bound():
-    # moves and down-set unions agree on every involution of S_8
-    report = run_suite("covers", 8)
-    assert report.passed and report.checked == 764
+    # moves and down-set unions agree on every involution of S_9
+    report = run_suite("covers", 9)
+    assert report.passed and report.checked == 2620
 
 
 def test_degeneration_suite_at_its_bound():
@@ -239,9 +239,9 @@ def test_degeneration_failures_are_those_of_the_dense_suite(monkeypatch, kind, p
 
 
 def test_graded_suite_at_its_bound():
-    # every cover edge of the n = 9 star poset raises the rank by one
-    report = run_suite("graded", 9)
-    assert report.passed and report.checked == 15892
+    # every cover edge of the n = 10 star poset raises the rank by one
+    report = run_suite("graded", 10)
+    assert report.passed and report.checked == 67486
 
 
 def test_essential_set_suite_at_its_bound():

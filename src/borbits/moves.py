@@ -15,14 +15,19 @@ a <= c and b >= d.
 
 One cached pass per sigma builds the output of every applicable move
 of the six kinds, and nothing else builds one: :func:`near_moves`,
-:func:`apply_move` and the neighbour classes read that table, and a
-move not in it raises :class:`~borbits.errors.MoveNotApplicableError`.
+:func:`apply_move`, the neighbour classes and the degeneration suite
+read that table, and a move not in it raises
+:class:`~borbits.errors.MoveNotApplicableError`.  The definitional
+scans :func:`minimal_support` and :func:`a_candidates` to
+:func:`c_candidates` are the tests' oracle for that pass, which calls
+none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 from .errors import ArcNotInSupportError, MoveNotApplicableError
@@ -54,25 +59,10 @@ def _require_arc(sigma: Involution, arc: Arc) -> None:
 
 
 def _replace(sigma: Involution, drop: tuple[Arc, ...], add: tuple[Arc, ...]) -> Involution:
-    kept = tuple(a for a in sigma.arcs if a not in drop) + add
-    return Involution(sigma.n, tuple(sorted(kept, key=lambda a: a.j)))
-
-
-def _slide(sigma: Involution, arc: Arc, kind: str) -> Arc | None:
-    """The slid arc of a slide of arc (i, j): right to (i, m), m the
-    smallest fixed point in (j, i), or up to (m, j), m the largest.
-    Undefined (None) when no such m exists or some arc strictly below
-    (i, j) fails to stay strictly below the slid arc."""
-    _require_arc(sigma, arc)
-    i, j = arc
-    inside = range(j + 1, i) if kind == "right" else range(i - 1, j, -1)
-    m = next((s for s in inside if sigma.is_fixed(s)), None)
-    if m is None:
-        return None
-    new_arc = Arc(i, m) if kind == "right" else Arc(m, j)
-    if any(phi_lt(other, arc) and not phi_lt(other, new_arc) for other in sigma.arcs):
-        return None
-    return new_arc
+    kept = [a for a in sigma.arcs if a not in drop]
+    kept += add
+    kept.sort(key=itemgetter(1))  # by ascending j
+    return Involution(sigma.n, tuple(kept))
 
 
 def a_candidates(sigma: Involution, arc: Arc) -> frozenset[Arc]:
@@ -155,25 +145,61 @@ def _move_outputs(sigma: Involution) -> MappingProxyType[Move, Involution]:
     deterministic order: the one construction pass over sigma, read-only
     since the cache hands it to every caller.  For (i, j) and a partner
     (al, be): a gives (be, j), (al, i); b gives (i, be), (al, j); c
-    splits (i, j) alone into (i, be), (al, j)."""
-    minimal = minimal_support(sigma)
+    splits (i, j) alone into (i, be), (al, j).
+
+    One read of sigma's partner array per arc (i, j) finds the arcs
+    nested strictly inside it, j < q < p < i, which are the arcs below
+    it in the board order, and its free interior points; every kind is
+    decided by those: a removal needs no nested arc, a slide to m keeps
+    each nested arc below the slid arc, and a split passes between two
+    consecutive free points that no nested arc straddles."""
+    image = list(range(sigma.n + 1))
+    for i, j in sigma.arcs:
+        image[i], image[j] = j, i
+    # per arc: its nested arcs by ascending q, the largest p among them,
+    # and its free interior points; a nested arc that reaches past every
+    # one of smaller q is maximal inside it, which makes the arc its b
+    # partner
+    inside, reach, free = {}, {}, {}
+    covering: dict[Arc, list[Arc]] = {arc: [] for arc in sigma.arcs}
+    for arc in sigma.arcs:
+        i, j = arc
+        inner, points, top = [], [], 0
+        for q in range(j + 1, i):
+            p = image[q]
+            if p == q:
+                points.append(q)
+            elif q < p < i:
+                inner.append((p, q))
+                if p > top:
+                    covering[p, q].append(arc)
+                    top = p
+        inside[arc], reach[arc], free[arc] = inner, top, points
     out: dict[Move, Involution] = {}
     for arc in sigma.arcs:
         i, j = arc
-        if arc in minimal:
+        inner, top, points = inside[arc], reach[arc], free[arc]
+        if not inner:
             out[Move("remove", arc)] = _replace(sigma, (arc,), ())
-        for kind in ("right", "up"):
-            slid = _slide(sigma, arc, kind)
-            if slid is not None:
-                out[Move(kind, arc)] = _replace(sigma, (arc,), (slid,))
-        for al, be in sorted(a_candidates(sigma, arc)):
-            drop = (arc, Arc(al, be))
-            out[Move("a", arc, (al, be))] = _replace(sigma, drop, (Arc(be, j), Arc(al, i)))
-        for al, be in sorted(b_candidates(sigma, arc)):
+        if points and (not inner or inner[0][1] > points[0]):
+            out[Move("right", arc)] = _replace(sigma, (arc,), (Arc(i, points[0]),))
+        if points and top < points[-1]:
+            out[Move("up", arc)] = _replace(sigma, (arc,), (Arc(points[-1], j),))
+        # a crossing arc (al, be), be past every free point and nested arc
+        # of (i, j), with no arc nested in it starting below i.  Two such
+        # partners cross, as do two b partners, so ascending be is
+        # ascending al
+        for be in range(max(j, top, *points[-1:]) + 1, i):
+            al = image[be]
+            if al > i and (not inside[al, be] or inside[al, be][0][1] > i):
+                drop = (arc, Arc(al, be))
+                out[Move("a", arc, (al, be))] = _replace(sigma, drop, (Arc(be, j), Arc(al, i)))
+        for al, be in covering[arc]:
             drop = (arc, Arc(al, be))
             out[Move("b", arc, (al, be))] = _replace(sigma, drop, (Arc(i, be), Arc(al, j)))
-        for al, be in sorted(c_candidates(sigma, arc)):
-            out[Move("c", arc, (al, be))] = _replace(sigma, (arc,), (Arc(i, be), Arc(al, j)))
+        for al, be in zip(points, points[1:]):
+            if all(p < al or q > be for p, q in inner):
+                out[Move("c", arc, (al, be))] = _replace(sigma, (arc,), (Arc(i, be), Arc(al, j)))
     return MappingProxyType(out)
 
 

@@ -67,6 +67,8 @@ from .ratfunc import (
     rf_neg,
 )
 
+_MINUS_ONE = rf_neg(RF_ONE)
+
 
 def act(g: Matrix, lam: Matrix) -> Matrix:
     """The induced action: strictly lower part of g lam g^{-1}, over Q or
@@ -243,48 +245,53 @@ class Degeneration:
 
 def _torus_factor(i: int, value: RFun) -> tuple[int, int, RFun]:
     # a factor on the diagonal puts 1 + alpha there, so alpha = value - 1
-    return (i, i, value - RF_ONE)
+    return (i, i, rf_add(value, _MINUS_ONE))
+
+
+def _word(move: Move, tau: Involution) -> tuple[tuple[int, int, RFun], ...]:
+    """The elementary factor list of the degeneration curve of a move of
+    the move table whose output is tau.  A slide's free point m is read
+    off tau: its arc (i, m) to the right, (m, j) up.  Every constant
+    comes from the field's memos, so no factor builds an ``RFun``."""
+    i, j = move.arc
+    if move.kind == "remove":
+        return (_torus_factor(i, EPS),)
+    if move.kind == "right":
+        return ((j, tau.apply(i), rf_neg(EPS_INV)), _torus_factor(i, EPS))
+    if move.kind == "up":
+        return ((tau.apply(j), i, EPS_INV), _torus_factor(i, EPS))
+    if move.kind == "c":
+        al, be = move.partner
+        return ((al, i, EPS_INV), (j, be, rf_neg(EPS_INV)), _torus_factor(i, EPS))
+    if move.kind == "a":
+        al, be = move.partner
+        return ((be, i, EPS_INV), _torus_factor(i, EPS), _torus_factor(al, rf_neg(EPS)))
+    al, be = move.partner  # kind b: the table holds no other kind
+    return (
+        (be, j, rf_neg(EPS_INV)),
+        (i, al, EPS_INV),
+        _torus_factor(al, EPS),
+        _torus_factor(i, rf_add(EPS, rf_neg(EPS_INV))),
+    )
 
 
 def degeneration_word(sigma: Involution, move: Move) -> tuple[tuple[int, int, RFun], ...]:
     """The elementary factor list of the degeneration curve for a move of
     :func:`~borbits.moves.near_moves`; :func:`~borbits.moves.apply_move`
-    rejects any other move.  A slide's free point m is read off the
-    move's output tau: its arc (i, m) to the right, (m, j) up."""
-    tau = apply_move(sigma, move)
-    i, j = move.arc
-    if move.kind == "remove":
-        return (_torus_factor(i, EPS),)
-    if move.kind == "right":
-        return ((j, tau.apply(i), -EPS_INV), _torus_factor(i, EPS))
-    if move.kind == "up":
-        return ((tau.apply(j), i, EPS_INV), _torus_factor(i, EPS))
-    if move.kind == "c":
-        al, be = move.partner
-        return ((al, i, EPS_INV), (j, be, -EPS_INV), _torus_factor(i, EPS))
-    if move.kind == "a":
-        al, be = move.partner
-        return ((be, i, EPS_INV), _torus_factor(i, EPS), _torus_factor(al, -EPS))
-    al, be = move.partner  # kind b: the table holds no other kind
-    return (
-        (be, j, -EPS_INV),
-        (i, al, EPS_INV),
-        _torus_factor(al, EPS),
-        _torus_factor(i, EPS - EPS_INV),
-    )
+    gives its output and rejects any other move."""
+    return _word(move, apply_move(sigma, move))
 
 
-def _closed_form_entries(sigma: Involution, move: Move) -> dict[tuple[int, int], RFun]:
-    """The curve of a move of :func:`~borbits.moves.near_moves`, written
+def _closed_form_entries(
+    sigma: Involution, move: Move, tau: Involution
+) -> dict[tuple[int, int], RFun]:
+    """The curve of a move of the table, whose output is tau, written
     down directly as its entries {(r, c): value}, 1-based, none 0: 1 at
-    every arc of sigma and of the move's output tau, eps at the moved
-    arc, and at the partner arc -eps for kind a and eps for kind b.
-    :func:`~borbits.moves.apply_move` gives tau and rejects any other
-    move."""
-    tau = apply_move(sigma, move)
+    every arc of sigma and of tau, eps at the moved arc, and at the
+    partner arc -eps for kind a and eps for kind b."""
     entries = dict.fromkeys((*sigma.arcs, *tau.arcs), RF_ONE) | {move.arc: EPS}
     if move.kind in ("a", "b"):
-        entries[move.partner] = -EPS if move.kind == "a" else EPS
+        entries[move.partner] = rf_neg(EPS) if move.kind == "a" else EPS
     return entries
 
 
@@ -298,8 +305,9 @@ def _dense(n: int, entries: dict, zero) -> Matrix:
 
 def degeneration_closed_form(sigma: Involution, move: Move) -> Matrix:
     """:func:`_closed_form_entries` made dense: the second, independent route,
-    against which the group action is checked; it shares only the move table."""
-    return _dense(sigma.n, _closed_form_entries(sigma, move), RF_ZERO)
+    against which the group action is checked; it shares only the move table,
+    read by :func:`~borbits.moves.apply_move`, which rejects any other move."""
+    return _dense(sigma.n, _closed_form_entries(sigma, move, apply_move(sigma, move)), RF_ZERO)
 
 
 def _act_word(word: tuple, arcs: Iterable[Arc]) -> dict[tuple[int, int], RFun]:
@@ -324,10 +332,11 @@ def _act_word(word: tuple, arcs: Iterable[Arc]) -> dict[tuple[int, int], RFun]:
     return {(r, c): x for r, row in rows.items() for c, x in row.items() if c < r and x}
 
 
-def _sparse_degeneration(sigma: Involution, move: Move) -> tuple:
-    """(word, curve, limit) of :func:`degeneration` as maps: the curve's
-    :func:`_act_word` entries and their nonzero values at eps = 0."""
-    word = degeneration_word(sigma, move)
+def _sparse_degeneration(sigma: Involution, move: Move, tau: Involution) -> tuple:
+    """(word, curve, limit) of :func:`degeneration` for a move of the
+    table whose output is tau, as maps: the curve's :func:`_act_word`
+    entries and their nonzero values at eps = 0."""
+    word = _word(move, tau)
     curve = _act_word(word, sigma.arcs)
     try:
         limit = {cell: value for cell, x in curve.items() if (value := x.eval_at(0))}
@@ -339,5 +348,5 @@ def _sparse_degeneration(sigma: Involution, move: Move) -> tuple:
 def degeneration(sigma: Involution, move: Move) -> Degeneration:
     """Compute the degeneration curve of a move by the group action over
     the rational-function field, factor by factor, and its limit at 0."""
-    word, curve, limit = _sparse_degeneration(sigma, move)
+    word, curve, limit = _sparse_degeneration(sigma, move, apply_move(sigma, move))
     return Degeneration(move, word, _dense(sigma.n, curve, RF_ZERO), _dense(sigma.n, limit, Q_ZERO))

@@ -30,12 +30,11 @@ from .involutions import (
     to_permutation,
 )
 from .moves import (
-    apply_move,
+    _move_outputs,
     n_minus,
     n_plus,
     n_prime,
     n_zero,
-    near_moves,
     near_prime,
 )
 from .orbits import (
@@ -235,12 +234,12 @@ def _suite_rank_invariance(n: int, seed: int, samples: int):
 def _suite_degeneration(n: int, seed: int, samples: int):
     checked, failures = 0, []
     for sigma in enumerate_involutions(n):
-        for move in near_moves(sigma):
+        for move, tau in _move_outputs(sigma).items():
             checked += 1
-            _, curve, limit = _sparse_degeneration(sigma, move)  # a pole raises here
-            if curve != _closed_form_entries(sigma, move):
+            _, curve, limit = _sparse_degeneration(sigma, move, tau)  # a pole raises here
+            if curve != _closed_form_entries(sigma, move, tau):
                 detail = "curve != closed form"
-            elif limit != dict.fromkeys(apply_move(sigma, move).arcs, Q_ONE):
+            elif limit != dict.fromkeys(tau.arcs, Q_ONE):
                 detail = "limit != target functional"
             else:
                 continue
@@ -315,7 +314,7 @@ _SUITES = {
     "graded": (_suite_graded, 10),
     "dimension": (_suite_dimension, 9),
     "rank-invariance": (_suite_rank_invariance, 7),
-    "degeneration": (_suite_degeneration, 9),
+    "degeneration": (_suite_degeneration, 10),
     "closure": (_suite_closure, 7),
     "essential-set": (_suite_essential_set, ESSENTIAL_MAX_N),
 }

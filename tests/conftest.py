@@ -24,13 +24,12 @@ from borbits import (
     involution,
     involution_from_one_line,
     melnikov_rank_matrix,
-    near_moves,
     orbit_point,
     parse_involution,
     random_borel,
     rook_matrix_lower,
 )
-from borbits import moves, orbits, suites
+from borbits import orbits, suites
 from borbits.errors import BorbitsError, IndexOutOfRangeError, LimitUndefinedError
 from borbits.matrices import echelon_insert, exact_entry, field_constants, promote, square_size
 from borbits.poset import LSets
@@ -167,12 +166,13 @@ def dense_act_word(word, rook) -> tuple:
 def dense_degeneration_suite(n: int) -> tuple[int, list]:
     """Oracle: the degeneration suite's body on dense n x n matrices, the
     curve by :func:`dense_act_word` and its limit taken entry by entry.
-    The closed form is read through ``orbits`` and the move's output
-    through ``suites.apply_move`` at call time, so that a test's
-    monkeypatch of either reaches this body and the suite alike."""
+    Each move and its output tau are read through ``suites._move_outputs``,
+    and the word and the closed form through ``orbits``, at call time, so
+    that a test's monkeypatch of any of them reaches this body and the
+    suite alike."""
     checked, failures = 0, []
     for sigma in enumerate_involutions(n):
-        for move in near_moves(sigma):
+        for move, tau in suites._move_outputs(sigma).items():
             checked += 1
             record = {
                 "sigma": format_involution(sigma),
@@ -180,15 +180,15 @@ def dense_degeneration_suite(n: int) -> tuple[int, list]:
                 "arc": list(move.arc),
                 "partner": list(move.partner) if move.partner else None,
             }
-            curve = dense_act_word(orbits.degeneration_word(sigma, move), rook_matrix_lower(sigma))
+            curve = dense_act_word(orbits._word(move, tau), rook_matrix_lower(sigma))
             try:
                 limit = tuple(tuple(x.eval_at(0) if x else Q_ZERO for x in row) for row in curve)
             except ZeroDivisionError as exc:
                 raise LimitUndefinedError(str(exc)) from exc
-            if curve != orbits.degeneration_closed_form(sigma, move):
+            closed_form = orbits._closed_form_entries(sigma, move, tau)
+            if curve != orbits._dense(n, closed_form, RF_ZERO):
                 failures.append({**record, "detail": "curve != closed form"})
                 continue
-            tau = suites.apply_move(sigma, move)
             if limit != orbit_point(tau):
                 failures.append({**record, "detail": "limit != target functional"})
     return checked, failures
@@ -197,13 +197,15 @@ def dense_degeneration_suite(n: int) -> tuple[int, list]:
 def explicit_closed_form(sigma: Involution, move) -> dict:
     """Oracle: the closed-form entries of a move's curve written out kind
     by kind, 1 at sigma's arcs and eps at the moved arc (i, j), then: the
-    slid arc found again by ``moves._slide``; for c at (al, be), 1 at
-    (al, j) and (i, be); for a, 1 at (be, j) and (al, i) and -eps at the
-    partner; for b, 1 at (i, be) and (al, j) and eps at the partner."""
+    slid arc, the one arc of :func:`slide_oracle`'s output not in sigma;
+    for c at (al, be), 1 at (al, j) and (i, be); for a, 1 at (be, j) and
+    (al, i) and -eps at the partner; for b, 1 at (i, be) and (al, j) and
+    eps at the partner."""
     i, j = move.arc
     entries = dict.fromkeys(sigma.arcs, RF_ONE) | {move.arc: EPS}
     if move.kind in ("right", "up"):
-        entries[moves._slide(sigma, move.arc, move.kind)] = RF_ONE
+        (slid,) = set(slide_oracle(sigma, move.arc, move.kind).arcs) - set(sigma.arcs)
+        entries[slid] = RF_ONE
     elif move.kind == "c":
         al, be = move.partner
         entries.update({(al, j): RF_ONE, (i, be): RF_ONE})

@@ -3,6 +3,8 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import a_oracle, b_oracle, c_oracle, remove_oracle, slide_oracle
 
 from borbits import (
@@ -16,6 +18,7 @@ from borbits import (
     degeneration_closed_form,
     enumerate_involutions,
     identity_involution,
+    involution,
     leq_star,
     minimal_support,
     n_minus,
@@ -270,9 +273,10 @@ def _of_kinds(outputs, *kinds):
 
 
 def test_move_table_matches_the_oracles():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for sigma in enumerate_involutions(n):
             oracle = _oracle_outputs(sigma)
+            assert list(moves._move_outputs(sigma).items()) == list(oracle.items())
             assert near_moves(sigma) == tuple(oracle)
             for move, tau in oracle.items():
                 assert apply_move(sigma, move) == tau
@@ -290,6 +294,29 @@ def test_move_table_matches_the_oracles():
             assert n_prime(sigma) == prime
             slides_swaps_splits = _of_kinds(oracle, "right", "up", "a", "b", "c")
             assert near_prime(sigma) == prime | slides_swaps_splits
+
+
+@st.composite
+def _involutions(draw, max_n=10):
+    """An involution of S_n, n <= max_n: some disjoint pairs of a shuffle."""
+    n = draw(st.integers(1, max_n))
+    points = draw(st.permutations(range(1, n + 1)))
+    pairs = draw(st.integers(0, n // 2))
+    return involution(n, zip(points[: 2 * pairs : 2], points[1 : 2 * pairs : 2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sigma=_involutions())
+def test_move_table_matches_the_oracles_at_any_sigma(sigma):
+    # the one pass against the definitional scans, with each move's kind,
+    # arc and partner types, beyond the exhaustive sizes above
+    table = list(moves._move_outputs(sigma).items())
+    assert table == list(_oracle_outputs(sigma).items())
+    for move, tau in table:
+        assert type(move.arc) is Arc and move.arc in sigma.arcs
+        assert move.partner is None or type(move.partner) is tuple
+        assert all(type(p) is int for p in move.partner or ())
+        assert tau.n == sigma.n
 
 
 # moves outside near_moves(sigma): every route that reads the move table
@@ -376,15 +403,19 @@ def test_each_move_is_constructed_once(monkeypatch):
 
 
 def test_slides_are_found_only_by_the_move_table():
-    # the degeneration suite reads each slide's free point off the move's
-    # output: _slide runs inside the table's one pass alone, right and up
-    # once each per arc.  A profile hook sees every call, by any binding
-    code, callers, slides = moves._slide.__code__, set(), Counter()
+    # the degeneration suite hands each move's output tau from the table
+    # to the word, the closed form and the limit: apply_move is never
+    # called, and the table's body runs once per sigma, where the slides
+    # are found.  A profile hook sees every call, by any binding
+    body, lookup = moves._move_outputs.__wrapped__.__code__, moves.apply_move.__code__
+    tables, lookups = Counter(), 0
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            callers.add(frame.f_back.f_code.co_name)
-            slides[frame.f_locals["sigma"], frame.f_locals["arc"]] += 1
+        nonlocal lookups
+        if event == "call" and frame.f_code is body:
+            tables[frame.f_locals["sigma"]] += 1
+        elif event == "call" and frame.f_code is lookup:
+            lookups += 1
 
     moves._move_outputs.cache_clear()
     moves.near_moves.cache_clear()
@@ -393,7 +424,7 @@ def test_slides_are_found_only_by_the_move_table():
         report = run_suite("degeneration", 6)
     finally:
         sys.setprofile(None)
-    assert report.passed
-    assert callers == {"_move_outputs"}
-    assert len(slides) == sum(len(sigma.arcs) for sigma in enumerate_involutions(6))
-    assert set(slides.values()) == {2}
+    assert report.passed and report.checked == 291
+    assert lookups == 0
+    assert set(tables) == set(enumerate_involutions(6)) and len(tables) == 76
+    assert set(tables.values()) == {1}

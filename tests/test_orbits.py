@@ -58,7 +58,7 @@ from borbits.errors import (
     ZeroXiError,
 )
 from borbits.matrices import integral_multiple, mat_mul
-from borbits import orbits
+from borbits import moves, orbits
 from borbits.moves import Move
 from borbits.orbits import _act_numerator, _act_word, _random_borel_int
 from borbits.rankorder import _strict_ranks
@@ -570,11 +570,10 @@ def test_closed_form_rule_is_the_per_kind_closed_form():
     kinds = set()
     for n in range(1, 8):
         for sigma in enumerate_involutions(n):
-            for move in near_moves(sigma):
+            for move, tau in moves._move_outputs(sigma).items():
                 kinds.add(move.kind)
-                assert orbits._closed_form_entries(sigma, move) == explicit_closed_form(
-                    sigma, move
-                )
+                entries = orbits._closed_form_entries(sigma, move, tau)
+                assert entries == explicit_closed_form(sigma, move)
     assert kinds == {"remove", "right", "up", "a", "b", "c"}
 
 
@@ -654,9 +653,7 @@ def test_degeneration_rejects_inapplicable_move():
 
 def test_degeneration_names_a_pole_at_zero(monkeypatch, capsys):
     # a word whose curve is 1/eps at (2,1): dividing column 1 by eps
-    monkeypatch.setattr(
-        orbits, "degeneration_word", lambda sigma, move: ((1, 1, EPS - RF_ONE),)
-    )
+    monkeypatch.setattr(orbits, "_word", lambda move, tau: ((1, 1, EPS - RF_ONE),))
     sigma = parse_involution("(2,1)", 2)
     with pytest.raises(LimitUndefinedError, match="pole at 0"):
         degeneration(sigma, Move("remove", Arc(2, 1)))

@@ -171,7 +171,7 @@ _BOUNDS = {
     "graded": 10,
     "dimension": 9,
     "rank-invariance": 7,
-    "degeneration": 9,
+    "degeneration": 10,
     "closure": 7,
     "essential-set": 7,
 }
@@ -198,32 +198,36 @@ def test_covers_suite_at_its_bound():
 
 
 def test_degeneration_suite_at_its_bound():
-    report = run_suite("degeneration", 9)
-    assert report.passed and report.checked == 18293
+    report = run_suite("degeneration", 10)
+    assert report.passed and report.checked == 76889
 
 
 @pytest.mark.parametrize("patched", ["closed form", "target", "both"])
 @pytest.mark.parametrize("kind", ["remove", "right", "up", "a", "b", "c"])
 def test_degeneration_failures_are_those_of_the_dense_suite(monkeypatch, kind, patched):
     # the closed form loses its eps entry on moves of one kind, and/or
-    # the target is the move's input; with both, those moves must stop at
-    # the curve mismatch and every other one fail at its limit
-    closed_form, apply_move = orbits._closed_form_entries, suites.apply_move
+    # the table gives the move's input as the output tau of that kind's
+    # moves; with both, every move's tau is its input, and that kind's
+    # moves must stop at the curve mismatch
+    closed_form, table = orbits._closed_form_entries, suites._move_outputs
 
-    def dropped(sigma, move):
-        entries = closed_form(sigma, move)
+    def dropped(sigma, move, tau):
+        entries = closed_form(sigma, move, tau)
         if move.kind == kind:
             del entries[move.arc]
         return entries
 
-    def wrong_target(sigma, move):
-        return sigma if patched == "both" or move.kind == kind else apply_move(sigma, move)
+    def wrong_target(sigma):
+        return {
+            move: sigma if patched == "both" or move.kind == kind else tau
+            for move, tau in table(sigma).items()
+        }
 
     if patched != "target":
         monkeypatch.setattr(orbits, "_closed_form_entries", dropped)
         monkeypatch.setattr(suites, "_closed_form_entries", dropped)
     if patched != "closed form":
-        monkeypatch.setattr(suites, "apply_move", wrong_target)
+        monkeypatch.setattr(suites, "_move_outputs", wrong_target)
     report = run_suite("degeneration", 4)
     checked, failures = dense_degeneration_suite(4)
     assert report.failures and report.checked == checked == 20

@@ -22,12 +22,12 @@ elimination.
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
 from math import isqrt
 from operator import and_, le, mul
 
+from ._value import Value
 from .errors import (
     NotAFieldError,
     NotChainError,
@@ -112,8 +112,7 @@ def _z_point(a: Matrix, cells: Collection[tuple[int, int]] | None = None) -> ZPo
     return n, ranks, support
 
 
-@dataclass(frozen=True)
-class ZSpec:
+class ZSpec(Value):
     """Defining data of the candidate closure variety of one involution."""
 
     sigma: Involution

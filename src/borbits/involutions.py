@@ -12,9 +12,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from ._value import Value, set_field
 from .errors import (
     BorbitsError,
     CycleSyntaxError,
@@ -31,8 +31,7 @@ class Arc(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
-class Involution:
+class Involution(Value):
     """A self-inverse permutation of {1..n}, stored by its disjoint arcs.
 
     The tuple of arcs is normalized: each arc has i > j, arcs are sorted
@@ -44,24 +43,38 @@ class Involution:
     n: int
     arcs: tuple[Arc, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise IndexOutOfRangeError(f"size must be an int >= 1, got {self.n!r}")
+    def __init__(self, n: int, arcs: tuple[Arc, ...]) -> None:
+        if type(n) is not int or n < 1:
+            raise IndexOutOfRangeError(f"size must be an int >= 1, got {n!r}")
+        # a list would build an involution that cannot be hashed
+        if type(arcs) is not tuple:
+            raise IndexOutOfRangeError(f"arcs {arcs!r} are not a tuple")
         seen: set[int] = set()
         prev_j = 0
-        for arc in self.arcs:
+        for arc in arcs:
             # a plain tuple equals and hashes like its Arc, so only the type tells
             if type(arc) is not Arc:
                 raise IndexOutOfRangeError(f"arc {arc!r} is not an Arc")
             i, j = arc
-            if type(i) is not int or type(j) is not int or not 1 <= j < i <= self.n:
-                raise IndexOutOfRangeError(f"arc {arc!r} out of range for n={self.n}")
+            if type(i) is not int or type(j) is not int or not 1 <= j < i <= n:
+                raise IndexOutOfRangeError(f"arc {arc!r} out of range for n={n}")
             if i in seen or j in seen:
                 raise OverlapError(f"endpoint of {arc!r} repeated")
             if j <= prev_j:
-                raise BorbitsError(f"arcs not sorted by ascending j: {self.arcs!r}")
+                raise BorbitsError(f"arcs not sorted by ascending j: {arcs!r}")
             seen.update(arc)
             prev_j = j
+        set_field(self, "n", n)
+        set_field(self, "arcs", arcs)
+
+    # built and hashed tens of thousands of times per suite: no generic path
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n, self.arcs) == (other.n, other.arcs)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arcs))
 
     def apply(self, m: int) -> int:
         """Image of m, i.e. the partner of m or m itself if fixed."""
@@ -87,17 +100,24 @@ class Involution:
         return format_involution(self)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Value):
     """A permutation of {1..n} in one-line notation (1-based values)."""
 
     one_line: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        word = self.one_line
-        ints = all(type(k) is int for k in word)
-        if not ints or sorted(word) != list(range(1, len(word) + 1)):
-            raise IndexOutOfRangeError(f"not a permutation: {word!r}")
+    def __init__(self, one_line: tuple[int, ...]) -> None:
+        ints = type(one_line) is tuple and all(type(k) is int for k in one_line)
+        if not ints or sorted(one_line) != list(range(1, len(one_line) + 1)):
+            raise IndexOutOfRangeError(f"not a permutation: {one_line!r}")
+        set_field(self, "one_line", one_line)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.one_line == other.one_line
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.one_line,))
 
     @property
     def n(self) -> int:
@@ -198,6 +218,8 @@ def involution_from_one_line(one_line: Iterable[int]) -> Involution:
 
 def length(w: Permutation) -> int:
     """Number of inversions, i.e. the length of any reduced word."""
+    if not isinstance(w, Permutation):
+        raise IndexOutOfRangeError(f"not a Permutation: {w!r}")
     word = w.one_line
     return sum(
         1

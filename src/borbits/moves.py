@@ -25,11 +25,11 @@ none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
 
+from ._value import Value, set_field
 from .errors import ArcNotInSupportError, MoveNotApplicableError
 from .involutions import Arc, Involution
 
@@ -125,8 +125,7 @@ def c_candidates(sigma: Involution, arc: Arc) -> frozenset[tuple[int, int]]:
     )
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(Value):
     """One applicable move instance: kind, source arc, optional partner.
 
     ``partner`` is a plain pair (al, be): the partner arc for kinds a/b,
@@ -136,7 +135,21 @@ class Move:
 
     kind: str
     arc: Arc
-    partner: tuple[int, int] | None = None
+    partner: tuple[int, int] | None
+
+    def __init__(self, kind: str, arc: Arc, partner: tuple[int, int] | None = None) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "arc", arc)
+        set_field(self, "partner", partner)
+
+    # built and hashed once per move of every table: no generic path
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.kind, self.arc, self.partner) == (other.kind, other.arc, other.partner)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.arc, self.partner))
 
 
 @lru_cache(maxsize=None)

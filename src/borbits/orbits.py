@@ -24,11 +24,11 @@ at them.  The public functions return dense matrices.
 from __future__ import annotations
 
 from _random import Random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable
 
+from ._value import Value
 from .errors import (
     IndexOutOfRangeError,
     LimitUndefinedError,
@@ -227,8 +227,7 @@ def random_borel(n: int, seed: int, bound: int = 3) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class Degeneration:
+class Degeneration(Value):
     """A curve inside the orbit of sigma whose limit at eps -> 0 is the
     base functional of the move's output.
 

@@ -9,10 +9,10 @@ against each other and against the move constructions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import or_
 
+from ._value import Value
 from .errors import BoundExceededError, NotInPosetError
 from .involutions import Involution, enumerate_involutions, format_involution
 from .rankorder import bit_indices, dominance_masks, joined_cells
@@ -20,8 +20,7 @@ from .rankorder import bit_indices, dominance_masks, joined_cells
 POSET_MAX_N = 10
 
 
-@dataclass(frozen=True, eq=False)
-class Poset:
+class Poset(Value, repr_hides=("index",)):
     """All involutions of S_n under one of the three orders.
 
     ``less[k]`` is a bitmask of the indices strictly below element k;
@@ -34,7 +33,11 @@ class Poset:
     elements: tuple[Involution, ...]
     less: tuple[int, ...]
     covers: tuple[tuple[int, ...], ...]
-    index: dict = field(repr=False)
+    index: dict
+
+    # one object per (n, order): equal and hashed by identity
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def index_of(self, sigma: Involution) -> int:
         try:
@@ -96,8 +99,7 @@ def _lower_covers(cells: bytes, n: int, less) -> tuple[tuple[int, ...], ...]:
     return tuple(covers)
 
 
-@dataclass(frozen=True)
-class LSets:
+class LSets(Value):
     """Order-side neighbour classes of one element, from down-set unions
     of the order relation (not from the covers DAG).
 

@@ -25,12 +25,12 @@ tables its varieties keep.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import le
 from typing import Iterable, Iterator
 
+from ._value import Value, set_field
 from .errors import (
     BoundExceededError,
     IndexOutOfRangeError,
@@ -135,8 +135,7 @@ def _checked_cells(n: int, cells: Sequence[int], count: int = 1) -> bytes:
     return bytes(cells)
 
 
-@dataclass(frozen=True, init=False)
-class RankMatrix:
+class RankMatrix(Value):
     """An n x n table of corner ranks of a rook placement, one byte per
     cell, row by row: the rank at (i, j) is ``cells[(i-1)*n + j-1]``.
     Built from rows of ints, or by :meth:`of_cells` from the cells, and
@@ -157,8 +156,8 @@ class RankMatrix:
         return table
 
     def _fill(self, n: int, cells: Sequence[int]) -> None:
-        object.__setattr__(self, "cells", _checked_cells(n, cells))
-        object.__setattr__(self, "n", n)
+        set_field(self, "cells", _checked_cells(n, cells))
+        set_field(self, "n", n)
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

@@ -459,6 +459,15 @@ def test_well_formed_run_imports_no_argparse(argv):
     assert result.stderr.splitlines()[-1] == "imported:"
 
 
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses would pull inspect, ast and dis into every CLI start,
+    # and exec each generated method
+    code = "import sys, borbits.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = run_python("-c", code)
+    assert result.returncode == 0
+    assert result.stdout == "[]\n"
+
+
 def test_help_and_errors_still_come_from_argparse():
     result = run_probe("verify", "--help")
     assert result.returncode == 0

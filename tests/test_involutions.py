@@ -252,3 +252,32 @@ def test_involution_validation():
         involution(4, [(2, 1), (4, 2)])
     with pytest.raises(BorbitsError):
         Involution(5, (Arc(5, 2), Arc(3, 1)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Involution(3, [Arc(3, 1)]),
+        lambda: Involution(3, []),
+        lambda: Permutation([2, 1]),
+        lambda: Permutation(range(1, 3)),
+    ],
+    ids=["Involution list", "Involution empty list", "Permutation list", "Permutation range"],
+)
+def test_fields_that_are_not_tuples_are_rejected(build):
+    # a list field once built a value that could not be hashed, so the
+    # rank tables, the move table and the poset index failed on it later
+    # with a bare TypeError
+    with pytest.raises(IndexOutOfRangeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "w",
+    [parse_involution("(3,1)", 3), (2, 1), [2, 1], None],
+    ids=["Involution", "tuple", "list", "None"],
+)
+def test_length_rejects_what_is_not_a_permutation(w):
+    # an involution's one_line is a method, whose len() once raised a bare TypeError
+    with pytest.raises(IndexOutOfRangeError):
+        length(w)

@@ -1,6 +1,5 @@
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -191,8 +190,8 @@ def test_malformed_partners_are_not_applicable(text, n, move):
         None,
     ]
     arcs = [(float(i), j), Arc(i, float(j)), [i, j]]
-    malformed = [replace(move, partner=p) for p in partners]
-    malformed += [replace(move, arc=arc) for arc in arcs]
+    malformed = [Move(move.kind, move.arc, p) for p in partners]
+    malformed += [Move(move.kind, arc, move.partner) for arc in arcs]
     for bad in malformed:
         with pytest.raises(MoveNotApplicableError):
             apply_move(sigma, bad)

@@ -2,9 +2,10 @@
 Bruhat-Chevalley order on involutions of the symmetric group.
 
 Everything is computed over exact fields (integers, rationals, rational
-functions, small prime fields); no floating point anywhere.  All value
-types are immutable and all operations are pure functions, so the whole
-API is safe to share across threads.
+functions, small prime fields); no floating point anywhere.  The value
+types are immutable, but for ``SuiteReport``, a mutable record of one
+suite run, and the operations are pure functions, so the API is safe to
+share across threads.
 """
 
 from .involutions import (
@@ -20,7 +21,6 @@ from .involutions import (
     length,
     longest_involution,
     parse_involution,
-    rook_matrix_lower,
     to_permutation,
 )
 from .rankorder import (

@@ -12,7 +12,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
+from itertools import combinations
 
 from ._value import Value, set_field
 from .errors import (
@@ -24,11 +26,10 @@ from .errors import (
 )
 
 
-class Arc(NamedTuple):
+class Arc(namedtuple("Arc", "i j")):
     """A 2-cycle (i, j) with i > j: a rook in row i, column j."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
 class Involution(Value):
@@ -220,13 +221,7 @@ def length(w: Permutation) -> int:
     """Number of inversions, i.e. the length of any reduced word."""
     if not isinstance(w, Permutation):
         raise IndexOutOfRangeError(f"not a Permutation: {w!r}")
-    word = w.one_line
-    return sum(
-        1
-        for a in range(len(word))
-        for b in range(a + 1, len(word))
-        if word[a] > word[b]
-    )
+    return sum(x > y for x, y in combinations(w.one_line, 2))
 
 
 def enumerate_involutions(n: int) -> tuple[Involution, ...]:
@@ -241,6 +236,8 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
     if type(n) is not int or n < 1:
         raise IndexOutOfRangeError(f"size must be an int >= 1, got {n!r}")
     found: list[Involution] = []
+    # each arc built once: the arcs (q, p) as 1-tuples, table[q][p]
+    table = [[(Arc(q, p),) for p in range(q)] for q in range(n + 1)]
 
     def extend(points: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
         if not points:
@@ -249,15 +246,7 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
         p, rest = points[0], points[1:]
         extend(rest, arcs)  # p fixed
         for k, q in enumerate(rest):  # p paired with a larger point
-            extend(rest[:k] + rest[k + 1 :], arcs + (Arc(q, p),))
+            extend(rest[:k] + rest[k + 1 :], arcs + table[q][p])
 
     extend(tuple(range(1, n + 1)), ())
     return tuple(found)
-
-
-def rook_matrix_lower(sigma: Involution) -> tuple[tuple[int, ...], ...]:
-    """Strictly lower-triangular rook placement: a 1 at (i, j) per arc (i, j)."""
-    rows = [[0] * sigma.n for _ in range(sigma.n)]
-    for i, j in sigma.arcs:
-        rows[i - 1][j - 1] = 1
-    return tuple(tuple(row) for row in rows)

@@ -4,21 +4,18 @@ Matrices are tuples of row tuples over one field at a time: ``Fraction``
 or :class:`~borbits.ratfunc.RFun`.  Constructors promote plain ints so
 that arithmetic never falls back to floating point.
 
-Every rank and corner-rank table over Q or Q(eps) is computed by
-:func:`echelon_insert`: over an exact field (``Fraction``,
-``RFun``) or fraction-free over the integers (Bareiss, *Math. Comp.* 22,
-1968), which ranks use for every rational matrix.  The oracles' F_2 and
-GF(q) tables are not built by it.  A caller types its matrix once, by
-:func:`integral_multiple` or :func:`promote`, which reject a float.  The
-strict corner ranks of a functional are one bottom-up pass of it, each
-row cut to the columns left of its diagonal entry; typed once, an int
-matrix goes to the fraction-free mode, :func:`_fraction_free_insert`,
-with no type scan per row.
+Every rank and corner-rank table over Q or Q(eps) is computed by one
+echelon kernel in two modes: over an exact field (``Fraction``, ``RFun``),
+or fraction-free over the integers (Bareiss, *Math. Comp.* 22, 1968) for
+every rational matrix.  A caller types its matrix once, by
+:func:`integral_multiple` or :func:`promote`, which reject a float, and
+calls the mode of that type, which checks no entry.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import NotAFieldError, NotInvertibleError, SizeMismatchError
@@ -52,10 +49,11 @@ def promote(matrix) -> Matrix:
 
 
 def integral_multiple(matrix) -> Matrix:
-    """An int matrix as it is, any other rational one scaled to ints by
-    the lcm of its denominators, one with an RFun entry promoted to Q(eps),
-    and one with any other entry, a float say, rejected."""
-    if all(type(x) is int for row in matrix for x in row):
+    """An int matrix as it is, tested in one C-level pass, any other
+    rational one scaled to ints by the lcm of its denominators, one with
+    an RFun entry promoted to Q(eps), and one with any other entry, a
+    float say, rejected."""
+    if set(map(type, chain.from_iterable(matrix))) <= {int}:
         return matrix
     rows = promote(matrix)
     if any(isinstance(x, RFun) for row in rows for x in row):
@@ -132,26 +130,19 @@ def upper_inverse(g: Matrix) -> Matrix:
     return tuple(tuple(row) for row in inv)
 
 
-def echelon_insert(basis: list, row) -> int | None:
-    """Reduce ``row`` against an echelon basis and append it if
-    independent.
+def _field_insert(basis: list, row) -> int | None:
+    """Reduce ``row`` against an echelon basis over its exact field and
+    append it if independent, unchecked.
 
     ``basis`` holds (pivot column, row) pairs in insertion order.  A
     row's pivot is its first nonzero entry, and every row is zero at the
     pivots of the rows before it, so one pass in that order reduces a new
     row to zero at all pivots, and ``len(basis)`` is the rank so far.
-    The new row picks the mode: a row of plain ints goes to
-    :func:`_fraction_free_insert`, any other row is reduced over its
-    exact field (Fraction, RFun).  So the caller types the matrix as a
-    whole, all ints or all in one field, as an int row meeting a
-    Fraction basis row fails in ``gcd``; a float is not rejected here.
     Each step rebuilds the row as a new list, so ``row`` may be any
     sequence and is left as it was.  A basis row may be longer than the
     new row, which is reduced over its own length.  Returns the new
     pivot column, or None when the row depends on the basis.
     """
-    if all(type(x) is int for x in row):
-        return _fraction_free_insert(basis, row)
     for col, pivot_row in basis:
         x = row[col]
         if x:
@@ -162,10 +153,9 @@ def echelon_insert(basis: list, row) -> int | None:
 
 
 def _fraction_free_insert(basis: list, row) -> int | None:
-    """The mode of :func:`echelon_insert` for a sequence of plain ints,
-    unchecked: each step makes ``p row - x pivot_row``, divided by its
-    content, a new list, and the last of them goes into the basis.  For
-    a caller that has typed its matrix as ints once."""
+    """:func:`_field_insert` for plain ints, unchecked: each step makes
+    ``p row - x pivot_row``, divided by its content, a new list, and the
+    last of them goes into the basis."""
     for col, pivot_row in basis:
         x = row[col]
         if x:  # the whole row: it may be nonzero left of col

@@ -24,9 +24,9 @@ at them.  The public functions return dense matrices.
 from __future__ import annotations
 
 from _random import Random
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable
 
 from ._value import Value
 from .errors import (
@@ -38,7 +38,7 @@ from .errors import (
     NotUpperTriangularError,
     ZeroXiError,
 )
-from .involutions import Arc, Involution, rook_matrix_lower
+from .involutions import Arc, Involution
 from .matrices import (
     Matrix,
     integral_multiple,
@@ -168,25 +168,27 @@ def orbit_dimension(sigma: Involution) -> int:
 
     Computed as the rank of the linearized action on the triangular Lie
     algebra: dim b minus the dimension of {x upper triangular with
-    bracket [x, lam] vanishing strictly below the diagonal}.
+    bracket [x, lam] vanishing strictly below the diagonal}.  Row (r, s)
+    holds ([e_pq, lam])_{r,s} = delta_{r,p} lam_{q,s} - lam_{r,p} delta_{q,s}
+    at the column of e_pq, p <= q: at most two terms, read off sigma.
     """
     n = sigma.n
-    lam = rook_matrix_lower(sigma)
-    basis = [(p, q) for p in range(1, n + 1) for q in range(p, n + 1)]
-    lower = [(r, s) for r in range(1, n + 1) for s in range(1, r)]
+    partner = (0, *sigma.one_line())  # partner[k] = sigma(k)
+    # the e_pq, p <= q, row by row: e_pq is column first[p] + q
+    first = [(p - 1) * (2 * n + 2 - p) // 2 - p for p in range(n + 1)]
+    width = n * (n + 1) // 2
     matrix = []
-    for r, s in lower:
-        row = []
-        for p, q in basis:
-            # ([e_pq, lam])_{r,s} = delta_{r,p} lam_{q,s} - lam_{r,p} delta_{q,s}
-            value = 0
-            if r == p:
-                value += lam[q - 1][s - 1]
-            if q == s:
-                value -= lam[r - 1][p - 1]
-            row.append(value)
-        matrix.append(tuple(row))
-    return exact_rank(tuple(matrix)) if matrix else 0
+    for r in range(2, n + 1):
+        p = partner[r]
+        for s in range(1, r):
+            row = [0] * width
+            q = partner[s]
+            if q >= r:  # (q, s) an arc: p = r
+                row[first[r] + q] = 1
+            if p <= s:  # (r, p) an arc: q = s
+                row[first[p] + s] = -1
+            matrix.append(row)
+    return exact_rank(matrix)
 
 
 def _random_borel_int(n: int, seed: int, bound: int = 3) -> Matrix:

@@ -9,12 +9,19 @@ against each other and against the move constructions.
 from __future__ import annotations
 
 import json
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 from operator import or_
 
 from ._value import Value
 from .errors import BoundExceededError, NotInPosetError
-from .involutions import Involution, enumerate_involutions, format_involution
+from .involutions import (
+    Involution,
+    enumerate_involutions,
+    format_involution,
+    length,
+    to_permutation,
+)
 from .rankorder import bit_indices, dominance_masks, joined_cells
 
 POSET_MAX_N = 10
@@ -52,6 +59,19 @@ class Poset(Value, repr_hides=("index",)):
     def covers_of(self, sigma: Involution) -> frozenset[Involution]:
         return frozenset(self.elements[k] for k in self.covers[self.index_of(sigma)])
 
+    @cached_property
+    def _layers(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """For :func:`l_sets`, built on its first call: each element's height
+        (Incitti's rank (length + arcs) / 2 if it rises along the order, else
+        the down-set size) and the bitsets of each height, of each arc count
+        and of fewer arcs than each."""
+        height = [(length(to_permutation(s)) + len(s.arcs)) // 2 for s in self.elements]
+        lower = list(accumulate(_bitsets(height), or_, initial=0))  # heights below h
+        if any(mask & ~lower[h] for mask, h in zip(self.less, height)):
+            height = [mask.bit_count() for mask in self.less]
+        by_arcs = _bitsets([len(s.arcs) for s in self.elements])
+        return height, _bitsets(height), by_arcs, list(accumulate(by_arcs, or_, initial=0))
+
 
 @lru_cache(maxsize=None, typed=True)
 def build_poset(n: int, order: str = "star") -> Poset:
@@ -77,26 +97,39 @@ def build_poset(n: int, order: str = "star") -> Poset:
 def _lower_covers(cells: bytes, n: int, less) -> tuple[tuple[int, ...], ...]:
     """Lower covers of distinct n x n tables, joined in ``cells``, under
     dominance, with strict down-sets ``less``.  a < b makes a's entry sum
-    smaller, so one sum is an antichain: walking b's down-set down by
-    sum, what is left at a sum is a cover; its down-set is removed."""
+    smaller, so :func:`_peel` can walk b's down-set by sum."""
     stride = n * n
     sums = [sum(cells[k : k + stride]) for k in range(0, len(cells), stride)]
-    layers = [0] * (max(sums, default=0) + 1)
-    for k, s in enumerate(sums):
-        layers[s] |= 1 << k
-    covers = []
-    for s, rest in zip(sums, less):
-        found = 0
-        while rest:
-            s -= 1
-            top = rest & layers[s]
-            if top:
-                found |= top
-                for a in bit_indices(top):
-                    top |= less[a]
-                rest &= ~top
-        covers.append(tuple(bit_indices(found)))
-    return tuple(covers)
+    layers = _bitsets(sums)
+    return tuple(tuple(sorted(_peel(rest, s, layers, less)[0])) for s, rest in zip(sums, less))
+
+
+def _bitsets(values: list[int]) -> list[int]:
+    """Item v is the bitset of the indices k with ``values[k] == v``."""
+    sets = [0] * (max(values, default=0) + 1)
+    for k, v in enumerate(values):
+        sets[v] |= 1 << k
+    return sets
+
+
+def _peel(mask: int, h: int, layers: list[int], less) -> tuple[list[int], int]:
+    """The maximal elements of ``mask`` and the union of their down-sets,
+    walking ``layers``, the bitsets of a height rising along the order,
+    down from h, above all of ``mask``: what is left at a layer is maximal."""
+    found, union = [], 0
+    while mask:
+        h -= 1
+        top = mask & layers[h]
+        if top:
+            mask ^= top
+            while top:  # its set bits, walked inline
+                low = top & -top
+                a = low.bit_length() - 1
+                found.append(a)
+                union |= less[a]
+                top ^= low
+            mask &= ~union
+    return found, union
 
 
 class LSets(Value):
@@ -120,31 +153,21 @@ class LSets(Value):
 
 
 def l_sets(sigma: Involution, poset: Poset) -> LSets:
-    """The L-classes of sigma in one pass over its down-set: a < sigma has
-    an element strictly between exactly when a lies below some w < sigma,
-    i.e. in the union ``through`` of those w's down-sets; ``through_fewer``
-    is the union over the w with fewer arcs than sigma."""
+    """The L-classes of sigma from bitsets, not from the covers: a < sigma
+    has an element strictly between iff it lies in ``through``, the union
+    of the down-sets of the w < sigma.  Under Incitti's rank r, which the
+    graded suite checks grades the star poset, that reads one layer, r - 1."""
     b = poset.index_of(sigma)
+    height, by_height, by_arcs, fewer_arcs = poset._layers
     elements, less = poset.elements, poset.less
-    s_sigma = len(sigma.arcs)
-    through = through_fewer = fewer = same = 0
-    for w in bit_indices(less[b]):
-        through |= less[w]
-        s_w = len(elements[w].arcs)
-        if s_w < s_sigma:
-            fewer |= 1 << w
-            through_fewer |= less[w]
-        elif s_w == s_sigma:
-            same |= 1 << w
-    star = less[b] & ~through
-    wrap = lambda mask: frozenset(elements[k] for k in bit_indices(mask))
-    return LSets(
-        l_minus=wrap(fewer & ~through_fewer),
-        l_zero=wrap(star & same),
-        l_plus=wrap(star & ~(fewer | same)),
-        l_prime=wrap(star & fewer),
-        l_star=wrap(star),
-    )
+    below, s_sigma = less[b], len(sigma.arcs)
+    fewer, same = below & fewer_arcs[s_sigma], below & by_arcs[s_sigma]
+    through = _peel(below, height[b], by_height, less)[1]
+    through_fewer = _peel(fewer, height[b], by_height, less)[1]
+    star = below & ~through
+    wrap = lambda mask: frozenset(map(elements.__getitem__, bit_indices(mask)))
+    zero, plus, prime = wrap(star & same), wrap(star & ~(fewer | same)), wrap(star & fewer)
+    return LSets(wrap(fewer & ~through_fewer), zero, plus, prime, zero | plus | prime)
 
 
 def is_graded(poset: Poset) -> bool:
@@ -180,13 +203,14 @@ def hasse_edges(poset: Poset) -> tuple[tuple[int, int], ...]:
 def hasse_dot(poset: Poset) -> str:
     """DOT digraph: one node per involution labelled by cycle notation,
     one edge per cover, nodes layered by rank."""
-    ranks = poset_ranks(poset)
     lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box];']
     for k, sigma in enumerate(poset.elements):
         lines.append(f'  v{k} [label="{format_involution(sigma)}"];')
-    for level in sorted(set(ranks)):
-        same = " ".join(f"v{k};" for k in range(len(ranks)) if ranks[k] == level)
-        lines.append(f"  {{ rank=same; {same} }}")
+    levels = {}  # rank -> its nodes
+    for k, level in enumerate(poset_ranks(poset)):
+        levels.setdefault(level, []).append(f"v{k};")
+    for level in sorted(levels):
+        lines.append(f"  {{ rank=same; {' '.join(levels[level])} }}")
     for b, a in hasse_edges(poset):
         lines.append(f"  v{b} -> v{a};")
     lines.append("}")

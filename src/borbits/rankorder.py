@@ -24,11 +24,10 @@ tables its varieties keep.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
 from operator import le
-from typing import Iterable, Iterator
 
 from ._value import Value, set_field
 from .errors import (
@@ -38,7 +37,7 @@ from .errors import (
     UnknownSuiteError,
 )
 from .involutions import Involution, Permutation, to_permutation
-from .matrices import Matrix, _fraction_free_insert, echelon_insert, integral_multiple
+from .matrices import Matrix, _field_insert, _fraction_free_insert, integral_multiple
 
 # one byte per cell, and a cell counts at most n rooks
 TABLE_MAX_N = 255
@@ -176,12 +175,16 @@ class RankMatrix(Value):
 def exact_rank(matrix: Sequence[Sequence]) -> int:
     """Rank by exact elimination, fraction-free over the integers or over
     Q(eps); no floating point anywhere.  The matrix may be rectangular,
-    but ragged rows raise :class:`SizeMismatchError`."""
+    but ragged rows raise :class:`SizeMismatchError`.  Typed once, as its
+    integral multiple, all ints or all promoted to Q(eps)."""
     if len({len(row) for row in matrix}) > 1:
         raise SizeMismatchError("ragged rows")
+    matrix = integral_multiple(matrix)
+    integral = type(next(chain.from_iterable(matrix), 0)) is int
+    insert = _fraction_free_insert if integral else _field_insert
     basis: list = []
-    for row in integral_multiple(matrix):
-        echelon_insert(basis, row)
+    for row in filter(any, matrix):  # a zero row adds nothing
+        insert(basis, row)
     return len(basis)
 
 
@@ -330,13 +333,12 @@ def _strict_ranks(matrix: Matrix, n: int) -> bytes:
     new row being cut to its own length.  Each pivot adds its column's
     lane to the table as it is found, and one product with ``units`` and
     one mask finish it: the size is checked and the lanes looked up once
-    per call.  The matrix is typed once, by its entry at (n, 1): an int
-    matrix goes to the fraction-free mode of
-    :func:`~borbits.matrices.echelon_insert` directly."""
+    per call.  The matrix is typed once, by its entry at (n, 1), for the
+    kernel's mode."""
     units, lanes, below = _lanes(_table_size(n))
     width = 8 * n
     integral = n > 1 and type(matrix[n - 1][0]) is int
-    insert = _fraction_free_insert if integral else echelon_insert
+    insert = _fraction_free_insert if integral else _field_insert
     basis, pivot_rows, placed = [], {}, 0
     for i in range(n - 1, 0, -1):  # 0-based row i, cut to its i columns
         if i in pivot_rows:

@@ -314,9 +314,9 @@ def _suite_essential_set(n: int, seed: int, samples: int):
 _SUITES = {
     "counts": (_suite_counts, 10),
     "order-equivalence": (_suite_order_equivalence, 10),
-    "covers": (_suite_covers, 9),
+    "covers": (_suite_covers, 10),
     "graded": (_suite_graded, 10),
-    "dimension": (_suite_dimension, 9),
+    "dimension": (_suite_dimension, 10),
     "rank-invariance": (_suite_rank_invariance, 7),
     "degeneration": (_suite_degeneration, 10),
     "closure": (_suite_closure, 7),

@@ -27,14 +27,31 @@ from borbits import (
     orbit_point,
     parse_involution,
     random_borel,
-    rook_matrix_lower,
 )
 from borbits import orbits, suites
 from borbits.errors import BorbitsError, IndexOutOfRangeError, LimitUndefinedError
-from borbits.matrices import echelon_insert, exact_entry, field_constants, promote, square_size
-from borbits.poset import LSets
+from borbits.matrices import (
+    _field_insert,
+    _fraction_free_insert,
+    exact_entry,
+    field_constants,
+    integral_multiple,
+    promote,
+    square_size,
+)
+from borbits.poset import LSets, hasse_edges, poset_ranks
 from borbits.rankorder import _dominated, bit_indices
 from borbits.ratfunc import EPS, Q_ZERO, RF_ONE, RF_ZERO
+
+
+def echelon_insert(basis: list, row):
+    """The elimination kernel with each row typed as it goes in: a row
+    of plain ints by the fraction-free mode, any other over its field.
+    Returns the new pivot column, or None when the row depends on the
+    basis."""
+    if all(type(x) is int for x in row):
+        return _fraction_free_insert(basis, row)
+    return _field_insert(basis, row)
 
 
 def filter_involutions(n: int) -> list[Involution]:
@@ -325,6 +342,14 @@ def prefix_corner_ranks(matrix, strict: bool = False):
     return tuple(tuple(r) for r in rows)
 
 
+def rook_matrix_lower(sigma: Involution) -> tuple[tuple[int, ...], ...]:
+    """Strictly lower-triangular rook placement: a 1 at (i, j) per arc (i, j)."""
+    rows = [[0] * sigma.n for _ in range(sigma.n)]
+    for i, j in sigma.arcs:
+        rows[i - 1][j - 1] = 1
+    return tuple(tuple(row) for row in rows)
+
+
 def rook_matrix_upper(sigma: Involution) -> tuple[tuple[int, ...], ...]:
     """Strictly upper-triangular rook placement: a 1 at (j, i) per arc (i, j)."""
     rows = [[0] * sigma.n for _ in range(sigma.n)]
@@ -586,6 +611,103 @@ def scan_l_sets(sigma, poset) -> LSets:
             star.append(a)
     wrap = lambda idxs: frozenset(elements[k] for k in idxs)
     return LSets(wrap(minus), wrap(zero), wrap(plus), wrap(prime), wrap(star))
+
+
+def union_loop_l_sets(sigma, poset) -> LSets:
+    """Oracle: the L-classes in one pass over sigma's down-set, element
+    by element: ``through`` is the union of the down-sets of all w below
+    sigma, ``through_fewer`` that over the w with fewer arcs."""
+    b = poset.index_of(sigma)
+    elements, less = poset.elements, poset.less
+    s_sigma = len(sigma.arcs)
+    through = through_fewer = fewer = same = 0
+    for w in bit_indices(less[b]):
+        through |= less[w]
+        s_w = len(elements[w].arcs)
+        if s_w < s_sigma:
+            fewer |= 1 << w
+            through_fewer |= less[w]
+        elif s_w == s_sigma:
+            same |= 1 << w
+    star = less[b] & ~through
+    wrap = lambda mask: frozenset(elements[k] for k in bit_indices(mask))
+    return LSets(
+        l_minus=wrap(fewer & ~through_fewer),
+        l_zero=wrap(star & same),
+        l_plus=wrap(star & ~(fewer | same)),
+        l_prime=wrap(star & fewer),
+        l_star=wrap(star),
+    )
+
+
+def delta_scan_bracket_matrix(sigma) -> tuple:
+    """Oracle: the matrix whose rank is the orbit dimension, every cell
+    tested: row (r, s), r > s, column (p, q), p <= q, holds
+    ([e_pq, lam])_{r,s} = delta_{r,p} lam_{q,s} - lam_{r,p} delta_{q,s}."""
+    n = sigma.n
+    lam = rook_matrix_lower(sigma)
+    basis = [(p, q) for p in range(1, n + 1) for q in range(p, n + 1)]
+    lower = [(r, s) for r in range(1, n + 1) for s in range(1, r)]
+    matrix = []
+    for r, s in lower:
+        row = []
+        for p, q in basis:
+            value = 0
+            if r == p:
+                value += lam[q - 1][s - 1]
+            if q == s:
+                value -= lam[r - 1][p - 1]
+            row.append(value)
+        matrix.append(tuple(row))
+    return tuple(matrix)
+
+
+def row_typed_rank(matrix) -> int:
+    """Oracle: the rank of a rectangular matrix by its integral multiple,
+    each row typed again by the elimination kernel as it goes in."""
+    basis: list = []
+    for row in integral_multiple(matrix):
+        echelon_insert(basis, row)
+    return len(basis)
+
+
+def scan_hasse_dot(poset) -> str:
+    """Oracle: the DOT text with each rank=same line from one scan of
+    all the nodes for that rank."""
+    ranks = poset_ranks(poset)
+    lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box];']
+    for k, sigma in enumerate(poset.elements):
+        lines.append(f'  v{k} [label="{format_involution(sigma)}"];')
+    for level in sorted(set(ranks)):
+        same = " ".join(f"v{k};" for k in range(len(ranks)) if ranks[k] == level)
+        lines.append(f"  {{ rank=same; {same} }}")
+    for b, a in hasse_edges(poset):
+        lines.append(f"  v{b} -> v{a};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def generator_lower_covers(cells: bytes, n: int, less) -> tuple:
+    """Oracle: the lower covers peeled by entry-sum layers, each layer
+    found and each cover set listed through ``bit_indices``."""
+    stride = n * n
+    sums = [sum(cells[k : k + stride]) for k in range(0, len(cells), stride)]
+    layers = [0] * (max(sums, default=0) + 1)
+    for k, s in enumerate(sums):
+        layers[s] |= 1 << k
+    covers = []
+    for s, rest in zip(sums, less):
+        found = 0
+        while rest:
+            s -= 1
+            top = rest & layers[s]
+            if top:
+                found |= top
+                for a in bit_indices(top):
+                    top |= less[a]
+                rest &= ~top
+        covers.append(tuple(bit_indices(found)))
+    return tuple(covers)
 
 
 @pytest.fixture(scope="session")

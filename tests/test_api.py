@@ -32,6 +32,7 @@ REMOVED = {
     "exact_det": "matrices",
     "identity_matrix": "matrices",
     "SingularElementError": "errors",
+    "rook_matrix_lower": "involutions",
 }
 
 

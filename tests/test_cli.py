@@ -468,6 +468,17 @@ def test_cli_import_loads_no_dataclasses():
     assert result.stdout == "[]\n"
 
 
+def test_bare_cli_import_loads_no_typing_or_parser():
+    # with no site packages, which may import typing themselves, nothing
+    # of the package's own start loads typing, dataclasses, inspect, ast
+    # or argparse
+    heavy = "{'typing', 'dataclasses', 'inspect', 'ast', 'argparse'}"
+    code = f"import sys, borbits.cli; print(sorted({heavy} & set(sys.modules)))"
+    result = run_python("-S", "-c", code)
+    assert result.returncode == 0
+    assert result.stdout == "[]\n"
+
+
 def test_help_and_errors_still_come_from_argparse():
     result = run_probe("verify", "--help")
     assert result.returncode == 0

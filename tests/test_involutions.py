@@ -19,7 +19,6 @@ from borbits import (
     near_moves,
     orbit_point,
     parse_involution,
-    rook_matrix_lower,
     to_permutation,
 )
 from borbits import moves
@@ -37,6 +36,7 @@ from conftest import (
     filter_involutions,
     permutation_matrix,
     reduced_word,
+    rook_matrix_lower,
     rook_matrix_upper,
 )
 
@@ -137,7 +137,8 @@ def test_format_parse_round_trip():
 
 def test_large_enumeration_is_not_kept():
     # an enumeration is freed with its last user, not kept for the life of
-    # the process (n = 11: 35,696 involutions, ~15 MiB)
+    # the process (n = 11: 35,696 involutions, ~6 MiB with each arc built
+    # once per enumeration)
     gc.collect()
     tracemalloc.start()
     try:
@@ -150,7 +151,7 @@ def test_large_enumeration_is_not_kept():
         after = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert alive > 8 * 2**20
+    assert alive > 4 * 2**20
     assert after < 2**20
 
 

@@ -12,7 +12,8 @@ from borbits.closure import (
 )
 from borbits.errors import NotAFieldError, NotInvertibleError, SizeMismatchError
 from borbits.matrices import (
-    echelon_insert,
+    _field_insert,
+    _fraction_free_insert,
     integral_multiple,
     is_strictly_lower,
     is_upper_triangular,
@@ -251,8 +252,8 @@ def test_bit_row_tables_equal_gf2_tables():
 def test_integer_rows_stay_integers():
     # int rows used to be divided with /, storing 0.0 and -0.5
     basis: list = []
-    echelon_insert(basis, [2, 1])
-    echelon_insert(basis, [3, 1])
+    _fraction_free_insert(basis, [2, 1])
+    _fraction_free_insert(basis, [3, 1])
     assert basis == [(0, [2, 1]), (1, [0, -1])]
     assert all(type(x) is int for _, row in basis for x in row)
 
@@ -269,8 +270,8 @@ def test_fraction_free_rows_are_multiples_of_the_field_rows(matrix):
     int_basis: list = []
     field_basis: list = []
     for row in matrix:
-        echelon_insert(int_basis, list(row))
-        echelon_insert(field_basis, [Fraction(x) for x in row])
+        _fraction_free_insert(int_basis, list(row))
+        _field_insert(field_basis, [Fraction(x) for x in row])
     assert len(int_basis) == len(field_basis) == exact_rank(matrix)
     for (col, row), (field_col, field_row) in zip(int_basis, field_basis):
         assert col == field_col

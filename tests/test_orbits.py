@@ -7,6 +7,7 @@ from conftest import (
     SingularElementError,
     columns_of,
     delta_minors,
+    delta_scan_bracket_matrix,
     dense_act_word,
     diagonal_weights,
     explicit_closed_form,
@@ -17,6 +18,7 @@ from conftest import (
     orbit_functional,
     prefix_corner_ranks,
     randint_borel,
+    rook_matrix_lower,
     strictly_lower,
     upper,
     x_elem,
@@ -40,7 +42,6 @@ from borbits import (
     parse_involution,
     random_borel,
     rank_profile,
-    rook_matrix_lower,
     star_rank_matrix,
     to_permutation,
 )
@@ -58,7 +59,7 @@ from borbits.errors import (
     ZeroXiError,
 )
 from borbits.matrices import integral_multiple, mat_mul
-from borbits import moves, orbits
+from borbits import moves, orbits, rankorder
 from borbits.moves import Move
 from borbits.orbits import _act_numerator, _act_word, _random_borel_int
 from borbits.rankorder import _strict_ranks
@@ -477,6 +478,24 @@ def test_orbit_dimension_equals_length_small():
     for n in range(1, 6):
         for sigma in enumerate_involutions(n):
             assert orbit_dimension(sigma) == length(to_permutation(sigma))
+
+
+def test_bracket_matrices_are_the_delta_scan(monkeypatch):
+    # the matrix ranked for each sigma up to S_7, entry for entry, zero
+    # rows included, against the one that tests every cell
+    ranked = []
+
+    def keep(matrix):
+        ranked.append(matrix)
+        return rankorder.exact_rank(matrix)
+
+    monkeypatch.setattr(orbits, "exact_rank", keep)
+    for n in range(1, 8):
+        for sigma in enumerate_involutions(n):
+            orbit_dimension(sigma)
+            built = ranked.pop()
+            assert all(type(x) is int for row in built for x in row)
+            assert tuple(map(tuple, built)) == delta_scan_bracket_matrix(sigma)
 
 
 def test_delta_minors_examples():

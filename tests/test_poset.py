@@ -26,10 +26,17 @@ from borbits import poset as poset_module
 from borbits import rankorder
 from borbits.errors import BoundExceededError, NotInPosetError, UnknownSuiteError
 from borbits.moves import n_minus, n_plus, n_prime, n_zero
-from borbits.poset import _lower_covers, poset_ranks
+from borbits.poset import Poset, _lower_covers, poset_ranks
 from borbits.rankorder import RankMatrix, bit_indices, dominance_masks, joined_cells
 
-from conftest import leq_bruhat, leq_melnikov, scan_l_sets
+from conftest import (
+    generator_lower_covers,
+    leq_bruhat,
+    leq_melnikov,
+    scan_hasse_dot,
+    scan_l_sets,
+    union_loop_l_sets,
+)
 from test_rankorder import rank_tables
 
 
@@ -110,6 +117,56 @@ def test_l_sets_match_the_scan_oracle(order):
         poset = build_poset(n, order)
         for sigma in poset.elements:
             assert l_sets(sigma, poset) == scan_l_sets(sigma, poset)
+
+
+def test_l_sets_match_the_union_loop_oracle():
+    # every involution up to S_8 in the star order, where the covers
+    # suite compares them with the moves
+    for n in range(1, 9):
+        poset = build_poset(n, "star")
+        for sigma in poset.elements:
+            assert l_sets(sigma, poset) == union_loop_l_sets(sigma, poset)
+
+
+def test_l_sets_never_read_the_covers():
+    # a poset whose covers are all empty has the same L-classes: the
+    # covers suite compares l_star with those covers, so reading them
+    # would make that check circular
+    poset = build_poset(6, "star")
+    blank = Poset(poset.order, poset.n, poset.elements, poset.less, ((),) * 76, poset.index)
+    for sigma in poset.elements:
+        assert l_sets(sigma, blank) == l_sets(sigma, poset)
+
+
+@pytest.mark.parametrize("order", ["star", "melnikov", "bruhat"])
+def test_l_set_layers_are_built_on_first_use(order):
+    # build_poset leaves them alone; the first l_sets builds them, once
+    build_poset.cache_clear()
+    poset = build_poset(7, order)
+    assert "_layers" not in vars(poset)
+    l_sets(poset.elements[0], poset)
+    layers = vars(poset)["_layers"]
+    for sigma in poset.elements:
+        l_sets(sigma, poset)
+    assert poset._layers is layers
+    height, by_height, _, _ = layers
+    # a height that rises along every relation; Incitti's rank where it does
+    for b, mask in enumerate(poset.less):
+        assert all(height[a] < height[b] for a in bit_indices(mask))
+        assert by_height[height[b]] >> b & 1
+    incitti = [
+        (length(to_permutation(sigma)) + len(sigma.arcs)) // 2 for sigma in poset.elements
+    ]
+    assert (height == incitti) is (order != "melnikov")
+
+
+@pytest.mark.parametrize("order", ["star", "melnikov", "bruhat"])
+def test_hasse_dot_and_covers_match_the_scanning_routes(order):
+    for n in range(1, 9):
+        poset = build_poset(n, order)
+        assert hasse_dot(poset) == scan_hasse_dot(poset)
+        cells = joined_cells(order, poset.elements, n)
+        assert poset.covers == generator_lower_covers(cells, n, poset.less)
 
 
 @pytest.mark.parametrize("order", ["star", "bruhat"])

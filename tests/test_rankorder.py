@@ -18,7 +18,6 @@ from borbits import (
     melnikov_rank_matrix,
     parse_involution,
     rank_profile,
-    rook_matrix_lower,
     star_rank_matrix,
     to_permutation,
 )
@@ -45,7 +44,7 @@ from borbits.rankorder import (
     dominance_masks,
     joined_cells,
 )
-from borbits.ratfunc import EPS, RF_ONE, RF_ZERO, RFun, poly
+from borbits.ratfunc import EPS, EPS_INV, RF_ONE, RF_ZERO, RFun, poly
 
 from conftest import (
     all_permutations,
@@ -56,6 +55,8 @@ from conftest import (
     prefix_corner_ranks,
     rationals,
     rook_matrix_upper,
+    rook_matrix_lower,
+    row_typed_rank,
     southwest_count,
 )
 
@@ -111,6 +112,8 @@ def test_exact_rank_examples():
     assert exact_rank(tuple(tuple(int(r == c) for c in range(4)) for r in range(4))) == 4
     assert exact_rank(((1, 2), (2, 4))) == 1
     assert exact_rank(((Fraction(1, 2), Fraction(1, 3)), (Fraction(3), Fraction(2)))) == 1
+    # exact on ints: an elimination that divided them as floats would read 1
+    assert exact_rank(((1, 10**20), (1, 10**20 + 1))) == 2
 
 
 def test_exact_rank_rectangular_and_ragged():
@@ -119,6 +122,46 @@ def test_exact_rank_rectangular_and_ragged():
     assert exact_rank(((1, 0), (0, 1), (1, 1))) == 2
     with pytest.raises(SizeMismatchError):
         exact_rank([[1, 2], [3]])
+
+
+# mostly 0 and 1, with a few other values of each field
+_RANKED_ENTRIES = {
+    "int": [0, 0, 0, 1, 1, -1, 2],
+    "fraction": [Fraction(0)] * 3 + [Fraction(1), Fraction(-1), Fraction(2, 3), 4],
+    "rfun": [RF_ZERO] * 3 + [RF_ONE, EPS, -EPS_INV, EPS - EPS_INV, Fraction(1, 2), 3],
+}
+
+
+@st.composite
+def ranked_matrices(draw):
+    """A rectangular matrix over the ints, Q (ints mixed in) or Q(eps)
+    (rationals mixed in), with one float in place of an entry on request."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    pick = st.sampled_from(_RANKED_ENTRIES[draw(st.sampled_from(sorted(_RANKED_ENTRIES)))])
+    matrix = [[draw(pick) for _ in range(cols)] for _ in range(rows)]
+    if rows and cols and draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = 0.5
+        return tuple(map(tuple, matrix)), True
+    return tuple(map(tuple, matrix)), False
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ranked_matrices())
+@example(case=(((Fraction(1, 2), 1), (1, 2)), False))
+@example(case=(((EPS, RF_ONE), (1, EPS_INV)), False))
+@example(case=(((EPS, Fraction(1, 2)), (EPS + EPS, 1)), False))
+@example(case=(((1, 2), (2, 0.5)), True))
+def test_exact_rank_types_the_matrix_once(case):
+    # the rank of the row-typed route over each field, and a float anywhere
+    # is rejected as it was
+    matrix, has_float = case
+    if has_float:
+        with pytest.raises(NotAFieldError):
+            exact_rank(matrix)
+        with pytest.raises(NotAFieldError):
+            row_typed_rank(matrix)
+    else:
+        assert exact_rank(matrix) == row_typed_rank(matrix)
 
 
 def test_southwest_count_examples():

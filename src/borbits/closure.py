@@ -6,6 +6,10 @@ Membership asks two condition families of a strictly lower-triangular A:
 - vanishing of the square entries ``(A^2)_{r,s}`` on the upward-closed
   cell set spread above the maximal arcs.
 
+:meth:`ZSpec.contains` tests one point against one variety;
+:func:`members` tests many points against many varieties at once,
+bit-sliced by cell over int bitsets of the points.
+
 For chain supports the variety is known to agree with the orbit closure;
 the essential-set machinery below checks, set-theoretically over any
 prime field, that rank bounds at the essential cells of the complementary
@@ -21,7 +25,7 @@ elimination.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from functools import lru_cache, reduce
 from itertools import product
 from math import isqrt
@@ -61,14 +65,17 @@ def maximal_support(sigma: Involution) -> frozenset[Arc]:
 
 
 def quadric_cells(sigma: Involution) -> frozenset[tuple[int, int]]:
-    """Board cells strictly above some maximal arc; upward closed."""
+    """Board cells strictly above some maximal arc; upward closed.  Above
+    the arc (i, j) lie the board cells (r, s) with r >= i and s <= j, the
+    arc aside; no maximal arc lies above another."""
     tops = maximal_support(sigma)
-    return frozenset(
+    cells = {
         (r, s)
-        for r in range(2, sigma.n + 1)
-        for s in range(1, r)
-        if any(phi_lt(arc, (r, s)) for arc in tops)
-    )
+        for i, j in tops
+        for r in range(i, sigma.n + 1)
+        for s in range(1, min(j, r - 1) + 1)
+    }
+    return frozenset(cells - tops)
 
 
 # (n, strict corner ranks as row-major bytes, cells where A^2 != 0 among
@@ -132,6 +139,49 @@ class ZSpec(Value):
 
 def z_spec(sigma: Involution) -> ZSpec:
     return ZSpec(sigma, star_rank_matrix(sigma), quadric_cells(sigma))
+
+
+def members(specs: Sequence[ZSpec], points: Sequence[ZPoint]) -> tuple[int, ...]:
+    """Every point against every variety at once: bit a of entry b is set
+    iff ``specs[b].contains(points[a])``.
+
+    Bit-sliced by cell, as :func:`~borbits.rankorder.dominance_masks` is:
+    for each cell, :func:`~borbits.rankorder._at_most_sets` of the points'
+    ranks there, and each spec's mask ANDed with the set at its bound;
+    then one AND-NOT per spec with the points whose A^2 is nonzero at one
+    of its quadric cells.  A cell is skipped only where no point's rank
+    passes any bound: a column on which every point agrees still rejects
+    them all under a bound below it.  :meth:`ZSpec.contains`, one pair at
+    a time, is the oracle for this kernel."""
+    if not specs or not points:
+        return (0,) * len(specs)
+    sizes = {spec.sigma.n for spec in specs} | {n for n, _, _ in points}
+    if len(sizes) > 1:
+        raise SizeMismatchError(f"matrix sizes {sorted(sizes)} in one membership test")
+    stride = sizes.pop() ** 2
+    if any(len(ranks) != stride for _, ranks, _ in points):
+        raise SizeMismatchError(f"a point without {stride} corner ranks")
+    ranks = b"".join(ranks for _, ranks, _ in points)
+    bounds = b"".join(spec.rank_bounds.cells for spec in specs)
+    everyone = (1 << len(points)) - 1
+    masks = [everyone] * len(specs)
+    for k in range(stride):
+        column, limits = ranks[k::stride], bounds[k::stride]
+        top, widest = max(column), max(limits)
+        if top <= min(limits):
+            continue
+        at_most = _at_most_sets(column) + (everyone,) * (widest - top)
+        masks = [mask & at_most[v] for mask, v in zip(masks, limits)]
+    # bit a of nonzero[cell]: A^2 of points[a] is nonzero at cell
+    nonzero: dict[tuple[int, int], int] = {}
+    for a, (_, _, support) in enumerate(points):
+        for cell in support:
+            nonzero[cell] = nonzero.get(cell, 0) | 1 << a
+    cells = nonzero.keys()
+    return tuple(
+        reduce(lambda mask, cell: mask & ~nonzero[cell], cells & spec.quadric_cells, mask)
+        for mask, spec in zip(masks, specs)
+    )
 
 
 def z_contains(spec: ZSpec, a: Matrix) -> bool:

@@ -221,7 +221,13 @@ def length(w: Permutation) -> int:
     """Number of inversions, i.e. the length of any reduced word."""
     if not isinstance(w, Permutation):
         raise IndexOutOfRangeError(f"not a Permutation: {w!r}")
-    return sum(x > y for x, y in combinations(w.one_line, 2))
+    return _inversions(w.one_line)
+
+
+def _inversions(word: tuple[int, ...]) -> int:
+    """:func:`length` of a one-line word, unchecked: an involution's
+    ``one_line()`` is counted with no :class:`Permutation` built."""
+    return sum(x > y for x, y in combinations(word, 2))
 
 
 def enumerate_involutions(n: int) -> tuple[Involution, ...]:

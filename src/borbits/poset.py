@@ -15,13 +15,7 @@ from operator import or_
 
 from ._value import Value
 from .errors import BoundExceededError, NotInPosetError
-from .involutions import (
-    Involution,
-    enumerate_involutions,
-    format_involution,
-    length,
-    to_permutation,
-)
+from .involutions import Involution, _inversions, enumerate_involutions, format_involution
 from .rankorder import bit_indices, dominance_masks, joined_cells
 
 POSET_MAX_N = 10
@@ -65,7 +59,7 @@ class Poset(Value, repr_hides=("index",)):
         (Incitti's rank (length + arcs) / 2 if it rises along the order, else
         the down-set size) and the bitsets of each height, of each arc count
         and of fewer arcs than each."""
-        height = [(length(to_permutation(s)) + len(s.arcs)) // 2 for s in self.elements]
+        height = [(_inversions(s.one_line()) + len(s.arcs)) // 2 for s in self.elements]
         lower = list(accumulate(_bitsets(height), or_, initial=0))  # heights below h
         if any(mask & ~lower[h] for mask, h in zip(self.less, height)):
             height = [mask.bit_count() for mask in self.less]

@@ -20,15 +20,11 @@ from .closure import (
     complement_permutation,
     essential_reduction_check,
     is_chain,
+    members,
     z_spec,
 )
 from .errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
-from .involutions import (
-    enumerate_involutions,
-    format_involution,
-    length,
-    to_permutation,
-)
+from .involutions import _inversions, enumerate_involutions, format_involution, length
 from .moves import (
     _move_outputs,
     n_minus,
@@ -50,7 +46,6 @@ from .rankorder import (
     bit_indices,
     dominance_masks,
     joined_cells,
-    star_rank_matrix,
 )
 from .ratfunc import Q_ONE
 
@@ -181,7 +176,7 @@ def _suite_graded(n: int, seed: int, samples: int):
     # Incitti's rank (length + arcs) / 2, a route apart from the poset's
     # longest-path ranks, rises by one along every cover
     elements = poset.elements
-    rank = [(length(to_permutation(s)) + len(s.arcs)) // 2 for s in elements]
+    rank = [(_inversions(s.one_line()) + len(s.arcs)) // 2 for s in elements]
     failures += [
         {
             "sigma": format_involution(elements[b]),
@@ -200,7 +195,7 @@ def _suite_dimension(n: int, seed: int, samples: int):
     for sigma in enumerate_involutions(n):
         checked += 1
         dim = orbit_dimension(sigma)
-        expect = length(to_permutation(sigma))
+        expect = _inversions(sigma.one_line())
         if dim != expect:
             failures.append(
                 {"sigma": format_involution(sigma), "dimension": dim, "length": expect}
@@ -224,8 +219,11 @@ def _orbit_samples(n: int, seed: int, samples: int, index: int, sigma):
 
 def _suite_rank_invariance(n: int, seed: int, samples: int):
     checked, failures = 0, []
-    for index, sigma in enumerate(enumerate_involutions(n)):
-        expect = star_rank_matrix(sigma).cells
+    elements = enumerate_involutions(n)
+    # sigma's expected table is its slice of one joined product
+    tables, size = joined_cells("star", elements, n), n * n
+    for index, sigma in enumerate(elements):
+        expect = tables[index * size : (index + 1) * size]
         for sample_seed, point in _orbit_samples(n, seed, samples, index, sigma):
             checked += 1
             if _strict_ranks(point, n) != expect:
@@ -254,37 +252,40 @@ def _suite_degeneration(n: int, seed: int, samples: int):
 
 
 def _suite_closure(n: int, seed: int, samples: int):
-    checked, failures = 0, []
     elements = enumerate_involutions(n)
-    # bit a of below[b]: elements[a] <=* elements[b]; z_spec reads each
-    # sigma's own table, so the tables are built one by one and joined
-    below = dominance_masks(b"".join(star_rank_matrix(s).cells for s in elements), n)
-    # tau's first orbit point, for each sigma above it (lex order extends
-    # <=*); its base point, of ranks star(tau) and A^2 = 0, retests below
-    first_points = []
-    for index, sigma in enumerate(elements):
-        spec = z_spec(sigma)
-        for k, (sample_seed, raw) in enumerate(_orbit_samples(n, seed, samples, index, sigma)):
+    specs = [z_spec(sigma) for sigma in elements]
+    # bit a of below[b]: elements[a] <=* elements[b]
+    below = dominance_masks(b"".join(spec.rank_bounds.cells for spec in specs), n)
+    # sigma's samples against its own variety, the first read at every
+    # cell and kept for the pairs; a base point, of ranks star(tau) and
+    # A^2 = 0, would retest below
+    first_points, escaped = [], []
+    for index, spec in enumerate(specs):
+        seeds = []
+        for k, (sample_seed, raw) in enumerate(_orbit_samples(n, seed, samples, index, spec.sigma)):
             if k == 0:
                 point = _z_point(raw)
                 first_points.append(point)
-            else:  # tested against sigma's own variety alone
+            else:
                 point = _z_point(raw, spec.quadric_cells)
-            checked += 1
             if not spec.contains(point):
-                failures.append(
-                    {"sigma": format_involution(sigma), "seed": sample_seed}
-                )
-        for a in bit_indices(below[index]):
-            checked += 1
-            if not spec.contains(first_points[a]):
-                failures.append(
-                    {
-                        "sigma": format_involution(sigma),
-                        "tau": format_involution(elements[a]),
-                        "detail": "orbit point of comparable tau escapes variety",
-                    }
-                )
+                seeds.append(sample_seed)
+        escaped.append(seeds)
+    # tau's first orbit point against Z_sigma for every tau <=* sigma, in one pass
+    inside = members(specs, first_points)
+    failures = []
+    for sigma, seeds, lower, within in zip(elements, escaped, below, inside):
+        name = format_involution(sigma)
+        failures += [{"sigma": name, "seed": sample_seed} for sample_seed in seeds]
+        failures += [
+            {
+                "sigma": name,
+                "tau": format_involution(elements[a]),
+                "detail": "orbit point of comparable tau escapes variety",
+            }
+            for a in bit_indices(lower & ~within)
+        ]
+    checked = len(elements) * samples + sum(mask.bit_count() for mask in below)
     return checked, failures
 
 
@@ -294,7 +295,7 @@ def _suite_essential_set(n: int, seed: int, samples: int):
     for sigma in enumerate_involutions(n):
         w = complement_permutation(sigma)
         checked += 1
-        if length(w) != n_phi - length(to_permutation(sigma)):
+        if length(w) != n_phi - _inversions(sigma.one_line()):
             failures.append(
                 {"sigma": format_involution(sigma), "detail": "length identity fails"}
             )

@@ -23,6 +23,7 @@ from borbits import (
     format_involution,
     involution,
     involution_from_one_line,
+    maximal_support,
     melnikov_rank_matrix,
     orbit_point,
     parse_involution,
@@ -39,6 +40,7 @@ from borbits.matrices import (
     promote,
     square_size,
 )
+from borbits.moves import phi_lt
 from borbits.poset import LSets, hasse_edges, poset_ranks
 from borbits.rankorder import _dominated, bit_indices
 from borbits.ratfunc import EPS, Q_ZERO, RF_ONE, RF_ZERO
@@ -551,6 +553,18 @@ def field_z_contains(spec, a) -> bool:
     ):
         return False
     return all(square_entry(a, r, s) == 0 for r, s in spec.quadric_cells)
+
+
+def scan_quadric_cells(sigma: Involution) -> frozenset[tuple[int, int]]:
+    """Oracle for ``quadric_cells``: every board cell tested against
+    every maximal arc in the board order."""
+    tops = maximal_support(sigma)
+    return frozenset(
+        (r, s)
+        for r in range(2, sigma.n + 1)
+        for s in range(1, r)
+        if any(phi_lt(arc, (r, s)) for arc in tops)
+    )
 
 
 def scan_bounds_imply_all(tables, bounds: bytes, cells) -> bool:

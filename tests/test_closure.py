@@ -13,6 +13,7 @@ from conftest import (
     permutation_matrix,
     rotate90,
     scan_bounds_imply_all,
+    scan_quadric_cells,
     square_entry,
     trial_division_is_prime,
 )
@@ -48,6 +49,7 @@ from borbits import (
 )
 from borbits.closure import (
     ESSENTIAL_MAX_N,
+    members,
     z_point,
     _all_corner_rank_tables,
     _bounds_imply_all,
@@ -91,6 +93,12 @@ def test_quadric_cells_upward_closed():
                     for s in range(1, r):
                         if phi_lt(cell, (r, s)):
                             assert (r, s) in cells
+
+
+def test_quadric_cells_match_the_scan_oracle():
+    for n in range(1, 9):
+        for sigma in enumerate_involutions(n):
+            assert quadric_cells(sigma) == scan_quadric_cells(sigma), sigma
 
 
 def test_gamma_examples():
@@ -295,6 +303,71 @@ def test_z_contains_integer_route_matches_field_route(case):
     sigma, a = case
     spec = z_spec(sigma)
     assert z_contains(spec, a) is field_z_contains(spec, a)
+
+
+def pairwise_members(specs, points) -> tuple[int, ...]:
+    return tuple(
+        sum(spec.contains(point) << a for a, point in enumerate(points)) for spec in specs
+    )
+
+
+@st.composite
+def member_cases(draw):
+    """(specs, points): real varieties of S_n, and points whose ranks sit
+    at, below or above one spec's bounds cell by cell, whose A^2 supports
+    are random board cells, and which may all agree on one cell, one
+    above the first spec's bound there."""
+    n = draw(st.integers(1, 5))
+    elements = enumerate_involutions(n)
+    specs = [z_spec(s) for s in draw(st.lists(st.sampled_from(elements), min_size=1, max_size=6))]
+    board = st.sampled_from([(r, s) for r in range(2, n + 1) for s in range(1, r)] or [(2, 1)])
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        bounds = draw(st.sampled_from(specs)).rank_bounds.cells
+        shifts = draw(st.lists(st.integers(-1, 1), min_size=n * n, max_size=n * n))
+        ranks = bytearray(max(0, v + d) for v, d in zip(bounds, shifts))
+        points.append((ranks, frozenset(draw(st.lists(board, max_size=4)))))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n * n - 1))
+        for ranks, _ in points:
+            ranks[k] = specs[0].rank_bounds.cells[k] + 1
+    return specs, [(n, bytes(ranks), support) for ranks, support in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=member_cases())
+def test_members_matches_contains_pair_by_pair(case):
+    specs, points = case
+    assert members(specs, points) == pairwise_members(specs, points)
+
+
+def test_members_of_first_orbit_points_match_contains():
+    # as the closure suite uses it: every sigma's variety against every
+    # tau's first orbit point at seed 0, read at every cell
+    for n in range(1, 7):
+        elements = enumerate_involutions(n)
+        specs = [z_spec(sigma) for sigma in elements]
+        points = [
+            z_point(next(_orbit_samples(n, 0, 1, index, tau))[1], n)
+            for index, tau in enumerate(elements)
+        ]
+        assert members(specs, points) == pairwise_members(specs, points)
+
+
+def test_members_edges():
+    spec = z_spec(parse_involution("(3,1)", 3))
+    point = z_point(orbit_point(spec.sigma))
+    assert members([], [point]) == ()
+    assert members([spec, spec], []) == (0, 0)
+    assert members([spec], [point, point]) == (0b11,)
+    # a mixed size, or a point without n^2 ranks, raises as contains does
+    pair = parse_involution("(2,1)", 2)
+    small = z_point(orbit_point(pair))
+    for bad in ([point, small], [(3, point[1][:-1], point[2])]):
+        with pytest.raises(SizeMismatchError):
+            members([spec], bad)
+    with pytest.raises(SizeMismatchError):
+        members([spec, z_spec(pair)], [small])
 
 
 def test_degeneration_curves_lie_in_the_variety_over_qeps():

@@ -8,13 +8,16 @@ from borbits import (
     emit_hasse,
     enumerate_involutions,
     format_involution,
+    leq_star,
     parse_involution,
     run_suite,
     star_rank_matrix,
     suite_names,
     to_permutation,
+    z_spec,
 )
 from borbits import closure, orbits, suites
+from borbits.closure import z_point
 from borbits.poset import Poset, build_poset, is_graded
 from borbits.errors import BoundExceededError, IndexOutOfRangeError, UnknownSuiteError
 from borbits.rankorder import _dominated
@@ -135,15 +138,64 @@ def test_sampled_suites_small():
     assert run_suite("essential-set", 3).passed
 
 
+def per_pair_closure(n: int, samples: int) -> tuple[int, list]:
+    """The closure suite with one contains call per sample and per
+    comparable pair, through whatever the test patched."""
+    elements = enumerate_involutions(n)
+    drawn = [
+        [z_point(raw, n) for _, raw in suites._orbit_samples(n, 0, samples, index, sigma)]
+        for index, sigma in enumerate(elements)
+    ]
+    checked, failures = 0, []
+    for index, sigma in enumerate(elements):
+        spec = z_spec(sigma)
+        for k, point in enumerate(drawn[index]):
+            checked += 1
+            if not spec.contains(point):
+                failures.append({"sigma": format_involution(sigma), "seed": index * 1_000 + k})
+        for tau, points in zip(elements, drawn):
+            if leq_star(tau, sigma):
+                checked += 1
+                if not spec.contains(points[0]):
+                    failures.append(
+                        {
+                            "sigma": format_involution(sigma),
+                            "tau": format_involution(tau),
+                            "detail": "orbit point of comparable tau escapes variety",
+                        }
+                    )
+    return checked, failures
+
+
 def test_closure_suite_checks_orbit_points_of_comparable_pairs(monkeypatch):
     # with a quadric on every cell the comparable pairs must fail as well,
-    # which they cannot on a base point: its A^2 is 0
+    # which they cannot on a base point: its A^2 is 0.  The records are
+    # those of the per-pair loop, in its order
     def every_cell(sigma):
         return frozenset((r, s) for r in range(2, sigma.n + 1) for s in range(1, r))
 
     monkeypatch.setattr(closure, "quadric_cells", every_cell)
     report = run_suite("closure", 4)
     assert any("tau" in failure for failure in report.failures)
+    assert (report.checked, list(report.failures)) == per_pair_closure(4, 100)
+
+
+def test_closure_suite_records_first_points_off_their_orbits(monkeypatch):
+    # every third involution's first sample swapped for the all-ones
+    # strictly lower matrix, of full corner ranks and A^2 != 0: it fails
+    # its own variety and those above it, as the per-pair loop reports
+    samples = suites._orbit_samples
+
+    def drawn(n, seed, count, index, sigma):
+        for k, (sample_seed, raw) in enumerate(samples(n, seed, count, index, sigma)):
+            if k == 0 and index % 3 == 1:
+                raw = tuple(tuple(int(c < r) for c in range(n)) for r in range(n))
+            yield sample_seed, raw
+
+    monkeypatch.setattr(suites, "_orbit_samples", drawn)
+    report = run_suite("closure", 4, samples=5)
+    assert any("tau" in failure for failure in report.failures)
+    assert (report.checked, list(report.failures)) == per_pair_closure(4, 5)
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,8 @@ Bruhat-Chevalley order on involutions of the symmetric group.
 
 Everything is computed over exact fields (integers, rationals, rational
 functions, small prime fields); no floating point anywhere.  The value
-types are immutable, but for ``SuiteReport``, a mutable record of one
-suite run, and the operations are pure functions, so the API is safe to
-share across threads.
+types are immutable and the operations are pure functions, so the API is
+safe to share across threads.
 """
 
 from .involutions import (

@@ -7,8 +7,8 @@ Membership asks two condition families of a strictly lower-triangular A:
   cell set spread above the maximal arcs.
 
 :meth:`ZSpec.contains` tests one point against one variety;
-:func:`members` tests many points against many varieties at once,
-bit-sliced by cell over int bitsets of the points.
+:func:`members` tests many points against many varieties at once, by
+:func:`~borbits.rankorder.dominance_masks` over their joined tables.
 
 For chain supports the variety is known to agree with the orbit closure;
 the essential-set machinery below checks, set-theoretically over any
@@ -42,7 +42,7 @@ from .errors import (
 from .involutions import Arc, Involution, Permutation
 from .matrices import Matrix, integral_multiple, is_strictly_lower, square_size
 from .moves import phi_lt
-from .rankorder import RankMatrix, _at_most_sets, _strict_ranks, star_rank_matrix
+from .rankorder import RankMatrix, _at_most_sets, _strict_ranks, dominance_masks, star_rank_matrix
 
 # the essential-set check's cost is the number of partial permutation
 # tables, which does not grow with q: 130,922 at n = 7, 1,441,729 at n = 8
@@ -145,33 +145,23 @@ def members(specs: Sequence[ZSpec], points: Sequence[ZPoint]) -> tuple[int, ...]
     """Every point against every variety at once: bit a of entry b is set
     iff ``specs[b].contains(points[a])``.
 
-    Bit-sliced by cell, as :func:`~borbits.rankorder.dominance_masks` is:
-    for each cell, :func:`~borbits.rankorder._at_most_sets` of the points'
-    ranks there, and each spec's mask ANDed with the set at its bound;
-    then one AND-NOT per spec with the points whose A^2 is nonzero at one
-    of its quadric cells.  A cell is skipped only where no point's rank
-    passes any bound: a column on which every point agrees still rejects
-    them all under a bound below it.  :meth:`ZSpec.contains`, one pair at
-    a time, is the oracle for this kernel."""
+    The rank half is :func:`~borbits.rankorder.dominance_masks` of the
+    points' ranks joined with the specs' bounds, each spec's mask cut to
+    the points' bits; then one AND-NOT per spec with the points whose A^2
+    is nonzero at one of its quadric cells.  :meth:`ZSpec.contains`, one
+    pair at a time, is the oracle for this kernel."""
     if not specs or not points:
         return (0,) * len(specs)
     sizes = {spec.sigma.n for spec in specs} | {n for n, _, _ in points}
     if len(sizes) > 1:
         raise SizeMismatchError(f"matrix sizes {sorted(sizes)} in one membership test")
-    stride = sizes.pop() ** 2
-    if any(len(ranks) != stride for _, ranks, _ in points):
-        raise SizeMismatchError(f"a point without {stride} corner ranks")
+    n = sizes.pop()
+    if any(len(ranks) != n * n for _, ranks, _ in points):
+        raise SizeMismatchError(f"a point without {n * n} corner ranks")
     ranks = b"".join(ranks for _, ranks, _ in points)
     bounds = b"".join(spec.rank_bounds.cells for spec in specs)
     everyone = (1 << len(points)) - 1
-    masks = [everyone] * len(specs)
-    for k in range(stride):
-        column, limits = ranks[k::stride], bounds[k::stride]
-        top, widest = max(column), max(limits)
-        if top <= min(limits):
-            continue
-        at_most = _at_most_sets(column) + (everyone,) * (widest - top)
-        masks = [mask & at_most[v] for mask, v in zip(masks, limits)]
+    masks = [mask & everyone for mask in dominance_masks(ranks + bounds, n)[len(points) :]]
     # bit a of nonzero[cell]: A^2 of points[a] is nonzero at cell
     nonzero: dict[tuple[int, int], int] = {}
     for a, (_, _, support) in enumerate(points):

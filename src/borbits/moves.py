@@ -166,9 +166,7 @@ def _move_outputs(sigma: Involution) -> MappingProxyType[Move, Involution]:
     decided by those: a removal needs no nested arc, a slide to m keeps
     each nested arc below the slid arc, and a split passes between two
     consecutive free points that no nested arc straddles."""
-    image = list(range(sigma.n + 1))
-    for i, j in sigma.arcs:
-        image[i], image[j] = j, i
+    image = (0, *sigma.one_line())  # image[k] = sigma(k)
     # per arc: its nested arcs by ascending q, the largest p among them,
     # and its free interior points; a nested arc that reaches past every
     # one of smaller q is maximal inside it, which makes the arc its b

@@ -287,7 +287,8 @@ def dominance_masks(cells: bytes, n: int) -> tuple[int, ...]:
     is ANDed with the set for its own entry.  About N*n*n big-int ANDs
     instead of N*N pairwise scans; a cell on which every table agrees is
     skipped.  The pairwise :func:`_dominated` is the oracle for this
-    kernel.
+    kernel.  The posets, the suites and :func:`~borbits.closure.members`
+    compare tables through it.
     """
     if not cells:
         return ()

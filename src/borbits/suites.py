@@ -59,9 +59,7 @@ class SuiteReport(Value):
     failures: tuple[dict, ...]
     wall_time: float
 
-    # mutable, so unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
+    # failures hold dicts, so no hash could be total
     __hash__ = None
 
     @property

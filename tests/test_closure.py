@@ -67,7 +67,7 @@ from borbits.errors import (
 from borbits.matrices import integral_multiple
 from borbits.moves import phi_lt
 from borbits.rankorder import exact_rank
-from borbits.suites import _orbit_samples
+from borbits.suites import _SUITES, _orbit_samples
 
 
 def test_maximal_support_examples():
@@ -342,9 +342,10 @@ def test_members_matches_contains_pair_by_pair(case):
 
 
 def test_members_of_first_orbit_points_match_contains():
-    # as the closure suite uses it: every sigma's variety against every
-    # tau's first orbit point at seed 0, read at every cell
-    for n in range(1, 7):
+    # as the closure suite uses it, up to its size bound: every sigma's
+    # variety against every tau's first orbit point at seed 0, read at
+    # every cell
+    for n in range(1, _SUITES["closure"][1] + 1):
         elements = enumerate_involutions(n)
         specs = [z_spec(sigma) for sigma in elements]
         points = [

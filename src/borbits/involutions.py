@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import lru_cache
 from itertools import combinations
 
 from ._value import Value, set_field
@@ -24,6 +25,11 @@ from .errors import (
     OverlapError,
     SizeMismatchError,
 )
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
 
 
 class Arc(namedtuple("Arc", "i j")):
@@ -92,7 +98,7 @@ class Involution(Value):
         return self.apply(m) == m
 
     def one_line(self) -> tuple[int, ...]:
-        image = list(range(1, self.n + 1))
+        image = list(_identity(self.n))
         for i, j in self.arcs:
             image[i - 1], image[j - 1] = j, i
         return tuple(image)
@@ -237,7 +243,7 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
     the smallest unused point p is fixed first, then paired with each
     larger q in turn.  Every point below p is placed already, so the
     value at p runs p, then q ascending, which is one-line lex order; and
-    the arcs (q, p) come out normalized, sorted by ascending p.
+    the arcs (q, p) come out normalized, so elements skip the constructor's checks.
     """
     if type(n) is not int or n < 1:
         raise IndexOutOfRangeError(f"size must be an int >= 1, got {n!r}")
@@ -247,7 +253,10 @@ def enumerate_involutions(n: int) -> tuple[Involution, ...]:
 
     def extend(points: tuple[int, ...], arcs: tuple[Arc, ...]) -> None:
         if not points:
-            found.append(Involution(n, arcs))
+            sigma = Involution.__new__(Involution)
+            set_field(sigma, "n", n)
+            set_field(sigma, "arcs", arcs)
+            found.append(sigma)
             return
         p, rest = points[0], points[1:]
         extend(rest, arcs)  # p fixed

@@ -26,7 +26,7 @@ none of them.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import itemgetter, ne
 from types import MappingProxyType
 
 from ._value import Value, set_field
@@ -258,12 +258,13 @@ def near(sigma: Involution) -> frozenset[Involution]:
 
 def n_prime(sigma: Involution) -> frozenset[Involution]:
     """Removals at minimal arcs whose closed interval [j, i] is free of
-    fixed points."""
+    fixed points, read off sigma's one-line word."""
+    word = sigma.one_line()
     return frozenset(
         tau
         for move, tau in _move_outputs(sigma).items()
         if move.kind == "remove"
-        and not any(sigma.is_fixed(m) for m in range(move.arc.j, move.arc.i + 1))
+        and all(map(ne, word[move.arc.j - 1 : move.arc.i], range(move.arc.j, move.arc.i + 1)))
     )
 
 

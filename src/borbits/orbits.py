@@ -51,7 +51,7 @@ from .matrices import (
     upper_inverse,
 )
 from .moves import Move, apply_move
-from .rankorder import RankMatrix, _strict_ranks, exact_rank
+from .rankorder import RankMatrix, _echelon_rank, _strict_ranks
 from .ratfunc import (
     EPS,
     EPS_INV,
@@ -188,7 +188,7 @@ def orbit_dimension(sigma: Involution) -> int:
             if p <= s:  # (r, p) an arc: q = s
                 row[first[p] + s] = -1
             matrix.append(row)
-    return exact_rank(matrix)
+    return _echelon_rank(matrix)  # plain ints by construction: no type pass
 
 
 def _random_borel_int(n: int, seed: int, bound: int = 3) -> Matrix:

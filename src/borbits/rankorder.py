@@ -17,9 +17,10 @@ rooks, so no lane carries while n <= 255, the bound of every table.
 The tables of many placements are built at once, by one product over
 one int in which each placement has a slot of 2n rows, and come out
 joined: what a rook adds above row 1 stays in its slot's spare upper
-rows.  The all-pairs consumers read joined cells: posets and
-order-equivalence build no per-table object, and closure joins the
-tables its varieties keep.
+rows.  Each order puts row a's rook at (a, sigma(a)) or none, so every
+row of a slot is looked up by sigma's one-line word.  The all-pairs
+consumers read joined cells: posets and order-equivalence build no
+per-table object, and closure joins the tables its varieties keep.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
-from operator import le
+from operator import getitem, le
 
 from ._value import Value, set_field
 from .errors import (
@@ -69,32 +70,40 @@ def _lanes(n: int) -> tuple[int, tuple[int, ...], int]:
     return units, columns, below
 
 
-def _southwest_cells(
-    placements: Sequence[Iterable[tuple[int, int]]], n: int, strict: bool = False
-) -> bytes:
-    """Row-major South-West counts of each rook placement, its rooks
-    (row, column) 1-based and at most one per row, the tables joined in
-    order; with ``strict``, 0 on and above the diagonal.  Each rook's row
-    of 1s goes into its row, and one product with ``units`` adds it to
-    every row above.  Each placement gets a slot of 2n rows, the table in
-    the lower n: what rises past row 1 lands in the slot's spare upper
-    rows, and only the lower rows are kept."""
-    units, columns, below = _lanes(_table_size(n))
-    size = n * n
-    rows = [column.to_bytes(n, "big") for column in columns]
-    slot = 2 * size
-    placed = bytearray(slot * len(placements))
-    start = size - n  # row a of the slot begins at start + a*n
-    for rooks in placements:
-        for a, b in rooks:
-            placed[start + a * n : start + a * n + n] = rows[b - 1]
-        start += slot
+@lru_cache(maxsize=None)
+def _row_table(order: str, n: int) -> tuple[tuple[bytes, ...], ...]:
+    """A slot's rows by row word: ``table[a-1][c]`` is row a's 1s from
+    column c where ``order`` puts a rook at (a, c) (star: c < a, Melnikov:
+    c > a, Bruhat: any c), else zeros, as at c = 0; row 1 leads with n spare rows."""
+    ones = [bytes(n), *(column.to_bytes(n, "big") for column in _lanes(n)[1])]
+    table = []
+    for a in range(1, n + 1):
+        placed = {"star": range(a), "melnikov": range(a + 1, n + 1), "bruhat": range(n + 1)}
+        lead = bytes(n * n) if a == 1 else b""
+        table.append(tuple(lead + ones[c if c in placed[order] else 0] for c in range(n + 1)))
+    return tuple(table)
+
+
+def _word_cells(order: str, words: Iterable[Sequence[int]], n: int) -> bytes:
+    """Row-major South-West counts of ``order``'s rook placements, each
+    given by a row word read once, joined in order; star's are 0 on and
+    above the diagonal.  A placement's slot of 2n rows, the table in the
+    lower n, is one C-level join of the rows its word looks up in
+    :func:`_row_table`; one product with ``units`` adds each rook's row of
+    1s to every row above, and what rises into the spare rows is cut."""
+    units, _, below = _lanes(_table_size(n))
+    if not n:  # 0 x 0 tables are empty
+        return b""
+    size, rows = n * n, _row_table(order, n)
+    placed = bytearray()  # a slot at a time: no list of slots is held
+    for word in words:
+        placed += b"".join(map(getitem, rows, word))
     summed = int.from_bytes(placed, "big") * units
-    if strict:
+    if order == "star":
         mask = bytes(size) + below.to_bytes(size, "big")
-        summed &= int.from_bytes(mask * len(placements), "big")
+        summed &= int.from_bytes(mask * (len(placed) // (2 * size)), "big")
     cells = summed.to_bytes(len(placed), "big")
-    return b"".join([cells[k : k + size] for k in range(size, len(cells), slot)])
+    return b"".join([cells[k : k + size] for k in range(size, len(cells), 2 * size)])
 
 
 def _checked_cells(n: int, cells: Sequence[int], count: int = 1) -> bytes:
@@ -181,47 +190,36 @@ def exact_rank(matrix: Sequence[Sequence]) -> int:
         raise SizeMismatchError("ragged rows")
     matrix = integral_multiple(matrix)
     integral = type(next(chain.from_iterable(matrix), 0)) is int
-    insert = _fraction_free_insert if integral else _field_insert
+    return _echelon_rank(matrix, _fraction_free_insert if integral else _field_insert)
+
+
+def _echelon_rank(matrix: Sequence[Sequence], insert=_fraction_free_insert) -> int:
+    """:func:`exact_rank` of rows typed for ``insert`` (by default plain ints), unchecked."""
     basis: list = []
     for row in filter(any, matrix):  # a zero row adds nothing
         insert(basis, row)
     return len(basis)
 
 
-# order name -> (the rook placement of an involution, whether its table
-# is 0 on and above the diagonal)
-_PLACEMENTS = {
-    "star": (lambda sigma: sigma.arcs, True),
-    "melnikov": (lambda sigma: ((j, i) for i, j in sigma.arcs), False),
-    "bruhat": (lambda sigma: zip(sigma.one_line(), range(1, sigma.n + 1)), False),
-}
-
-
-def _placement_table(order: str, sigma: Involution) -> RankMatrix:
-    rooks, strict = _PLACEMENTS[order]
-    return RankMatrix.of_cells(sigma.n, _southwest_cells((rooks(sigma),), sigma.n, strict))
-
-
 @lru_cache(maxsize=None)
 def melnikov_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly upper-triangular placement of sigma,
     with a rook at (j, i) for each arc (i, j)."""
-    return _placement_table("melnikov", sigma)
+    return RankMatrix.of_cells(sigma.n, _word_cells("melnikov", (sigma.one_line(),), sigma.n))
 
 
 @lru_cache(maxsize=None)
 def star_rank_matrix(sigma: Involution) -> RankMatrix:
     """Corner ranks of the strictly lower-triangular placement of sigma;
     entries on and above the diagonal are defined to be 0."""
-    return _placement_table("star", sigma)
+    return RankMatrix.of_cells(sigma.n, _word_cells("star", (sigma.one_line(),), sigma.n))
 
 
 @lru_cache(maxsize=None)
 def bruhat_rank_matrix(w: Permutation) -> RankMatrix:
     """Corner ranks of the full permutation matrix (rook of column k in
-    row w(k)), over the whole n x n grid."""
-    rooks = zip(w.one_line, range(1, w.n + 1))
-    return RankMatrix.of_cells(w.n, _southwest_cells((rooks,), w.n))
+    row w(k)), over the whole n x n grid, read off w's inverse word."""
+    return RankMatrix.of_cells(w.n, _word_cells("bruhat", (w.inverse().one_line,), w.n))
 
 
 # order name -> the rank table of an involution whose entrywise
@@ -233,16 +231,11 @@ ORDER_TABLES = {
 }
 
 
-def _unknown_order(order: str) -> UnknownSuiteError:
-    return UnknownSuiteError(f"unknown order {order!r}; expected one of {tuple(ORDER_TABLES)}")
-
-
 def order_table(order: str):
     """The rank table whose entrywise comparison defines ``order``."""
-    try:
-        return ORDER_TABLES[order]
-    except KeyError:
-        raise _unknown_order(order) from None
+    if order not in ORDER_TABLES:
+        raise UnknownSuiteError(f"unknown order {order!r}; expected one of {tuple(ORDER_TABLES)}")
+    return ORDER_TABLES[order]
 
 
 def joined_cells(order: str, sigmas: Sequence[Involution], n: int) -> bytes:
@@ -250,13 +243,10 @@ def joined_cells(order: str, sigmas: Sequence[Involution], n: int) -> bytes:
     ``cells[k*n*n:(k+1)*n*n]``, the cells of ``order_table(order)(sigmas[k])``.
     One product builds them all, and every table is checked against the
     rook bound, as a :class:`RankMatrix` is."""
-    if order not in _PLACEMENTS:
-        raise _unknown_order(order)
+    order_table(order)  # an unknown order raises
     if {sigma.n for sigma in sigmas} - {n}:
         raise SizeMismatchError(f"involutions not all of size {n}")
-    rooks, strict = _PLACEMENTS[order]
-    cells = _southwest_cells([rooks(sigma) for sigma in sigmas], n, strict)
-    return _checked_cells(n, cells, len(sigmas))
+    return _checked_cells(n, _word_cells(order, map(Involution.one_line, sigmas), n), len(sigmas))
 
 
 def _dominated(low: RankMatrix, high: RankMatrix) -> bool:

@@ -42,7 +42,7 @@ from borbits.matrices import (
 )
 from borbits.moves import phi_lt
 from borbits.poset import LSets, hasse_edges, poset_ranks
-from borbits.rankorder import _dominated, bit_indices
+from borbits.rankorder import _dominated, _lanes, bit_indices
 from borbits.ratfunc import EPS, Q_ZERO, RF_ONE, RF_ZERO
 
 
@@ -495,6 +495,62 @@ def southwest_count(rooks, i: int, j: int) -> int:
     """Oracle: the rooks (row, column) weakly South-West of box (i, j),
     a >= i and b <= j, counted one cell at a time."""
     return sum(1 for a, b in rooks if a >= i and b <= j)
+
+
+def southwest_cells(rooks, n: int, strict: bool = False) -> bytes:
+    """Oracle: one :func:`southwest_count` per cell, row by row; with
+    ``strict``, 0 on and above the diagonal."""
+    return bytes(
+        southwest_count(rooks, i, j) if i > j or not strict else 0
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    )
+
+
+def slotted_southwest_cells(placements, n: int, strict: bool = False) -> bytes:
+    """Oracle: the joined South-West tables of rook placements, their
+    rooks (row, column) at most one per row, built rook by rook: each
+    rook's row of 1s goes into its row of the placement's slot of 2n rows
+    by one slice assignment, and one product with ``units`` adds it to
+    every row above; with ``strict``, 0 on and above the diagonal."""
+    units, columns, below = _lanes(n)
+    size, slot = n * n, 2 * n * n
+    rows = [column.to_bytes(n, "big") for column in columns]
+    placed = bytearray(slot * len(placements))
+    start = size - n  # row a of the slot begins at start + a*n
+    for rooks in placements:
+        for a, b in rooks:
+            placed[start + a * n : start + a * n + n] = rows[b - 1]
+        start += slot
+    summed = int.from_bytes(placed, "big") * units
+    if strict:
+        mask = bytes(size) + below.to_bytes(size, "big")
+        summed &= int.from_bytes(mask * len(placements), "big")
+    cells = summed.to_bytes(len(placed), "big")
+    return b"".join(cells[k : k + size] for k in range(size, len(cells), slot))
+
+
+def order_rooks(order: str, sigma: Involution) -> list[tuple[int, int]]:
+    """Oracle: the rook placement whose South-West counts are sigma's
+    table under ``order``: star's rook (i, j) and Melnikov's (j, i) per
+    arc (i, j), Bruhat's (sigma(k), k) per point k."""
+    if order == "star":
+        return list(sigma.arcs)
+    if order == "melnikov":
+        return [(j, i) for i, j in sigma.arcs]
+    return [(sigma.apply(k), k) for k in range(1, sigma.n + 1)]
+
+
+def fixed_scan_n_prime(sigma: Involution, outputs) -> set:
+    """Oracle: the removals among ``outputs`` (move -> output) whose
+    closed interval [j, i] holds no fixed point, each point tested by
+    :meth:`~borbits.Involution.is_fixed`."""
+    return {
+        tau
+        for move, tau in outputs.items()
+        if move.kind == "remove"
+        and not any(sigma.is_fixed(m) for m in range(move.arc.j, move.arc.i + 1))
+    }
 
 
 def leibniz_det(m, q=None):

@@ -182,6 +182,17 @@ def test_enumeration_matches_filter_oracle():
         assert set(enumerated) == set(filter_involutions(n))
 
 
+def test_enumerated_elements_are_the_checked_constructions():
+    # built unchecked, each element is what the validating constructor
+    # builds from its arcs: the same type, equal, with the same hash
+    for n in range(1, 11):
+        for sigma in enumerate_involutions(n):
+            checked = Involution(n, sigma.arcs)
+            assert type(sigma) is Involution
+            assert sigma == checked and hash(sigma) == hash(checked)
+            assert vars(sigma) == vars(checked)
+
+
 def test_enumeration_small_counts():
     assert len(enumerate_involutions(1)) == 1
     assert {format_involution(s) for s in enumerate_involutions(3)} == {

@@ -4,7 +4,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import a_oracle, b_oracle, c_oracle, remove_oracle, slide_oracle
+from conftest import (
+    a_oracle,
+    b_oracle,
+    c_oracle,
+    fixed_scan_n_prime,
+    remove_oracle,
+    slide_oracle,
+)
 
 from borbits import (
     Arc,
@@ -284,12 +291,7 @@ def test_move_table_matches_the_oracles():
             assert n_plus(sigma) == _of_kinds(oracle, "c")
             assert near(sigma) == set(oracle.values())
             # a removal is in N' iff its closed interval holds no fixed point
-            prime = {
-                tau
-                for move, tau in oracle.items()
-                if move.kind == "remove"
-                and all(not sigma.is_fixed(p) for p in range(move.arc.j, move.arc.i + 1))
-            }
+            prime = fixed_scan_n_prime(sigma, oracle)
             assert n_prime(sigma) == prime
             slides_swaps_splits = _of_kinds(oracle, "right", "up", "a", "b", "c")
             assert near_prime(sigma) == prime | slides_swaps_splits

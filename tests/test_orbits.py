@@ -480,22 +480,40 @@ def test_orbit_dimension_equals_length_small():
             assert orbit_dimension(sigma) == length(to_permutation(sigma))
 
 
-def test_bracket_matrices_are_the_delta_scan(monkeypatch):
-    # the matrix ranked for each sigma up to S_7, entry for entry, zero
-    # rows included, against the one that tests every cell
+def _ranked_bracket_matrices(monkeypatch) -> list:
+    """The matrices :func:`orbit_dimension` hands to its unchecked rank,
+    kept in call order."""
     ranked = []
 
     def keep(matrix):
         ranked.append(matrix)
-        return rankorder.exact_rank(matrix)
+        return rankorder._echelon_rank(matrix)
 
-    monkeypatch.setattr(orbits, "exact_rank", keep)
+    monkeypatch.setattr(orbits, "_echelon_rank", keep)
+    return ranked
+
+
+def test_bracket_matrices_are_the_delta_scan(monkeypatch):
+    # the matrix ranked for each sigma up to S_7, entry for entry, zero
+    # rows included, against the one that tests every cell
+    ranked = _ranked_bracket_matrices(monkeypatch)
     for n in range(1, 8):
         for sigma in enumerate_involutions(n):
             orbit_dimension(sigma)
             built = ranked.pop()
             assert all(type(x) is int for row in built for x in row)
             assert tuple(map(tuple, built)) == delta_scan_bracket_matrix(sigma)
+
+
+def test_orbit_dimension_is_the_checked_rank_and_the_length(monkeypatch):
+    # the unchecked rank of each bracket matrix against the checked
+    # exact_rank of the same matrix, and against l(sigma), up to S_8
+    ranked = _ranked_bracket_matrices(monkeypatch)
+    for n in range(1, 9):
+        for sigma in enumerate_involutions(n):
+            dim = orbit_dimension(sigma)
+            assert dim == rankorder.exact_rank(ranked.pop())
+            assert dim == length(to_permutation(sigma))
 
 
 def test_delta_minors_examples():

@@ -39,8 +39,8 @@ from borbits.rankorder import (
     _dominated,
     _lanes,
     _rook_bounds,
-    _southwest_cells,
     _strict_ranks,
+    _word_cells,
     dominance_masks,
     joined_cells,
 )
@@ -52,11 +52,14 @@ from conftest import (
     largest_nonzero_minor,
     leq_bruhat,
     leq_melnikov,
+    order_rooks,
     prefix_corner_ranks,
     rationals,
     rook_matrix_upper,
     rook_matrix_lower,
     row_typed_rank,
+    slotted_southwest_cells,
+    southwest_cells,
     southwest_count,
 )
 
@@ -171,16 +174,6 @@ def test_southwest_count_examples():
     assert southwest_count((), 3, 3) == 0
 
 
-def southwest_cells(rooks, n: int, strict: bool = False) -> bytes:
-    """Oracle: one :func:`southwest_count` per cell, row by row; with
-    ``strict``, 0 on and above the diagonal."""
-    return bytes(
-        southwest_count(rooks, i, j) if i > j or not strict else 0
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-    )
-
-
 def assert_tables_are_southwest_counts(sigma, w):
     """The three orders' tables of ``sigma``, and the Bruhat table of the
     permutation ``w``, against one count per cell."""
@@ -198,6 +191,15 @@ def test_every_table_cell_equals_its_southwest_count():
     for n in range(1, 7):
         for sigma in enumerate_involutions(n):
             assert_tables_are_southwest_counts(sigma, to_permutation(sigma))
+
+
+def test_bruhat_tables_of_every_permutation_are_southwest_counts():
+    # a permutation's table is built from its inverse word: every w of
+    # S_n, non-involutions included, against one count per cell
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            full = [(w.apply(k), k) for k in range(1, n + 1)]
+            assert bruhat_rank_matrix(w).cells == southwest_cells(full, n)
 
 
 @st.composite
@@ -821,33 +823,53 @@ def test_joined_cells_are_the_per_sigma_tables_joined(order):
         assert cells == b"".join(TABLE_KINDS[order](sigma).cells for sigma in sigmas)
         assert joined_cells(order, sigmas[-1:], n) == TABLE_KINDS[order](sigmas[-1]).cells
     assert joined_cells(order, (), 3) == b""
+    assert joined_cells(order, (), 0) == b""  # no 0 x 0 table has a cell
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_KINDS))
+def test_joined_cells_are_southwest_counts(order):
+    # the word route, all tables at once, against one count per cell
+    for n in range(1, 9):
+        sigmas = enumerate_involutions(n)
+        expected = (southwest_cells(order_rooks(order, s), n, order == "star") for s in sigmas)
+        assert joined_cells(order, sigmas, n) == b"".join(expected)
 
 
 @st.composite
-def rook_placements(draw):
-    """n <= 9 and 0-6 placements of at most one rook (row, column) per
-    row; a column may hold several, so a cell may count up to n."""
+def row_words(draw):
+    """n <= 9 and 0-6 row words, entry c in row a a rook at (a, c) and
+    c = 0 an empty row; a column may hold several rooks, so a cell may
+    count up to n."""
     n = draw(st.integers(1, 9))
-    placement = st.dictionaries(st.integers(1, n), st.integers(1, n)).map(
-        lambda rooks: sorted(rooks.items())
-    )
-    return n, draw(st.lists(placement, max_size=6))
+    return n, draw(st.lists(st.lists(st.integers(0, n), min_size=n, max_size=n), max_size=6))
+
+
+def placed_rooks(order: str, word) -> list[tuple[int, int]]:
+    """The rooks (a, c) of a row word that ``order`` places: star's
+    below the diagonal, Melnikov's above it, Bruhat's anywhere."""
+    rule = {"star": lambda a, c: c < a, "melnikov": lambda a, c: c > a}.get(order)
+    return [(a, c) for a, c in enumerate(word, 1) if c and (rule is None or rule(a, c))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(sized=rook_placements(), strict=st.booleans())
-@example(sized=(3, []), strict=False)
-@example(sized=(1, [[], [(1, 1)], [(1, 1)]]), strict=False)
-@example(sized=(1, [[(1, 1)], []]), strict=True)
-@example(sized=(4, [[(1, 4)], [(1, 1), (4, 4)], [(1, 2)]]), strict=True)  # row 1
-@example(sized=(9, [[(a, 1) for a in range(1, 10)]] * 2), strict=False)  # a full column
-@example(sized=(9, [[(a, 10 - a) for a in range(1, 10)], [(9, 1)]]), strict=True)
-def test_joined_southwest_cells_match_one_count_per_cell(sized, strict):
-    # the slotted product against each placement built alone and against
-    # one South-West count per cell; a rook's rise past row 1 stays in its slot
-    n, placements = sized
-    cells = _southwest_cells(placements, n, strict)
-    assert cells == b"".join(_southwest_cells((rooks,), n, strict) for rooks in placements)
+@given(sized=row_words(), order=st.sampled_from(sorted(TABLE_KINDS)))
+@example(sized=(3, []), order="bruhat")
+@example(sized=(1, [[0], [1], [1]]), order="bruhat")
+@example(sized=(1, [[1], [0]]), order="star")
+@example(sized=(4, [[4, 0, 0, 0], [1, 0, 0, 4], [2, 0, 0, 0]]), order="bruhat")  # row 1
+@example(sized=(4, [[4, 0, 0, 0], [2, 4, 1, 3]]), order="melnikov")  # row 1
+@example(sized=(9, [[1] * 9] * 2), order="bruhat")  # a full column
+@example(sized=(9, [list(range(9, 0, -1)), [0] * 8 + [1]]), order="star")
+def test_joined_southwest_cells_match_one_count_per_cell(sized, order):
+    # the word kernel against each placement built alone, against the
+    # per-rook slotted product and against one South-West count per cell;
+    # a rook's rise past row 1 stays in its slot
+    n, words = sized
+    strict = order == "star"
+    placements = [placed_rooks(order, word) for word in words]
+    cells = _word_cells(order, words, n)
+    assert cells == b"".join(_word_cells(order, (word,), n) for word in words)
+    assert cells == slotted_southwest_cells(placements, n, strict)
     assert cells == b"".join(southwest_cells(rooks, n, strict) for rooks in placements)
 
 
@@ -856,11 +878,11 @@ def test_joined_cells_check_every_table(monkeypatch):
     built = joined_cells("star", sigmas, 3)
     # the second table's (2,1) over its rook bound of 1
     bad = built[:12] + b"\2" + built[13:]
-    monkeypatch.setattr(rankorder, "_southwest_cells", lambda placements, n, strict: bad)
+    monkeypatch.setattr(rankorder, "_word_cells", lambda order, words, n: bad)
     with pytest.raises(IndexOutOfRangeError) as error:
         joined_cells("star", sigmas, 3)
     assert str(error.value) == "entry 2 at (2,1) of table 2 exceeds rook bound"
-    monkeypatch.setattr(rankorder, "_southwest_cells", lambda placements, n, strict: built[:-1])
+    monkeypatch.setattr(rankorder, "_word_cells", lambda order, words, n: built[:-1])
     with pytest.raises(SizeMismatchError):
         joined_cells("star", sigmas, 3)
 
